@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import shlex
 import sys
@@ -250,6 +251,7 @@ def cmd_sweep(args):
     if not (rhos and mus and orders and denoisers and args.scenes):
         raise UsageError("sweep grid and scene list must be nonempty")
     config = StftConfig(frame_len=args.frame_len, hop=args.hop)
+    grid = list(itertools.product(rhos, mus, orders, denoisers))
     rows = []
     for scene_dir in args.scenes:
         try:
@@ -258,34 +260,23 @@ def cmd_sweep(args):
             reference = read_wav(
                 os.path.join(scene_dir, "reference.wav")).channels[0]
         except Exception as exc:
-            for rho in rhos:
-                for mu in mus:
-                    for order in orders:
-                        for kind in denoisers:
-                            rows.append([scene_dir, rho, mu, order, kind,
-                                         "", "", "", "", f"error:{exc}"])
+            rows += [[scene_dir, *point, "", "", "", "", f"error:{exc}"]
+                     for point in grid]
             continue
-        for rho in rhos:
-            for mu in mus:
-                for order in orders:
-                    for kind in denoisers:
-                        try:
-                            params = _pnp_params(args, denoiser_kind=kind,
-                                                 rho=rho, mu=mu,
-                                                 filter_order=order)
-                            estimate, state, trace = run_pnpwpe(observed,
-                                                                params)
-                            out = synthesize(estimate)
-                            report = evaluate_pair(reference, out)
-                            plateau = plateau_iteration(state.r_change_trace)
-                            rows.append([
-                                scene_dir, rho, mu, order, kind,
-                                f"{report.cd:.6f}",
-                                f"{report.fwsegsnr:.6f}",
-                                f"{trace[-1]:.12g}", plateau, "ok"])
-                        except Exception as exc:
-                            rows.append([scene_dir, rho, mu, order, kind,
-                                         "", "", "", "", f"error:{exc}"])
+        for rho, mu, order, kind in grid:
+            try:
+                params = _pnp_params(args, denoiser_kind=kind, rho=rho,
+                                     mu=mu, filter_order=order)
+                estimate, state, trace = run_pnpwpe(observed, params)
+                out = synthesize(estimate)
+                report = evaluate_pair(reference, out)
+                plateau = plateau_iteration(state.r_change_trace)
+                rows.append([scene_dir, rho, mu, order, kind,
+                             f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
+                             f"{trace[-1]:.12g}", plateau, "ok"])
+            except Exception as exc:
+                rows.append([scene_dir, rho, mu, order, kind,
+                             "", "", "", "", f"error:{exc}"])
     lines = ["scene,rho,mu,L,denoiser,cd,fwsegsnr,final_error,plateau_iter,"
              "status"]
     lines += [",".join(str(v) for v in row) for row in rows]

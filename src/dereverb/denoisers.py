@@ -184,6 +184,9 @@ class ExternalDenoiser:
                 f"{values.shape} (inputs kept in {tmpdir})")
         if sample_rate != spec.sample_rate:
             raise ProtocolError("denoiser changed the sample rate")
+        if not np.all(np.isfinite(values)):
+            raise ProtocolError(
+                f"denoiser output is not finite (inputs kept in {tmpdir})")
         shutil.rmtree(tmpdir, ignore_errors=True)
         return spec.with_values(values)
 

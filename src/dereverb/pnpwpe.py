@@ -15,7 +15,7 @@ from .denoisers import DenoiserSpec, make_denoiser
 from .errors import ArgumentError
 from .stft import StftConfig, analyze_multichannel, synthesize
 from .wpe import (FilterBank, WpeParams, apply_filters, estimate_psd,
-                  solve_all_bands, stack_regressors, _predict)
+                  solve_all_bands, stack_regressors)
 
 
 @dataclass(frozen=True)
@@ -135,12 +135,13 @@ def constraint_error_signed(r, s_hat, v):
 
 def update_filters(observed, r, v, p, sigma, params):
     """One per-band reweighted solve given the current iterates."""
-    obs = observed.as_array()
-    x_ref = obs[params.wpe.reference_channel]
+    x_ref = observed.channels[params.wpe.reference_channel].values
     lam = compute_lambda(sigma, params.rho)
     xtilde = compute_xtilde(x_ref, r, v, p, lam, params.rho)
-    taps = stack_regressors(obs, params.wpe.delay, params.wpe.filter_order)
-    return FilterBank(solve_all_bands(taps, xtilde, lam))
+    regressors = stack_regressors(observed.as_array(), params.wpe.delay,
+                                  params.wpe.filter_order)
+    weights, _ = solve_all_bands(regressors, xtilde, lam)
+    return FilterBank(weights)
 
 
 def prediction_error(observed, filters, params):
@@ -158,10 +159,10 @@ def run_pnpwpe(observed, params):
     if observed.num_frames <= wpe_params.delay:
         raise ArgumentError("need more frames than the prediction delay")
     denoiser = make_denoiser(params.denoiser)
-    obs = observed.as_array()
-    x_ref = obs[wpe_params.reference_channel]
     template = observed.channels[wpe_params.reference_channel]
-    taps = stack_regressors(obs, wpe_params.delay, wpe_params.filter_order)
+    x_ref = template.values
+    regressors = stack_regressors(observed.as_array(), wpe_params.delay,
+                                  wpe_params.filter_order)
 
     shape = x_ref.shape
     s_hat = x_ref.copy()
@@ -178,9 +179,9 @@ def run_pnpwpe(observed, params):
         sigma = estimate_psd(s_hat, wpe_params.epsilon)
         lam = compute_lambda(sigma, params.rho)
         xtilde = compute_xtilde(x_ref, r, v, p, lam, params.rho)
-        weights = solve_all_bands(taps, xtilde, lam)
+        weights, prediction = solve_all_bands(regressors, xtilde, lam)
         filters = FilterBank(weights)
-        s_hat = x_ref - _predict(taps, weights)
+        s_hat = x_ref - prediction
         r_tilde = compute_rtilde(s_hat, v, p)
         r_prev = r
         r = update_r(template.with_values(r_tilde), denoiser, params.mu,

@@ -98,7 +98,9 @@ def read_wav(path):
     """Read a PCM16 or IEEE float32 RIFF/WAVE file.
 
     PCM16 samples are scaled to [-1, 1) by division by 32768; float32
-    samples pass through unchanged. Channel order is preserved.
+    samples pass through unchanged. Channel order is preserved. A zero
+    sample rate, a data chunk that is not a whole number of samples and
+    non-finite float32 samples raise FormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -127,15 +129,22 @@ def read_wav(path):
     audio_format, num_channels, sample_rate, _, _, bits = fmt
     if num_channels < 1:
         raise FormatError("WAV file declares zero channels")
+    if sample_rate == 0:
+        raise FormatError("WAV file declares a zero sample rate")
     if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / _PCM16_SCALE
+        dtype, scale = "<i2", _PCM16_SCALE
     elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(payload, dtype="<f4")
-        samples = raw.astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise FormatError(
             f"unsupported WAV encoding (format={audio_format}, bits={bits})")
+    if len(payload) % (bits // 8) != 0:
+        raise FormatError(
+            f"WAV data chunk of {len(payload)} bytes is not a whole number "
+            f"of {bits}-bit samples")
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / scale
+    if not np.all(np.isfinite(samples)):
+        raise FormatError(f"WAV file holds non-finite samples: {path}")
     if samples.size % num_channels != 0:
         raise IOError(f"WAV data not divisible by channel count in {path}")
     frames = samples.reshape(-1, num_channels)

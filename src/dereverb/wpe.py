@@ -8,10 +8,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import zherk
 
 from .errors import ArgumentError, SingularBandError
 from .numerics import DEFAULT_LOADING, NormalEquations, solve_hpd
 from .stft import MultichannelSpectrogram, Spectrogram
+
+# Regressor bytes built at once; a chunk holds at least one bin.
+CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -74,16 +79,63 @@ def build_regressor(spec, n, k, delay, order):
     return out
 
 
+class Regressors:
+    """Delayed regressors of every bin, built one chunk of bins at a time.
+
+    Stands for the (bins, L*Q, frames) tensor whose entry [k, q*L + l, n]
+    is X_q(n-D-l, k), zero for negative frames, without holding it: only a
+    zero-padded, bin-major copy of the observation is kept, and `block`
+    reads a chunk of bins through a strided window view of that copy (the
+    construction of NARA-WPE's build_y_tilde, Drude et al. 2018).
+    """
+
+    def __init__(self, obs, delay, order):
+        n_ch, n_frames, n_bins = obs.shape
+        self.order = order
+        self.shape = (n_bins, order * n_ch, n_frames)
+        # padded[k, q, m] = X_q(m - D - L + 1, k): window n of length L
+        # holds the frames n-D-L+1 .. n-D, oldest first.
+        self._padded = np.zeros((n_bins, n_ch, n_frames + order - 1),
+                                dtype=np.complex128)
+        kept = max(n_frames - delay, 0)
+        self._padded[:, :, n_frames + order - 1 - kept:] = (
+            obs[:, :kept, :].transpose(2, 0, 1))
+        bin_bytes = 16 * order * n_ch * n_frames
+        self.chunk_bins = max(1, CHUNK_BYTES // bin_bytes)
+
+    @property
+    def nbytes(self):
+        return self._padded.nbytes
+
+    def block(self, k0, k1):
+        """The regressors of bins k0..k1-1 as a (k1-k0, L*Q, frames) array."""
+        windows = sliding_window_view(self._padded[k0:k1], self.order, axis=2)
+        return windows[..., ::-1].transpose(0, 1, 3, 2).reshape(
+            k1 - k0, *self.shape[1:])
+
+    def chunks(self):
+        """(k0, k1, block(k0, k1)) over all bins, chunk_bins at a time."""
+        n_bins = self.shape[0]
+        for k0 in range(0, n_bins, self.chunk_bins):
+            k1 = min(k0 + self.chunk_bins, n_bins)
+            yield k0, k1, self.block(k0, k1)
+
+    def predict(self, weights):
+        """w^H x for all frames and bins: (frames, bins)."""
+        n_bins, _, n_frames = self.shape
+        prediction = np.empty((n_frames, n_bins), dtype=np.complex128)
+        for k0, k1, block in self.chunks():
+            prediction[:, k0:k1] = _chunk_prediction(weights[k0:k1], block)
+        return prediction
+
+
+def _chunk_prediction(weights, block):
+    return np.einsum("ki,kin->nk", weights.conj(), block)
+
+
 def stack_regressors(obs, delay, order):
-    """All regressors at once: (bins, L*Q, frames) from (Q, frames, bins)."""
-    n_ch, n_frames, n_bins = obs.shape
-    taps = np.zeros((n_bins, order * n_ch, n_frames), dtype=np.complex128)
-    for q in range(n_ch):
-        for l in range(order):
-            shift = delay + l
-            if shift < n_frames:
-                taps[:, q * order + l, shift:] = obs[q, :n_frames - shift, :].T
-    return taps
+    """Regressors of a (Q, frames, bins) observation; see Regressors."""
+    return Regressors(obs, delay, order)
 
 
 def estimate_psd(s_hat, epsilon):
@@ -94,43 +146,53 @@ def estimate_psd(s_hat, epsilon):
     return np.maximum(np.abs(values) ** 2, epsilon)
 
 
-def solve_all_bands(taps, targets, weights, loading=DEFAULT_LOADING):
-    """Per-band weighted normal-equation solve.
+def solve_all_bands(regressors, targets, weights, loading=DEFAULT_LOADING):
+    """Per-band weighted normal-equation solve and the prediction it makes.
 
-    taps: (bins, L*Q, frames); targets, weights: (frames, bins).
-    Returns (bins, L*Q) filter weights.
+    regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
+    (frames, bins). Z = sum x x^H / weight and q = sum x t* / weight come
+    from one Hermitian rank-k update of the rows [x; t] / sqrt(weight).
+    Returns the (bins, L*Q) filter weights and the (frames, bins)
+    prediction w^H x, computed chunk by chunk from the same regressors.
     """
-    n_bins, n_taps, _ = taps.shape
-    inv_w = (1.0 / weights).T  # (bins, frames)
-    scaled = taps * inv_w[:, None, :]
-    Z = scaled @ taps.conj().transpose(0, 2, 1)
-    Z = 0.5 * (Z + Z.conj().transpose(0, 2, 1))
-    q = np.einsum("kin,kn->ki", scaled, targets.T.conj())
-    filters = np.zeros((n_bins, n_taps), dtype=np.complex128)
-    for k in range(n_bins):
-        try:
-            filters[k] = solve_hpd(NormalEquations(Z[k], q[k]), loading)
-        except SingularBandError as exc:
-            raise SingularBandError(str(exc), band=k)
-    return filters
-
-
-def _predict(taps, weights):
-    """w^H x for all frames/bands: (frames, bins)."""
-    return np.einsum("ki,kin->nk", weights.conj(), taps)
+    n_bins, n_taps, n_frames = regressors.shape
+    scale = np.sqrt(1.0 / weights).T  # (bins, frames)
+    filters = np.empty((n_bins, n_taps), dtype=np.complex128)
+    prediction = np.empty((n_frames, n_bins), dtype=np.complex128)
+    rows = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
+    # Per-band BLAS and LAPACK calls all go to scipy (zherk, cho_factor,
+    # cho_solve); everything else is elementwise or chunk-level numpy.
+    # numpy and scipy each bundle their own OpenBLAS, and alternating the two
+    # thread pools band by band made a preset-A WPE run about 3x slower.
+    for k0, k1, block in regressors.chunks():
+        for k in range(k0, k1):
+            np.multiply(block[k - k0], scale[k], out=rows[:n_taps])
+            np.multiply(targets[:, k], scale[k], out=rows[n_taps])
+            # rows.T is Fortran-ordered, so no copy is made; trans=2 gives
+            # conj(rows rows^H), whose lower triangle holds conj(Z) and q.
+            gram = zherk(1.0, rows.T, trans=2, lower=1)
+            lower = np.tril(gram[:n_taps, :n_taps]).conj()
+            Z = lower + np.tril(lower, -1).conj().T
+            try:
+                filters[k] = solve_hpd(
+                    NormalEquations(Z, gram[n_taps, :n_taps]), loading)
+            except SingularBandError as exc:
+                raise SingularBandError(str(exc), band=k)
+        prediction[:, k0:k1] = _chunk_prediction(filters[k0:k1], block)
+    return filters, prediction
 
 
 def apply_filters(observed, filters, delay, order, reference_channel=0):
     """Prediction residual: X_ref(n,k) - w^H(k) regressor(n,k)."""
-    obs = observed.as_array()
     n_ch = observed.num_channels
     if filters.weights.shape != (observed.num_bins, order * n_ch):
         raise ArgumentError("filter bank shape inconsistent with observed")
     if reference_channel >= n_ch:
         raise ArgumentError("reference_channel out of range")
-    taps = stack_regressors(obs, delay, order)
-    residual = obs[reference_channel] - _predict(taps, filters.weights)
-    return observed.channels[reference_channel].with_values(residual)
+    reference = observed.channels[reference_channel]
+    regressors = stack_regressors(observed.as_array(), delay, order)
+    return reference.with_values(
+        reference.values - regressors.predict(filters.weights))
 
 
 def run_wpe(observed, params):
@@ -143,16 +205,16 @@ def run_wpe(observed, params):
         raise ArgumentError("reference_channel out of range")
     if observed.num_frames <= params.delay:
         raise ArgumentError("need more frames than the prediction delay")
-    obs = observed.as_array()
-    ref = obs[params.reference_channel]
-    taps = stack_regressors(obs, params.delay, params.filter_order)
+    ref = observed.channels[params.reference_channel].values
+    regressors = stack_regressors(observed.as_array(), params.delay,
+                                  params.filter_order)
     sigma = np.maximum(np.abs(ref) ** 2, params.epsilon)
     trace = []
     filters = None
     s_hat = ref
     for _ in range(params.iterations):
-        weights = solve_all_bands(taps, ref, sigma)
-        s_hat = ref - _predict(taps, weights)
+        weights, prediction = solve_all_bands(regressors, ref, sigma)
+        s_hat = ref - prediction
         sigma = np.maximum(np.abs(s_hat) ** 2, params.epsilon)
         filters = FilterBank(weights)
         trace.append(float(np.mean(np.abs(s_hat) ** 2)))

@@ -1,4 +1,5 @@
 import os
+import struct
 import sys
 
 import numpy as np
@@ -167,6 +168,26 @@ def test_exit_code_missing_input(tmp_path):
     out = tmp_path / "o.wav"
     assert main(["dereverb", "--input", str(tmp_path / "absent.wav"),
                  "--out", str(out)] + FAST) == EXIT_IO
+
+
+def test_exit_code_malformed_wav(tmp_path):
+    def wav(rate, payload):
+        fmt = struct.pack("<HHIIHH", 3, 1, rate, 4 * rate, 4, 32)
+        body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(payload)) + payload)
+        return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+    samples = np.zeros(64, dtype="<f4")
+    nonfinite = samples.copy()
+    nonfinite[3] = np.inf
+    cases = {"partial": wav(16000, samples.tobytes()[:-2]),
+             "nonfinite": wav(16000, nonfinite.tobytes()),
+             "norate": wav(0, samples.tobytes())}
+    for name, raw in cases.items():
+        bad = tmp_path / f"{name}.wav"
+        bad.write_bytes(raw)
+        assert main(["dereverb", "--input", str(bad),
+                     "--out", str(tmp_path / "o.wav")] + FAST) == EXIT_IO
 
 
 def test_exit_code_invalid_solver_params(tmp_path, scene_dir):

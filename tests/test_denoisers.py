@@ -276,3 +276,17 @@ def test_external_soft_threshold_matches_in_process(tmp_path):
     as_f32 = (internal.real.astype(np.float32).astype(np.float64)
               + 1j * internal.imag.astype(np.float32).astype(np.float64))
     assert np.array_equal(external.values, as_f32)
+
+
+def test_external_non_finite_output_is_protocol_error(tmp_path):
+    body = (COPY_SCRIPT + "\nimport struct\n"
+            "raw = bytearray(open(sys.argv[2], 'rb').read())\n"
+            "raw[24:28] = struct.pack('<f', float('nan'))\n"
+            "open(sys.argv[2], 'wb').write(raw)\n")
+    spec = _random_spec(np.random.default_rng(13))
+    work = tmp_path / "work"
+    work.mkdir()
+    with pytest.raises(ProtocolError):
+        _script_denoiser(tmp_path, body, workdir=str(work)).denoise(spec)
+    kept = [d for d in os.listdir(work) if d.startswith("pnpspec_")]
+    assert kept and (work / kept[0] / "in.pnpspec").exists()

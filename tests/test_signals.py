@@ -68,6 +68,29 @@ def test_truncated_data_chunk(tmp_path):
         read_wav(path)
 
 
+def test_data_chunk_not_whole_samples(tmp_path):
+    path = tmp_path / "odd.wav"
+    path.write_bytes(_raw_wav(1, 1, 8000, 16, b"\x01\x02\x03"))
+    with pytest.raises(FormatError):
+        read_wav(path)
+
+
+def test_non_finite_float32_samples(tmp_path):
+    for value in (np.nan, np.inf, -np.inf):
+        path = tmp_path / "nonfinite.wav"
+        payload = np.array([0.25, value], dtype="<f4").tobytes()
+        path.write_bytes(_raw_wav(3, 1, 16000, 32, payload))
+        with pytest.raises(FormatError):
+            read_wav(path)
+
+
+def test_zero_sample_rate(tmp_path):
+    path = tmp_path / "norate.wav"
+    path.write_bytes(_raw_wav(1, 1, 0, 16, struct.pack("<h", 1)))
+    with pytest.raises(FormatError):
+        read_wav(path)
+
+
 def test_convolve_identity_kernel():
     x = TimeSignal(np.arange(5.0), 16000)
     out = convolve(x, TimeSignal([1.0], 16000))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dereverb import wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import NormalEquations, accumulate_batch, solve_hpd
 from dereverb.stft import MultichannelSpectrogram, Spectrogram, StftConfig
@@ -57,10 +60,17 @@ def test_stack_matches_per_frame_loop():
     obs = spec.as_array()
     delay, order = 2, 3
     taps = stack_regressors(obs, delay, order)
+    assert taps.shape == (spec.num_bins, order * 2, spec.num_frames)
     for n in range(spec.num_frames):
         for k in range(spec.num_bins):
             expected = build_regressor(spec, n, k, delay, order)
-            assert np.array_equal(taps[k, :, n], expected)
+            assert np.array_equal(taps.block(k, k + 1)[0, :, n], expected)
+
+
+def test_stack_holds_only_the_padded_observation():
+    obs = np.zeros((2, 12, SMALL.num_bins), dtype=np.complex128)
+    taps = stack_regressors(obs, delay=2, order=3)
+    assert taps.nbytes == obs.nbytes * (12 + 3 - 1) // 12
 
 
 # --- PSD estimate -----------------------------------------------------------
@@ -82,27 +92,66 @@ def test_estimate_psd_epsilon_validated():
 
 def test_solve_all_bands_matches_per_band_oracle():
     rng = np.random.default_rng(4)
-    n_bins, n_taps, n_frames = 4, 3, 50
-    taps = (rng.standard_normal((n_bins, n_taps, n_frames))
-            + 1j * rng.standard_normal((n_bins, n_taps, n_frames)))
-    targets = (rng.standard_normal((n_frames, n_bins))
-               + 1j * rng.standard_normal((n_frames, n_bins)))
-    weights = rng.uniform(0.5, 2.0, (n_frames, n_bins))
-    filters = solve_all_bands(taps, targets, weights)
-    for k in range(n_bins):
-        ne = accumulate_batch(taps[k].T, targets[:, k], weights[:, k])
+    n_frames = 50
+    spec = _random_mc(rng, 3, n_frames)
+    taps = stack_regressors(spec.as_array(), delay=2, order=1)
+    targets = (rng.standard_normal((n_frames, spec.num_bins))
+               + 1j * rng.standard_normal((n_frames, spec.num_bins)))
+    weights = rng.uniform(0.5, 2.0, (n_frames, spec.num_bins))
+    filters, _ = solve_all_bands(taps, targets, weights)
+    for k in range(spec.num_bins):
+        vectors = taps.block(k, k + 1)[0].T
+        ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
         oracle = solve_hpd(ne)
         assert np.allclose(filters[k], oracle, rtol=1e-10, atol=1e-12)
 
 
+def _two_bin_chunks(monkeypatch, spec, delay, order):
+    bin_bytes = 16 * order * spec.num_channels * spec.num_frames
+    monkeypatch.setattr(wpe, "CHUNK_BYTES", 2 * bin_bytes)
+    taps = stack_regressors(spec.as_array(), delay, order)
+    assert taps.chunk_bins == 2 and spec.num_bins % 2 != 0
+    return taps
+
+
+def test_solve_all_bands_across_chunk_boundaries(monkeypatch):
+    rng = np.random.default_rng(14)
+    delay, order, n_frames = 2, 3, 40
+    spec = _random_mc(rng, 3, n_frames)
+    taps = _two_bin_chunks(monkeypatch, spec, delay, order)
+    targets = spec.channels[0].values
+    weights = rng.uniform(0.5, 2.0, (n_frames, spec.num_bins))
+    filters, prediction = solve_all_bands(taps, targets, weights)
+    for k in range(spec.num_bins):
+        vectors = np.array([build_regressor(spec, n, k, delay, order)
+                            for n in range(n_frames)])
+        oracle = solve_hpd(accumulate_batch(vectors, targets[:, k],
+                                            weights[:, k]))
+        np.testing.assert_allclose(filters[k], oracle, rtol=1e-10)
+        np.testing.assert_allclose(prediction[:, k],
+                                   vectors @ oracle.conj(), rtol=1e-10)
+
+
 def test_solve_all_bands_reports_failing_band():
-    taps = np.ones((3, 2, 10), dtype=np.complex128)
-    taps[2] = np.nan
+    obs = np.ones((2, 10, 3), dtype=np.complex128)
+    obs[:, :, 2] = np.nan
+    taps = stack_regressors(obs, delay=1, order=1)
     targets = np.ones((10, 3), dtype=np.complex128)
     weights = np.ones((10, 3))
     with pytest.raises(SingularBandError) as info:
         solve_all_bands(taps, targets, weights)
     assert info.value.band == 2
+
+
+def test_failing_band_in_a_later_chunk_reports_global_index(monkeypatch):
+    rng = np.random.default_rng(15)
+    spec = _random_mc(rng, 2, 12)
+    taps = _two_bin_chunks(monkeypatch, spec, delay=1, order=1)
+    targets = spec.channels[0].values.copy()
+    targets[:, 3] = np.nan
+    with pytest.raises(SingularBandError) as info:
+        solve_all_bands(taps, targets, np.ones(targets.shape))
+    assert info.value.band == 3
 
 
 # --- apply_filters ----------------------------------------------------------
@@ -218,11 +267,28 @@ def test_run_wpe_objective_does_not_increase():
     params = WpeParams(filter_order=2, delay=2, epsilon=1e-4, iterations=1)
     sigma = np.maximum(np.abs(ref) ** 2, params.epsilon)
     taps = stack_regressors(obs, params.delay, params.filter_order)
-    w = solve_all_bands(taps, ref, sigma)
-    residual = ref - np.einsum("ki,kin->nk", w.conj(), taps)
+    w, _ = solve_all_bands(taps, ref, sigma)
+    block = taps.block(0, spec.num_bins)
+    residual = ref - np.einsum("ki,kin->nk", w.conj(), block)
     cost_before = np.sum(np.abs(ref) ** 2 / sigma)
     cost_after = np.sum(np.abs(residual) ** 2 / sigma)
     assert cost_after <= cost_before + 1e-10
+
+
+def test_run_wpe_memory_stays_bounded():
+    # the full (bins, L*Q, frames) regressor tensor would be 549 MiB
+    rng = np.random.default_rng(16)
+    config = StftConfig()
+    spec = _random_mc(rng, 4, 1000, config)
+    params = WpeParams(filter_order=35, iterations=1)
+    full = 16 * config.num_bins * 35 * 4 * 1000
+    tracemalloc.start()
+    try:
+        run_wpe(spec, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 8
 
 
 def test_run_wpe_validates_inputs():
