@@ -13,7 +13,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage
 
 from .errors import ArgumentError, DenoiserError, ProtocolError
 from .stft import Spectrogram
@@ -106,9 +105,12 @@ class Median2dDenoiser:
         self.half_bins = half_bins
 
     def denoise(self, spec):
+        # Imported here: scipy.ndimage slows every CLI start-up otherwise.
+        from scipy.ndimage import median_filter
+
         mag = np.abs(spec.values)
         size = (2 * self.half_frames + 1, 2 * self.half_bins + 1)
-        smoothed = scipy.ndimage.median_filter(mag, size=size, mode="nearest")
+        smoothed = median_filter(mag, size=size, mode="nearest")
         return spec.with_values(smoothed * np.exp(1j * np.angle(spec.values)))
 
 
@@ -168,8 +170,12 @@ class ExternalDenoiser:
         in_path = f"{tmpdir}/in.pnpspec"
         out_path = f"{tmpdir}/out.pnpspec"
         write_pnpspec(spec, in_path)
-        result = subprocess.run([*self.command, in_path, out_path],
-                                capture_output=True, text=True)
+        try:
+            result = subprocess.run([*self.command, in_path, out_path],
+                                    capture_output=True, text=True)
+        except OSError as exc:
+            raise DenoiserError(f"denoiser command could not run: {exc} "
+                                f"(inputs kept in {tmpdir})") from exc
         if result.returncode != 0:
             raise DenoiserError(
                 f"denoiser command exited {result.returncode} "

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import AlignmentError, ArgumentError, MetricError
 from .signals import TimeSignal
@@ -132,13 +131,17 @@ def align(reference, estimate, max_shift=1024):
 
     Returns both signals trimmed to their overlap.
     """
+    # Imported here: scipy.signal takes about half a second to import, and
+    # most CLI commands never align.
+    from scipy.signal import correlate
+
     if reference.sample_rate != estimate.sample_rate:
         raise ArgumentError("sample_rate mismatch")
     ref = reference.samples
     est = estimate.samples
     if not np.any(ref) or not np.any(est):
         raise AlignmentError("cannot align silent signals")
-    corr = scipy.signal.correlate(est, ref, mode="full")
+    corr = correlate(est, ref, mode="full")
     lags = np.arange(-(len(ref) - 1), len(est))
     window = np.abs(lags) <= max_shift
     if not np.any(window):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import ArgumentError, SingularBandError
 
@@ -38,73 +38,33 @@ class NormalEquations:
         return self.q.shape[0]
 
 
-def accumulate_normal_equations(terms, size=None):
-    """Accumulate weighted normal equations from (vector, target, weight).
-
-    Z = sum v v^H / weight, q = sum v conj(target) / weight. Hermitian
-    symmetry is enforced by accumulating the lower triangle and mirroring.
-    """
-    terms = list(terms)
-    if not terms:
-        if size is None:
-            raise ArgumentError("size required for an empty term sequence")
-        return NormalEquations(np.zeros((size, size), dtype=np.complex128),
-                               np.zeros(size, dtype=np.complex128))
-    dim = np.asarray(terms[0][0]).shape[0]
-    if size is not None and size != dim:
-        raise ArgumentError("size inconsistent with vector length")
-    Z = np.zeros((dim, dim), dtype=np.complex128)
-    q = np.zeros(dim, dtype=np.complex128)
-    lower = np.tril_indices(dim)
-    for vector, target, weight in terms:
-        v = np.asarray(vector, dtype=np.complex128)
-        if v.shape != (dim,):
-            raise ArgumentError("inconsistent vector length")
-        if not weight > 0:
-            raise ArgumentError("weights must be positive")
-        outer = np.outer(v, v.conj()) / weight
-        Z[lower] += outer[lower]
-        q += v * np.conj(target) / weight
-    Z = np.tril(Z) + np.tril(Z, -1).conj().T
-    np.fill_diagonal(Z, Z.diagonal().real)
-    return NormalEquations(Z, q)
-
-
-def accumulate_batch(vectors, targets, weights):
-    """Vectorized accumulation over rows of `vectors` ((M, L) complex)."""
-    vectors = np.asarray(vectors, dtype=np.complex128)
-    targets = np.asarray(targets, dtype=np.complex128)
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ArgumentError("weights must be positive")
-    scaled = vectors / weights[:, None]
-    Z = scaled.T @ vectors.conj()
-    Z = 0.5 * (Z + Z.conj().T)
-    q = scaled.T @ targets.conj()
-    return NormalEquations(Z, q)
-
-
-def solve_hpd(ne, loading=DEFAULT_LOADING):
+def solve_hpd(Z, q, loading=DEFAULT_LOADING):
     """Solve (Z + loading*delta*I) w = q by Cholesky factorization.
 
-    delta = trace(Z)/size gives relative diagonal loading. An all-zero
-    system returns the zero vector; any other factorization failure raises
-    SingularBandError.
+    Only the lower triangle of the Hermitian matrix Z is read; the strict
+    upper triangle may hold anything, NaN included. delta = trace(Z)/size
+    gives relative diagonal loading. An all-zero system returns the zero
+    vector; a zero trace with a nonzero q, a failed factorization or a
+    non-finite solution raises SingularBandError. Z and q are not modified.
     """
     if loading < 0:
         raise ArgumentError("loading must be >= 0")
-    size = ne.size
-    trace = float(np.trace(ne.Z).real)
+    size = q.shape[0]
+    trace = float(np.trace(Z).real)
     if trace == 0.0:
-        if np.all(ne.q == 0):
+        if np.all(q == 0):
             return np.zeros(size, dtype=np.complex128)
         raise SingularBandError("zero matrix with nonzero right-hand side")
-    A = ne.Z + (loading * trace / size) * np.eye(size)
-    try:
-        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        w = scipy.linalg.cho_solve(factor, ne.q, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularBandError(f"Cholesky factorization failed: {exc}")
+    # The same LAPACK calls as scipy.linalg.cho_factor/cho_solve, without
+    # their per-call wrapping; potrf factors the F-ordered copy in place.
+    A = np.array(Z, dtype=np.complex128, order="F")
+    A[np.diag_indices(size)] += loading * trace / size
+    factor, info = zpotrf(A, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        w, info = zpotrs(factor, q, lower=1)
+    if info != 0:
+        raise SingularBandError(
+            f"Cholesky factorization failed: LAPACK info {info}")
     if not np.all(np.isfinite(w)):
         raise SingularBandError("non-finite solution")
     return w

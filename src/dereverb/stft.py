@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .signals import MultichannelTimeSignal, TimeSignal
+from .signals import TimeSignal
 
 
 def hann(frame_len):
@@ -173,8 +173,3 @@ def synthesize(spec):
     trimmed = np.zeros(spec.signal_length)
     trimmed[:target] = out[:target]
     return TimeSignal(trimmed, spec.sample_rate)
-
-
-def synthesize_multichannel(spec):
-    return MultichannelTimeSignal(
-        tuple(synthesize(ch) for ch in spec.channels))

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import zherk
+from scipy.linalg.blas import zgemv, zherk
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import DEFAULT_LOADING, NormalEquations, solve_hpd
+from .numerics import DEFAULT_LOADING, solve_hpd
 from .stft import MultichannelSpectrogram, Spectrogram
 
 # Regressor bytes built at once; a chunk holds at least one bin.
@@ -84,8 +84,8 @@ class Regressors:
 
     Stands for the (bins, L*Q, frames) tensor whose entry [k, q*L + l, n]
     is X_q(n-D-l, k), zero for negative frames, without holding it: only a
-    zero-padded, bin-major copy of the observation is kept, and `block`
-    reads a chunk of bins through a strided window view of that copy (the
+    zero-padded, bin-major copy of the observation is kept, and `windows`
+    reads a chunk of bins as a strided window view of that copy (the
     construction of NARA-WPE's build_y_tilde, Drude et al. 2018).
     """
 
@@ -101,36 +101,36 @@ class Regressors:
         self._padded[:, :, n_frames + order - 1 - kept:] = (
             obs[:, :kept, :].transpose(2, 0, 1))
         bin_bytes = 16 * order * n_ch * n_frames
-        self.chunk_bins = max(1, CHUNK_BYTES // bin_bytes)
+        self.chunk_bins = max(1, min(n_bins, CHUNK_BYTES // bin_bytes))
 
     @property
     def nbytes(self):
         return self._padded.nbytes
 
+    def windows(self, k0, k1):
+        """Bins k0..k1-1 as a (k1-k0, Q, L, frames) strided view of the
+        padded copy; entry [k, q, l, n] is X_q(n-D-l, k)."""
+        windows = sliding_window_view(self._padded[k0:k1], self.order, axis=2)
+        return windows[..., ::-1].transpose(0, 1, 3, 2)
+
     def block(self, k0, k1):
         """The regressors of bins k0..k1-1 as a (k1-k0, L*Q, frames) array."""
-        windows = sliding_window_view(self._padded[k0:k1], self.order, axis=2)
-        return windows[..., ::-1].transpose(0, 1, 3, 2).reshape(
-            k1 - k0, *self.shape[1:])
+        return self.windows(k0, k1).reshape(k1 - k0, *self.shape[1:])
 
     def chunks(self):
-        """(k0, k1, block(k0, k1)) over all bins, chunk_bins at a time."""
+        """(k0, k1) bin ranges over all bins, chunk_bins at a time."""
         n_bins = self.shape[0]
         for k0 in range(0, n_bins, self.chunk_bins):
-            k1 = min(k0 + self.chunk_bins, n_bins)
-            yield k0, k1, self.block(k0, k1)
+            yield k0, min(k0 + self.chunk_bins, n_bins)
 
     def predict(self, weights):
         """w^H x for all frames and bins: (frames, bins)."""
         n_bins, _, n_frames = self.shape
         prediction = np.empty((n_frames, n_bins), dtype=np.complex128)
-        for k0, k1, block in self.chunks():
-            prediction[:, k0:k1] = _chunk_prediction(weights[k0:k1], block)
+        for k0, k1 in self.chunks():
+            prediction[:, k0:k1] = np.einsum(
+                "ki,kin->nk", weights[k0:k1].conj(), self.block(k0, k1))
         return prediction
-
-
-def _chunk_prediction(weights, block):
-    return np.einsum("ki,kin->nk", weights.conj(), block)
 
 
 def stack_regressors(obs, delay, order):
@@ -150,36 +150,45 @@ def solve_all_bands(regressors, targets, weights, loading=DEFAULT_LOADING):
     """Per-band weighted normal-equation solve and the prediction it makes.
 
     regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
-    (frames, bins). Z = sum x x^H / weight and q = sum x t* / weight come
-    from one Hermitian rank-k update of the rows [x; t] / sqrt(weight).
+    (frames, bins). Each chunk of bins is written once into scaled rows
+    [x; t] / sqrt(weight), straight from the strided window view. Per band,
+    one Hermitian rank-k update of those rows yields the lower triangles of
+    Z = sum x x^H / weight and q = sum x t* / weight; solve_hpd reads only
+    that lower triangle. The prediction w^H x is taken from the same scaled
+    rows right after the solve and unscaled once at the end.
     Returns the (bins, L*Q) filter weights and the (frames, bins)
-    prediction w^H x, computed chunk by chunk from the same regressors.
+    prediction. A failing band raises SingularBandError naming that band.
     """
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
     filters = np.empty((n_bins, n_taps), dtype=np.complex128)
-    prediction = np.empty((n_frames, n_bins), dtype=np.complex128)
-    rows = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
-    # Per-band BLAS and LAPACK calls all go to scipy (zherk, cho_factor,
-    # cho_solve); everything else is elementwise or chunk-level numpy.
+    prediction = np.empty((n_bins, n_frames), dtype=np.complex128)
+    rows = np.empty((regressors.chunk_bins, n_taps + 1, n_frames),
+                    dtype=np.complex128)
+    # Per-band BLAS and LAPACK calls all go to scipy (zherk, zpotrf, zpotrs,
+    # zgemv); everything else is elementwise or chunk-level numpy.
     # numpy and scipy each bundle their own OpenBLAS, and alternating the two
     # thread pools band by band made a preset-A WPE run about 3x slower.
-    for k0, k1, block in regressors.chunks():
+    for k0, k1 in regressors.chunks():
+        chunk = rows[:k1 - k0]
+        windows = regressors.windows(k0, k1)
+        np.multiply(windows, scale[k0:k1, None, None],
+                    out=chunk[:, :n_taps].reshape(windows.shape))
+        np.multiply(targets[:, k0:k1].T, scale[k0:k1], out=chunk[:, n_taps])
         for k in range(k0, k1):
-            np.multiply(block[k - k0], scale[k], out=rows[:n_taps])
-            np.multiply(targets[:, k], scale[k], out=rows[n_taps])
-            # rows.T is Fortran-ordered, so no copy is made; trans=2 gives
-            # conj(rows rows^H), whose lower triangle holds conj(Z) and q.
-            gram = zherk(1.0, rows.T, trans=2, lower=1)
-            lower = np.tril(gram[:n_taps, :n_taps]).conj()
-            Z = lower + np.tril(lower, -1).conj().T
+            # band.T and band[:n_taps].T are Fortran-ordered, so f2py copies
+            # neither; trans=2 gives conj(band band^H), whose lower triangle
+            # holds conj(Z) and, in its last row, q.
+            band = chunk[k - k0]
+            gram = zherk(1.0, band.T, trans=2, lower=1)
             try:
-                filters[k] = solve_hpd(
-                    NormalEquations(Z, gram[n_taps, :n_taps]), loading)
+                filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
+                                       gram[n_taps, :n_taps], loading)
             except SingularBandError as exc:
-                raise SingularBandError(str(exc), band=k)
-        prediction[:, k0:k1] = _chunk_prediction(filters[k0:k1], block)
-    return filters, prediction
+                raise SingularBandError(f"band {k}: {exc}", band=k) from exc
+            prediction[k] = zgemv(1.0, band[:n_taps].T, filters[k].conj())
+    prediction /= scale
+    return filters, prediction.T
 
 
 def apply_filters(observed, filters, delay, order, reference_channel=0):

@@ -1,7 +1,10 @@
-"""Shared test utilities: synthetic speech surrogate and scene builders."""
+"""Shared test utilities: synthetic speech surrogate, scene builders and
+reference accumulators of the weighted normal equations."""
 import numpy as np
 import scipy.signal
 
+from dereverb.errors import ArgumentError
+from dereverb.numerics import NormalEquations
 from dereverb.roomsim import render_scene, sample_room, white_noise
 from dereverb.signals import TimeSignal
 from dereverb.stft import Spectrogram, StftConfig
@@ -61,3 +64,49 @@ def random_spectrogram(n_frames, config=None, seed=0, sample_rate=16000,
                       + 1j * rng.standard_normal(shape))
     length = (n_frames - 1) * config.hop + config.frame_len
     return Spectrogram(values, config, sample_rate, length)
+
+
+def accumulate_normal_equations(terms, size=None):
+    """Accumulate weighted normal equations from (vector, target, weight).
+
+    Z = sum v v^H / weight, q = sum v conj(target) / weight. Hermitian
+    symmetry is enforced by accumulating the lower triangle and mirroring.
+    """
+    terms = list(terms)
+    if not terms:
+        if size is None:
+            raise ArgumentError("size required for an empty term sequence")
+        return NormalEquations(np.zeros((size, size), dtype=np.complex128),
+                               np.zeros(size, dtype=np.complex128))
+    dim = np.asarray(terms[0][0]).shape[0]
+    if size is not None and size != dim:
+        raise ArgumentError("size inconsistent with vector length")
+    Z = np.zeros((dim, dim), dtype=np.complex128)
+    q = np.zeros(dim, dtype=np.complex128)
+    lower = np.tril_indices(dim)
+    for vector, target, weight in terms:
+        v = np.asarray(vector, dtype=np.complex128)
+        if v.shape != (dim,):
+            raise ArgumentError("inconsistent vector length")
+        if not weight > 0:
+            raise ArgumentError("weights must be positive")
+        outer = np.outer(v, v.conj()) / weight
+        Z[lower] += outer[lower]
+        q += v * np.conj(target) / weight
+    Z = np.tril(Z) + np.tril(Z, -1).conj().T
+    np.fill_diagonal(Z, Z.diagonal().real)
+    return NormalEquations(Z, q)
+
+
+def accumulate_batch(vectors, targets, weights):
+    """Vectorized accumulation over rows of `vectors` ((M, L) complex)."""
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    targets = np.asarray(targets, dtype=np.complex128)
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(weights <= 0):
+        raise ArgumentError("weights must be positive")
+    scaled = vectors / weights[:, None]
+    Z = scaled.T @ vectors.conj()
+    Z = 0.5 * (Z + Z.conj().T)
+    q = scaled.T @ targets.conj()
+    return NormalEquations(Z, q)

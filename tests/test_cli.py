@@ -1,10 +1,14 @@
 import os
+import re
+import shutil
 import struct
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dereverb
 from dereverb.cli import (EXIT_ARGS, EXIT_DENOISER, EXIT_IO, EXIT_NUMERIC,
                           EXIT_OK, _filter_order, build_parser, main)
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
@@ -206,6 +210,26 @@ def test_exit_code_external_denoiser(tmp_path, scene_dir):
     assert main(["dereverb", "--input", obs, "--out", str(out),
                  "--denoiser", "external", "--denoiser-command",
                  failing] + FAST) == EXIT_DENOISER
+
+
+def test_exit_code_missing_external_denoiser(tmp_path, scene_dir, capsys):
+    obs = os.path.join(scene_dir, "observed.wav")
+    missing = str(tmp_path / "no_such_denoiser")
+    assert main(["dereverb", "--input", obs, "--out", str(tmp_path / "o.wav"),
+                 "--denoiser", "external", "--denoiser-command", missing]
+                + FAST) == EXIT_DENOISER
+    kept = re.search(r"inputs kept in (.+?)\)", capsys.readouterr().err)
+    assert kept and os.path.exists(os.path.join(kept[1], "in.pnpspec"))
+    shutil.rmtree(kept[1])
+
+
+def test_cli_import_defers_scipy_signal_and_ndimage():
+    src = os.path.dirname(os.path.dirname(dereverb.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dereverb.cli; "
+            "print(sorted({'scipy.signal', 'scipy.ndimage'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_exit_code_metric_error(tmp_path, scene_dir):

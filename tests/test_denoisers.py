@@ -252,6 +252,19 @@ def test_external_failure_keeps_workdir(tmp_path):
     assert kept and (work / kept[0] / "in.pnpspec").exists()
 
 
+def test_external_command_that_cannot_start_keeps_workdir(tmp_path):
+    spec = _random_spec(np.random.default_rng(13))
+    work = tmp_path / "work"
+    work.mkdir()
+    denoiser = ExternalDenoiser((str(tmp_path / "no_such_denoiser"),),
+                                workdir=str(work))
+    with pytest.raises(DenoiserError) as info:
+        denoiser.denoise(spec)
+    kept = [d for d in os.listdir(work) if d.startswith("pnpspec_")]
+    assert kept and (work / kept[0] / "in.pnpspec").exists()
+    assert str(work / kept[0]) in str(info.value)
+
+
 def test_external_missing_output_is_protocol_error(tmp_path):
     spec = _random_spec(np.random.default_rng(10))
     with pytest.raises(ProtocolError):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dereverb.errors import ArgumentError, SingularBandError
-from dereverb.numerics import (NormalEquations, accumulate_batch,
-                               accumulate_normal_equations, solve_hpd)
+from dereverb.numerics import NormalEquations, solve_hpd
+from helpers import accumulate_batch, accumulate_normal_equations
 
 
 def _random_terms(rng, count, dim):
@@ -83,13 +83,13 @@ def test_zero_weight_rejected():
 
 def test_solve_identity_system():
     ne = NormalEquations(np.eye(2), np.array([3.0, 4j]))
-    w = solve_hpd(ne, loading=0.0)
+    w = solve_hpd(ne.Z, ne.q, loading=0.0)
     assert np.allclose(w, [3.0, 4j])
 
 
 def test_solve_diagonal_system():
     ne = NormalEquations(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    w = solve_hpd(ne, loading=0.0)
+    w = solve_hpd(ne.Z, ne.q, loading=0.0)
     assert np.allclose(w, [1.0, 1.0])
 
 
@@ -99,28 +99,42 @@ def test_solve_random_hpd_vs_elimination_oracle():
     Z = A @ A.conj().T + 8 * np.eye(8)
     Z = 0.5 * (Z + Z.conj().T)
     q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    w = solve_hpd(NormalEquations(Z, q), loading=0.0)
+    w = solve_hpd(Z, q, loading=0.0)
     assert np.linalg.norm(Z @ w - q) / np.linalg.norm(q) < 1e-10
     oracle = _gaussian_elimination(Z, q)
     assert np.allclose(w, oracle, rtol=1e-8, atol=1e-10)
 
 
+def test_solve_reads_only_the_lower_triangle():
+    rng = np.random.default_rng(6)
+    ne = accumulate_normal_equations(_random_terms(rng, 30, 6))
+    lower_only = ne.Z.copy()
+    lower_only[np.triu_indices(6, 1)] = np.nan
+    assert np.array_equal(solve_hpd(lower_only, ne.q),
+                          solve_hpd(ne.Z, ne.q))
+
+
 def test_zero_system_returns_zero():
     ne = accumulate_normal_equations([], size=4)
-    assert np.all(solve_hpd(ne) == 0)
+    assert np.all(solve_hpd(ne.Z, ne.q) == 0)
 
 
 def test_zero_matrix_nonzero_rhs_raises():
     ne = NormalEquations(np.zeros((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(SingularBandError):
-        solve_hpd(ne)
+        solve_hpd(ne.Z, ne.q)
+
+
+def test_indefinite_matrix_raises():
+    with pytest.raises(SingularBandError, match="Cholesky"):
+        solve_hpd(np.diag([2.0, -1.0]).astype(complex), np.ones(2, complex))
 
 
 def test_minimizer_property():
     rng = np.random.default_rng(3)
     terms = _random_terms(rng, 40, 3)
     ne = accumulate_normal_equations(terms)
-    w_star = solve_hpd(ne, loading=0.0)
+    w_star = solve_hpd(ne.Z, ne.q, loading=0.0)
 
     def cost(w):
         return sum(abs(t - np.vdot(w, v)) ** 2 / lam for v, t, lam in terms)
@@ -134,9 +148,11 @@ def test_minimizer_property():
 def test_permutation_invariance():
     rng = np.random.default_rng(4)
     terms = _random_terms(rng, 25, 4)
-    w1 = solve_hpd(accumulate_normal_equations(terms))
+    ne1 = accumulate_normal_equations(terms)
     rng.shuffle(terms)
-    w2 = solve_hpd(accumulate_normal_equations(terms))
+    ne2 = accumulate_normal_equations(terms)
+    w1 = solve_hpd(ne1.Z, ne1.q)
+    w2 = solve_hpd(ne2.Z, ne2.q)
     assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
 
 

@@ -5,11 +5,12 @@ import pytest
 
 from dereverb import wpe
 from dereverb.errors import ArgumentError, SingularBandError
-from dereverb.numerics import NormalEquations, accumulate_batch, solve_hpd
+from dereverb.numerics import solve_hpd
 from dereverb.stft import MultichannelSpectrogram, Spectrogram, StftConfig
 from dereverb.wpe import (FilterBank, WpeParams, apply_filters,
                           build_regressor, estimate_psd, run_wpe,
                           solve_all_bands, stack_regressors)
+from helpers import accumulate_batch
 
 SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
 
@@ -102,7 +103,7 @@ def test_solve_all_bands_matches_per_band_oracle():
     for k in range(spec.num_bins):
         vectors = taps.block(k, k + 1)[0].T
         ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
-        oracle = solve_hpd(ne)
+        oracle = solve_hpd(ne.Z, ne.q)
         assert np.allclose(filters[k], oracle, rtol=1e-10, atol=1e-12)
 
 
@@ -125,8 +126,8 @@ def test_solve_all_bands_across_chunk_boundaries(monkeypatch):
     for k in range(spec.num_bins):
         vectors = np.array([build_regressor(spec, n, k, delay, order)
                             for n in range(n_frames)])
-        oracle = solve_hpd(accumulate_batch(vectors, targets[:, k],
-                                            weights[:, k]))
+        ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
+        oracle = solve_hpd(ne.Z, ne.q)
         np.testing.assert_allclose(filters[k], oracle, rtol=1e-10)
         np.testing.assert_allclose(prediction[:, k],
                                    vectors @ oracle.conj(), rtol=1e-10)
@@ -141,6 +142,27 @@ def test_solve_all_bands_reports_failing_band():
     with pytest.raises(SingularBandError) as info:
         solve_all_bands(taps, targets, weights)
     assert info.value.band == 2
+
+
+def test_failing_band_is_named_in_the_message():
+    obs = np.ones((2, 10, 3), dtype=np.complex128)
+    obs[:, :, 1] = np.nan
+    taps = stack_regressors(obs, delay=1, order=1)
+    with pytest.raises(SingularBandError, match=r"\bband 1\b"):
+        solve_all_bands(taps, np.ones((10, 3)), np.ones((10, 3)))
+
+
+def test_fused_prediction_matches_unscaled_predict(monkeypatch):
+    # weights over eight decades: the prediction is made from rows scaled
+    # by 1/sqrt(weight) and unscaled afterwards
+    rng = np.random.default_rng(17)
+    delay, order, n_frames = 2, 3, 40
+    spec = _random_mc(rng, 3, n_frames)
+    taps = _two_bin_chunks(monkeypatch, spec, delay, order)
+    targets = spec.channels[0].values
+    weights = 10.0 ** rng.uniform(-4, 4, (n_frames, spec.num_bins))
+    filters, prediction = solve_all_bands(taps, targets, weights)
+    np.testing.assert_allclose(prediction, taps.predict(filters), rtol=1e-10)
 
 
 def test_failing_band_in_a_later_chunk_reports_global_index(monkeypatch):
