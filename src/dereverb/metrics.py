@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ArgumentError, MetricError
-from .signals import TimeSignal
+from .signals import TimeSignal, convolve
 from .stft import hann
 
 FRAME_LEN = 512
@@ -129,29 +129,32 @@ def fw_seg_snr(reference, estimate):
 def align(reference, estimate, max_shift=1024):
     """Time-align by the cross-correlation peak within +/- max_shift.
 
+    The cross-correlation sum_n est[n + lag] ref[n] is the FFT convolution
+    of est with the reversed ref (signals.convolve), so it agrees with the
+    direct form to rounding; the first maximum over ascending lags wins. A
+    window whose correlation is zero to rounding raises AlignmentError.
     Returns both signals trimmed to their overlap.
     """
-    # Imported here: scipy.signal takes about half a second to import, and
-    # most CLI commands never align.
-    from scipy.signal import correlate
-
     if reference.sample_rate != estimate.sample_rate:
         raise ArgumentError("sample_rate mismatch")
     ref = reference.samples
     est = estimate.samples
     if not np.any(ref) or not np.any(est):
         raise AlignmentError("cannot align silent signals")
-    corr = correlate(est, ref, mode="full")
+    corr = convolve(estimate, TimeSignal(ref[::-1], reference.sample_rate))
     lags = np.arange(-(len(ref) - 1), len(est))
     window = np.abs(lags) <= max_shift
     if not np.any(window):
         raise AlignmentError("no admissible lags")
-    segment = corr[window]
-    if not np.any(segment):
+    segment = corr.samples[window]
+    # FFT rounding leaves about 1e-16 of the Cauchy-Schwarz bound where the
+    # exact correlation is zero; a window below 1e-12 of it is degenerate.
+    bound = np.linalg.norm(ref) * np.linalg.norm(est)
+    if np.max(np.abs(segment)) <= 1e-12 * bound:
         raise AlignmentError("degenerate correlation")
     shift = int(lags[window][np.argmax(segment)])
     if shift >= 0:
-        ref_al, est_al = ref[:len(ref)], est[shift:]
+        ref_al, est_al = ref, est[shift:]
     else:
         ref_al, est_al = ref[-shift:], est
     n = min(len(ref_al), len(est_al))

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import ArgumentError, SingularBandError
 
@@ -47,6 +46,10 @@ def solve_hpd(Z, q, loading=DEFAULT_LOADING):
     vector; a zero trace with a nonzero q, a failed factorization or a
     non-finite solution raises SingularBandError. Z and q are not modified.
     """
+    # Imported here, like the BLAS calls of wpe.solve_all_bands; a repeated
+    # import costs about a microsecond per band.
+    from scipy.linalg.lapack import zpotrf, zpotrs
+
     if loading < 0:
         raise ArgumentError("loading must be >= 0")
     size = q.shape[0]

@@ -185,11 +185,22 @@ def write_wav(signal, path, encoding="float32"):
 
 
 def convolve(signal, kernel):
-    """Full linear convolution of two signals at the same sample rate."""
+    """Full linear convolution of two signals at the same sample rate.
+
+    Computed as a product of real FFTs zero-padded to the next power of two
+    at or above the output length, so it agrees with the direct form
+    (np.convolve) to rounding. An empty signal or kernel raises
+    ArgumentError.
+    """
     if signal.sample_rate != kernel.sample_rate:
         raise ArgumentError("sample_rate mismatch in convolve")
-    out = np.convolve(signal.samples, kernel.samples, mode="full")
-    return TimeSignal(out, signal.sample_rate)
+    if len(signal) == 0 or len(kernel) == 0:
+        raise ArgumentError("cannot convolve an empty signal")
+    n = len(signal) + len(kernel) - 1
+    nfft = 1 << (n - 1).bit_length()
+    spectrum = (np.fft.rfft(signal.samples, nfft)
+                * np.fft.rfft(kernel.samples, nfft))
+    return TimeSignal(np.fft.irfft(spectrum, nfft)[:n], signal.sample_rate)
 
 
 def scaled_noise_segment(clean, noise, snr_db, seed):

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import zgemv, zherk
 
 from .errors import ArgumentError, SingularBandError
 from .numerics import DEFAULT_LOADING, solve_hpd
@@ -159,6 +158,10 @@ def solve_all_bands(regressors, targets, weights, loading=DEFAULT_LOADING):
     Returns the (bins, L*Q) filter weights and the (frames, bins)
     prediction. A failing band raises SingularBandError naming that band.
     """
+    # Imported here: scipy.linalg slows every CLI start-up otherwise, and
+    # simulate and evaluate never solve a band.
+    from scipy.linalg.blas import zgemv, zherk
+
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
     filters = np.empty((n_bins, n_taps), dtype=np.complex128)

@@ -1,5 +1,6 @@
-"""Shared test utilities: synthetic speech surrogate, scene builders and
-reference accumulators of the weighted normal equations."""
+"""Shared test utilities: synthetic speech surrogate, scene builders,
+reference accumulators of the weighted normal equations and a direct-form
+alignment oracle."""
 import numpy as np
 import scipy.signal
 
@@ -110,3 +111,23 @@ def accumulate_batch(vectors, targets, weights):
     Z = 0.5 * (Z + Z.conj().T)
     q = scaled.T @ targets.conj()
     return NormalEquations(Z, q)
+
+
+def align_direct(reference, estimate, max_shift=1024):
+    """Direct-form oracle of metrics.align: (shift, ref trimmed, est trimmed).
+
+    np.correlate over every lag, the lags within +/- max_shift, the first
+    maximum; then both arrays trimmed to their overlap.
+    """
+    ref = np.asarray(reference, dtype=np.float64)
+    est = np.asarray(estimate, dtype=np.float64)
+    corr = np.correlate(est, ref, mode="full")
+    lags = np.arange(-(len(ref) - 1), len(est))
+    window = np.abs(lags) <= max_shift
+    shift = int(lags[window][np.argmax(corr[window])])
+    if shift >= 0:
+        ref_al, est_al = ref, est[shift:]
+    else:
+        ref_al, est_al = ref[-shift:], est
+    n = min(len(ref_al), len(est_al))
+    return shift, ref_al[:n], est_al[:n]

@@ -201,7 +201,7 @@ def test_exit_code_invalid_solver_params(tmp_path, scene_dir):
                  "--out", str(out), "--rho", "0"] + FAST) == EXIT_ARGS
 
 
-def test_exit_code_external_denoiser(tmp_path, scene_dir):
+def test_exit_code_external_denoiser(tmp_path, scene_dir, capsys):
     out = tmp_path / "o.wav"
     obs = os.path.join(scene_dir, "observed.wav")
     assert main(["dereverb", "--input", obs, "--out", str(out),
@@ -210,6 +210,9 @@ def test_exit_code_external_denoiser(tmp_path, scene_dir):
     assert main(["dereverb", "--input", obs, "--out", str(out),
                  "--denoiser", "external", "--denoiser-command",
                  failing] + FAST) == EXIT_DENOISER
+    kept = re.search(r"inputs kept in (.+?)\)", capsys.readouterr().err)
+    assert kept
+    shutil.rmtree(kept[1])
 
 
 def test_exit_code_missing_external_denoiser(tmp_path, scene_dir, capsys):
@@ -230,6 +233,33 @@ def test_cli_import_defers_scipy_signal_and_ndimage():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_and_evaluate_load_no_scipy(tmp_path, scene_dir):
+    src = os.path.dirname(os.path.dirname(dereverb.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dereverb.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+            "code = dereverb.cli.main(['evaluate', '--reference', sys.argv[2], "
+            "'--estimate', sys.argv[3], '--csv', sys.argv[4]]); "
+            "print(code, 'scipy.signal' in sys.modules)")
+    ref = os.path.join(scene_dir, "reference.wav")
+    obs = os.path.join(scene_dir, "observed.wav")
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, ref, obs, str(tmp_path / "m.csv")],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    lines = out.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == f"{EXIT_OK} False"
+
+
+def test_exit_code_empty_clean_wav(tmp_path):
+    empty = tmp_path / "empty.wav"
+    write_wav(MultichannelTimeSignal((TimeSignal([], 16000),)), empty,
+              "float32")
+    out = tmp_path / "scene"
+    assert main(["simulate", "--preset", "A", "--seed", "4",
+                 "--clean", str(empty), "--out-dir", str(out)]) == EXIT_ARGS
+    assert not out.exists()
 
 
 def test_exit_code_metric_error(tmp_path, scene_dir):

@@ -268,7 +268,8 @@ def test_external_command_that_cannot_start_keeps_workdir(tmp_path):
 def test_external_missing_output_is_protocol_error(tmp_path):
     spec = _random_spec(np.random.default_rng(10))
     with pytest.raises(ProtocolError):
-        _script_denoiser(tmp_path, "import sys").denoise(spec)
+        _script_denoiser(tmp_path, "import sys",
+                         workdir=str(tmp_path)).denoise(spec)
 
 
 def test_external_shape_change_is_protocol_error(tmp_path):
@@ -278,7 +279,7 @@ def test_external_shape_change_is_protocol_error(tmp_path):
             "open(sys.argv[2], 'wb').write(raw[:24 + 5 * 8])\n")
     spec = _random_spec(np.random.default_rng(11))
     with pytest.raises(ProtocolError):
-        _script_denoiser(tmp_path, body).denoise(spec)
+        _script_denoiser(tmp_path, body, workdir=str(tmp_path)).denoise(spec)
 
 
 def test_external_soft_threshold_matches_in_process(tmp_path):

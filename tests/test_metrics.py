@@ -8,6 +8,8 @@ from dereverb.metrics import (FRAME_LEN, HOP, MetricReport, align,
 from dereverb.signals import TimeSignal
 from dereverb.stft import hann
 
+from helpers import align_direct
+
 FS = 16000
 
 
@@ -193,6 +195,50 @@ def test_align_rejects_silence():
         align(x, silent)
     with pytest.raises(AlignmentError):
         align(silent, x)
+
+
+def _assert_align_matches_oracle(x, y, max_shift=1024):
+    ref_al, est_al = align(TimeSignal(x, FS), TimeSignal(y, FS), max_shift)
+    shift, ref_expected, est_expected = align_direct(x, y, max_shift)
+    assert np.array_equal(ref_al.samples, ref_expected)
+    assert np.array_equal(est_al.samples, est_expected)
+    return shift
+
+
+def test_align_matches_direct_oracle_for_random_shifts():
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(6000)
+    for _ in range(8):
+        shift = int(rng.integers(-900, 901))
+        y = np.roll(x, shift) + 0.3 * rng.standard_normal(len(x))
+        assert _assert_align_matches_oracle(x, y) == shift
+
+
+def test_align_matches_direct_oracle_for_unequal_lengths():
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal(7500)
+    shorter = x[300:5300] + 0.1 * rng.standard_normal(5000)
+    assert _assert_align_matches_oracle(x, shorter) == -300
+    assert _assert_align_matches_oracle(shorter, x) == 300
+
+
+def test_align_matches_direct_oracle_below_max_shift():
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal(500)
+    y = np.concatenate([np.zeros(40), x[:260]])
+    assert _assert_align_matches_oracle(x, y) == 40
+    assert _assert_align_matches_oracle(y, x) == -40
+
+
+def test_align_rejects_correlation_outside_window_at_any_length():
+    rng = np.random.default_rng(21)
+    for n in (300, 3000, 30000):
+        x = np.zeros(n)
+        y = np.zeros(n)
+        x[:50] = rng.standard_normal(50)
+        y[-50:] = rng.standard_normal(50)
+        with pytest.raises(AlignmentError):
+            align(TimeSignal(x, FS), TimeSignal(y, FS), max_shift=100)
 
 
 def test_evaluate_pair_aligned_copy():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from dereverb.errors import ArgumentError, FormatError
+from dereverb.roomsim import image_source_rir, sample_room
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, convolve,
                               mix_at_snr, read_wav, write_wav)
+
+from helpers import speech_like
 
 
 def _raw_wav(audio_format, channels, rate, bits, payload):
@@ -130,6 +133,42 @@ def test_convolve_linearity():
 def test_convolve_rate_mismatch():
     with pytest.raises(ArgumentError):
         convolve(TimeSignal([1.0], 16000), TimeSignal([1.0], 8000))
+
+
+def _assert_matches_direct_form(x, h):
+    out = convolve(TimeSignal(x, 16000), TimeSignal(h, 16000)).samples
+    expected = np.convolve(x, h, mode="full")
+    assert out.shape == expected.shape
+    peak = np.max(np.abs(expected))
+    assert np.max(np.abs(out - expected)) <= 1e-12 * peak
+
+
+def test_convolve_room_rir_matches_direct_form():
+    rir = image_source_rir(sample_room("A", 0), 0).samples
+    clean = speech_like(2.0, seed=5).samples
+    _assert_matches_direct_form(clean, rir)
+
+
+def test_convolve_kernel_longer_than_signal_matches_direct_form():
+    rng = np.random.default_rng(8)
+    _assert_matches_direct_form(rng.standard_normal(37),
+                                rng.standard_normal(5000))
+
+
+def test_convolve_length_one_operands_match_direct_form():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(1000)
+    _assert_matches_direct_form(x, np.array([-0.75]))
+    _assert_matches_direct_form(np.array([2.5]), x)
+    _assert_matches_direct_form(np.array([2.0]), np.array([3.0]))
+
+
+def test_convolve_rejects_empty_operands():
+    x = TimeSignal([1.0, 2.0], 16000)
+    empty = TimeSignal([], 16000)
+    for signal, kernel in ((empty, x), (x, empty), (empty, empty)):
+        with pytest.raises(ArgumentError):
+            convolve(signal, kernel)
 
 
 def test_mix_at_snr_zero_db_power_match():
