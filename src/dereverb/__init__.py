@@ -17,7 +17,7 @@ from .signals import (MultichannelTimeSignal, TimeSignal, convolve,
                       mix_at_snr, read_wav, write_wav)
 from .stft import (MultichannelSpectrogram, Spectrogram, StftConfig, analyze,
                    analyze_multichannel, hann, synthesize)
-from .wpe import FilterBank, WpeParams, apply_filters, build_regressor, run_wpe
+from .wpe import FilterBank, WpeParams, apply_filters, run_wpe
 
 __all__ = [
     "AdmmState", "AlignmentError", "ArgumentError", "DenoiserError",
@@ -26,7 +26,7 @@ __all__ = [
     "MultichannelSpectrogram", "MultichannelTimeSignal", "PnpParams",
     "ProtocolError", "RoomSpec", "Scene", "Spectrogram", "StftConfig",
     "TimeSignal", "WpeParams", "align", "analyze", "analyze_multichannel",
-    "apply_filters", "build_regressor", "cepstral_distance", "convolve",
+    "apply_filters", "cepstral_distance", "convolve",
     "evaluate_pair", "fw_seg_snr", "hann", "image_source_rir",
     "make_denoiser", "measure_t60", "mix_at_snr", "read_wav",
     "render_scene", "run_pnpwpe", "run_wpe", "sample_room", "synthesize",

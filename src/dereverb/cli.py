@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import itertools
 import os
+import pathlib
 import shlex
 import sys
 import tempfile
@@ -36,29 +39,14 @@ EXIT_DENOISER = 5
 PRESET_FILTER_ORDER = {"A": 28, "B": 35}
 
 
-class UsageError(Exception):
-    pass
-
-
-def _atomic_write_wav(signal, path, encoding="float32"):
+def _atomic_write(path, write):
+    """Call write(tmp) on a new temp file beside path, then rename it over
+    path; on any failure the temp file is removed and path is untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
     try:
-        write_wav(signal, tmp, encoding)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(text, path):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,12 +94,12 @@ def _filter_order(args):
     return 28
 
 
-def _wpe_params(args, iterations=None):
+def _wpe_params(args):
     return WpeParams(
         filter_order=_filter_order(args),
         delay=args.delay,
         epsilon=args.epsilon,
-        iterations=iterations if iterations is not None else args.iterations,
+        iterations=args.iterations,
         reference_channel=args.reference_channel,
     )
 
@@ -121,7 +109,7 @@ def _denoiser_spec(args, kind=None):
     command = ()
     if kind == "external":
         if not args.denoiser_command:
-            raise UsageError("--denoiser-command required for external")
+            raise ArgumentError("--denoiser-command required for external")
         command = tuple(shlex.split(args.denoiser_command))
     return DenoiserSpec(
         kind=kind,
@@ -138,10 +126,7 @@ def _pnp_params(args, denoiser_kind=None, rho=None, mu=None,
                 filter_order=None):
     wpe_params = _wpe_params(args)
     if filter_order is not None:
-        wpe_params = WpeParams(
-            filter_order=filter_order, delay=wpe_params.delay,
-            epsilon=wpe_params.epsilon, iterations=wpe_params.iterations,
-            reference_channel=wpe_params.reference_channel)
+        wpe_params = dataclasses.replace(wpe_params, filter_order=filter_order)
     return PnpParams(
         wpe=wpe_params,
         rho=rho if rho is not None else args.rho,
@@ -153,17 +138,17 @@ def _pnp_params(args, denoiser_kind=None, rho=None, mu=None,
     )
 
 
-def _write_trace_csv(path, error_trace, error_eq24_trace):
-    lines = ["iteration,error,error_eq24"]
-    for i, (err, err24) in enumerate(zip(error_trace, error_eq24_trace), 1):
-        lines.append(f"{i},{err:.12g},{err24:.12g}")
-    _atomic_write_text("\n".join(lines) + "\n", path)
+def _write_trace_csv(path, error_trace):
+    lines = ["iteration,error"]
+    lines += [f"{i},{err:.12g}" for i, err in enumerate(error_trace, 1)]
+    text = "\n".join(lines) + "\n"
+    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text))
 
 
 def cmd_simulate(args):
     clean_mc = read_wav(args.clean)
     if clean_mc.sample_rate != 16000:
-        raise UsageError("clean input must be sampled at 16 kHz")
+        raise ArgumentError("clean input must be sampled at 16 kHz")
     clean = clean_mc.channels[0]
     spec = sample_room(args.preset, args.seed)
     noise = None
@@ -176,14 +161,15 @@ def cmd_simulate(args):
     snr_db = args.snr_db if noise is not None else None
     scene = render_scene(spec, clean, noise, snr_db, noise_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_write_wav(scene.observed,
-                      os.path.join(args.out_dir, "observed.wav"))
-    _atomic_write_wav(MultichannelTimeSignal((scene.reference,)),
-                      os.path.join(args.out_dir, "reference.wav"))
-    _atomic_write_wav(MultichannelTimeSignal((scene.clean,)),
-                      os.path.join(args.out_dir, "clean.wav"))
-    _atomic_write_wav(MultichannelTimeSignal(scene.rirs),
-                      os.path.join(args.out_dir, "rirs.wav"))
+    outputs = {
+        "observed.wav": scene.observed,
+        "reference.wav": MultichannelTimeSignal((scene.reference,)),
+        "clean.wav": MultichannelTimeSignal((scene.clean,)),
+        "rirs.wav": MultichannelTimeSignal(scene.rirs),
+    }
+    for name, signal in outputs.items():
+        _atomic_write(os.path.join(args.out_dir, name),
+                      functools.partial(write_wav, signal))
     meta = {
         "preset": args.preset,
         "seed": args.seed,
@@ -192,7 +178,8 @@ def cmd_simulate(args):
         "noise": args.noise,
     }
     meta_text = "".join(f"{key}={value}\n" for key, value in meta.items())
-    _atomic_write_text(meta_text, os.path.join(args.out_dir, "meta"))
+    _atomic_write(os.path.join(args.out_dir, "meta"),
+                  lambda tmp: pathlib.Path(tmp).write_text(meta_text))
     sys.stdout.write(meta_text)
     return EXIT_OK
 
@@ -211,11 +198,12 @@ def cmd_dereverb(args):
     else:
         params = _pnp_params(args)
         estimate, state, _ = run_pnpwpe(observed, params)
-        trace = (state.error_trace, state.error_eq24_trace)
+        trace = state.error_trace
     out = synthesize(estimate)
-    _atomic_write_wav(MultichannelTimeSignal((out,)), args.out)
+    _atomic_write(args.out, functools.partial(
+        write_wav, MultichannelTimeSignal((out,))))
     if trace is not None and args.trace_csv:
-        _write_trace_csv(args.trace_csv, *trace)
+        _write_trace_csv(args.trace_csv, trace)
     return EXIT_OK
 
 
@@ -249,7 +237,7 @@ def cmd_sweep(args):
                  else [args.denoiser])
     denoisers = [d for d in denoisers if d.strip()]
     if not (rhos and mus and orders and denoisers and args.scenes):
-        raise UsageError("sweep grid and scene list must be nonempty")
+        raise ArgumentError("sweep grid and scene list must be nonempty")
     config = StftConfig(frame_len=args.frame_len, hop=args.hop)
     grid = list(itertools.product(rhos, mus, orders, denoisers))
     rows = []
@@ -280,7 +268,8 @@ def cmd_sweep(args):
     lines = ["scene,rho,mu,L,denoiser,cd,fwsegsnr,final_error,plateau_iter,"
              "status"]
     lines += [",".join(str(v) for v in row) for row in rows]
-    _atomic_write_text("\n".join(lines) + "\n", args.out)
+    text = "\n".join(lines) + "\n"
+    _atomic_write(args.out, lambda tmp: pathlib.Path(tmp).write_text(text))
     return EXIT_OK
 
 
@@ -289,8 +278,7 @@ def cmd_convergence(args):
     observed = _load_observed(args.input, config)
     params = _pnp_params(args)
     _, state, _ = run_pnpwpe(observed, params)
-    _write_trace_csv(args.trace_csv, state.error_trace,
-                     state.error_eq24_trace)
+    _write_trace_csv(args.trace_csv, state.error_trace)
     plateau = plateau_iteration(state.r_change_trace)
     sys.stdout.write(f"iterations={len(state.error_trace)} "
                      f"plateau_iter={plateau}\n")
@@ -360,9 +348,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_ARGS
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ARGS
     except ArgumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ARGS

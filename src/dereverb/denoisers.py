@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, DenoiserError, ProtocolError
-from .stft import Spectrogram
 
 _MAGIC = b"PNPSPEC1"
 
@@ -37,20 +36,9 @@ class DenoiserSpec:
     workdir: str = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "soft_threshold", "wiener",
-                             "median2d", "external"):
-            raise ArgumentError(f"unknown denoiser kind: {self.kind}")
-        if self.kind == "soft_threshold" and self.threshold < 0:
-            raise ArgumentError("threshold must be >= 0")
-        if self.kind == "wiener":
-            if not 0 < self.quantile < 1:
-                raise ArgumentError("quantile must be in (0, 1)")
-            if not 0 <= self.min_gain <= 1:
-                raise ArgumentError("min_gain must be in [0, 1]")
-        if self.kind == "median2d" and (self.half_frames < 0 or self.half_bins < 0):
-            raise ArgumentError("median window half-sizes must be >= 0")
-        if self.kind == "external" and not self.command:
-            raise ArgumentError("external denoiser requires a command")
+        # The denoiser constructors hold the range checks; building one
+        # validates the fields its kind uses.
+        make_denoiser(self)
 
 
 class IdentityDenoiser:

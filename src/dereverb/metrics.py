@@ -36,13 +36,6 @@ def _frame(x, frame_len=FRAME_LEN, hop=HOP):
     return x[idx] * hann(frame_len)[None, :]
 
 
-def _check_pair(reference, estimate):
-    if reference.sample_rate != estimate.sample_rate:
-        raise ArgumentError("sample_rate mismatch")
-    if len(reference) != len(estimate):
-        raise ArgumentError("length mismatch; align the signals first")
-
-
 def _vad_mask(ref_frames):
     energy = np.sum(ref_frames**2, axis=1)
     peak = float(np.max(energy, initial=0.0))
@@ -51,26 +44,41 @@ def _vad_mask(ref_frames):
     return energy > peak * 10.0 ** (-VAD_RANGE_DB / 10.0)
 
 
+def _active_frames(reference, estimate):
+    """Windowed frames of both signals where the reference is speech-active.
+
+    Both signals must share sample rate and length; a pair with no active
+    frame raises MetricError. Returns (reference frames, estimate frames).
+    """
+    if reference.sample_rate != estimate.sample_rate:
+        raise ArgumentError("sample_rate mismatch")
+    if len(reference) != len(estimate):
+        raise ArgumentError("length mismatch; align the signals first")
+    ref_frames = _frame(reference.samples)
+    est_frames = _frame(estimate.samples)
+    mask = _vad_mask(ref_frames)
+    if not np.any(mask):
+        raise MetricError("no frames above the energy threshold")
+    return ref_frames[mask], est_frames[mask]
+
+
 def cepstral_distance(reference, estimate):
     """Mean truncated-cepstrum distance over speech-active frames.
 
     Per frame: real cepstrum of the log power spectrum; distance over
     coefficients 1..24 (gain coefficient excluded), clamped to [0, 10].
     """
-    _check_pair(reference, estimate)
-    ref_frames = _frame(reference.samples)
-    est_frames = _frame(estimate.samples)
-    mask = _vad_mask(ref_frames)
-    if not np.any(mask):
-        raise MetricError("no frames above the energy threshold")
+    return _cd(*_active_frames(reference, estimate))
 
+
+def _cd(ref_frames, est_frames):
     def cepstra(frames):
         spectra = np.fft.rfft(frames, n=FRAME_LEN, axis=1)
         log_power = np.log(np.abs(spectra) ** 2 + LOG_FLOOR)
         return np.fft.irfft(log_power, n=FRAME_LEN, axis=1)
 
-    c_ref = cepstra(ref_frames[mask])[:, 1:NUM_CEPS + 1]
-    c_est = cepstra(est_frames[mask])[:, 1:NUM_CEPS + 1]
+    c_ref = cepstra(ref_frames)[:, 1:NUM_CEPS + 1]
+    c_est = cepstra(est_frames)[:, 1:NUM_CEPS + 1]
     per_frame = (10.0 / np.log(10.0)) * np.sqrt(
         2.0 * np.sum((c_ref - c_est) ** 2, axis=1))
     per_frame = np.clip(per_frame, *CD_CLAMP)
@@ -105,15 +113,14 @@ def fw_seg_snr(reference, estimate):
     energy of (reference - estimate), clamped to [-10, 35]; band weights
     are reference band magnitudes to the 0.2 power.
     """
-    _check_pair(reference, estimate)
-    ref_frames = _frame(reference.samples)
-    est_frames = _frame(estimate.samples)
-    mask = _vad_mask(ref_frames)
-    if not np.any(mask):
-        raise MetricError("no frames above the energy threshold")
-    bank = mel_filterbank(sample_rate=reference.sample_rate)
-    ref_spec = np.fft.rfft(ref_frames[mask], n=FRAME_LEN, axis=1)
-    est_spec = np.fft.rfft(est_frames[mask], n=FRAME_LEN, axis=1)
+    return _fwsegsnr(*_active_frames(reference, estimate),
+                     reference.sample_rate)
+
+
+def _fwsegsnr(ref_frames, est_frames, sample_rate):
+    bank = mel_filterbank(sample_rate=sample_rate)
+    ref_spec = np.fft.rfft(ref_frames, n=FRAME_LEN, axis=1)
+    est_spec = np.fft.rfft(est_frames, n=FRAME_LEN, axis=1)
     e_ref = np.abs(ref_spec) ** 2 @ bank.T
     e_err = np.abs(ref_spec - est_spec) ** 2 @ bank.T
     with np.errstate(divide="ignore"):
@@ -165,12 +172,11 @@ def align(reference, estimate, max_shift=1024):
 
 
 def evaluate_pair(reference, estimate):
-    """Align then compute both metrics."""
+    """Align, then compute both metrics over one set of active frames."""
     ref, est = align(reference, estimate)
-    ref_frames = _frame(ref.samples)
-    frames_used = int(np.sum(_vad_mask(ref_frames)))
+    ref_frames, est_frames = _active_frames(ref, est)
     return MetricReport(
-        cd=cepstral_distance(ref, est),
-        fwsegsnr=fw_seg_snr(ref, est),
-        frames_used=frames_used,
+        cd=_cd(ref_frames, est_frames),
+        fwsegsnr=_fwsegsnr(ref_frames, est_frames, ref.sample_rate),
+        frames_used=len(ref_frames),
     )

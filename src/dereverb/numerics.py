@@ -1,40 +1,15 @@
-"""Complex linear algebra kernels for the per-band filter solves.
+"""Complex linear algebra kernel for the per-band filter solves.
 
-Weighted normal equations Z = sum v v^H / lambda, q = sum v t* / lambda
-and Hermitian positive-definite solves with relative diagonal loading.
+Hermitian positive-definite solves of the weighted normal equations
+Z w = q with relative diagonal loading.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, SingularBandError
 
 DEFAULT_LOADING = 1e-10
-
-
-@dataclass(frozen=True)
-class NormalEquations:
-    Z: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=np.complex128)
-        q = np.asarray(self.q, dtype=np.complex128)
-        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise ArgumentError("Z must be square")
-        if q.shape != (Z.shape[0],):
-            raise ArgumentError("q length must match Z")
-        if np.max(np.abs(Z - Z.conj().T), initial=0.0) > 1e-12 * max(
-                1.0, float(np.max(np.abs(Z), initial=0.0))):
-            raise ArgumentError("Z must be Hermitian")
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def size(self):
-        return self.q.shape[0]
 
 
 def solve_hpd(Z, q, loading=DEFAULT_LOADING):

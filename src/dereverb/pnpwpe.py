@@ -14,8 +14,7 @@ import numpy as np
 from .denoisers import DenoiserSpec, make_denoiser
 from .errors import ArgumentError
 from .stft import StftConfig, analyze_multichannel, synthesize
-from .wpe import (FilterBank, WpeParams, apply_filters, estimate_psd,
-                  solve_all_bands, stack_regressors)
+from .wpe import FilterBank, WpeParams, estimate_psd, prepare, solve_all_bands
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class AdmmState:
     sigma: np.ndarray
     lam: np.ndarray
     error_trace: list = field(default_factory=list)
-    error_eq24_trace: list = field(default_factory=list)
     r_change_trace: list = field(default_factory=list)
 
 
@@ -127,52 +125,19 @@ def constraint_error(r, s_hat, v):
     return float(np.mean(np.abs(r - s_hat - v) ** 2))
 
 
-def constraint_error_signed(r, s_hat, v):
-    """Secondary residual with the opposite noise sign: mean |R - S_hat + V|^2."""
-    _check_shapes(r, s_hat, v)
-    return float(np.mean(np.abs(r - s_hat + v) ** 2))
-
-
-def update_filters(observed, r, v, p, sigma, params):
-    """One per-band reweighted solve given the current iterates."""
-    x_ref = observed.channels[params.wpe.reference_channel].values
-    lam = compute_lambda(sigma, params.rho)
-    xtilde = compute_xtilde(x_ref, r, v, p, lam, params.rho)
-    regressors = stack_regressors(observed.as_array(), params.wpe.delay,
-                                  params.wpe.filter_order)
-    weights, _ = solve_all_bands(regressors, xtilde, lam)
-    return FilterBank(weights)
-
-
-def prediction_error(observed, filters, params):
-    """Residual without noise removal: X_ref - w^H regressor."""
-    return apply_filters(observed, filters, params.wpe.delay,
-                         params.wpe.filter_order,
-                         params.wpe.reference_channel)
-
-
 def run_pnpwpe(observed, params):
     """Full solver loop; returns (speech estimate R, AdmmState, error trace)."""
     wpe_params = params.wpe
-    if wpe_params.reference_channel >= observed.num_channels:
-        raise ArgumentError("reference_channel out of range")
-    if observed.num_frames <= wpe_params.delay:
-        raise ArgumentError("need more frames than the prediction delay")
+    reference, regressors = prepare(observed, wpe_params)
     denoiser = make_denoiser(params.denoiser)
-    template = observed.channels[wpe_params.reference_channel]
-    x_ref = template.values
-    regressors = stack_regressors(observed.as_array(), wpe_params.delay,
-                                  wpe_params.filter_order)
+    x_ref = reference.values
 
     shape = x_ref.shape
     s_hat = x_ref.copy()
     r = np.zeros(shape, dtype=np.complex128)
     v = np.zeros(shape, dtype=np.complex128)
     p = np.zeros(shape, dtype=np.complex128)
-    filters = None
-    sigma = lam = None
     error_trace = []
-    error_eq24_trace = []
     r_change_trace = []
 
     for _ in range(params.outer_iters):
@@ -180,11 +145,10 @@ def run_pnpwpe(observed, params):
         lam = compute_lambda(sigma, params.rho)
         xtilde = compute_xtilde(x_ref, r, v, p, lam, params.rho)
         weights, prediction = solve_all_bands(regressors, xtilde, lam)
-        filters = FilterBank(weights)
         s_hat = x_ref - prediction
         r_tilde = compute_rtilde(s_hat, v, p)
         r_prev = r
-        r = update_r(template.with_values(r_tilde), denoiser, params.mu,
+        r = update_r(reference.with_values(r_tilde), denoiser, params.mu,
                      params.inner_iters).values
         v = update_v(s_hat, r, p)
         p = update_p(p, s_hat, v, r)
@@ -194,18 +158,16 @@ def run_pnpwpe(observed, params):
         r_change_trace.append(change)
         error = constraint_error(r, s_hat, v)
         error_trace.append(error)
-        error_eq24_trace.append(constraint_error_signed(r, s_hat, v))
         if len(error_trace) >= 2:
             prev = error_trace[-2]
             rel = abs(error - prev) / max(prev, 1e-300)
             if rel < params.stop_tol:
                 break
 
-    state = AdmmState(filters=filters, s_hat=s_hat, r=r, v=v, p=p,
-                      sigma=sigma, lam=lam, error_trace=error_trace,
-                      error_eq24_trace=error_eq24_trace,
+    state = AdmmState(filters=FilterBank(weights), s_hat=s_hat, r=r, v=v,
+                      p=p, sigma=sigma, lam=lam, error_trace=error_trace,
                       r_change_trace=r_change_trace)
-    return template.with_values(r), state, error_trace
+    return reference.with_values(r), state, error_trace
 
 
 def plateau_iteration(change_trace, threshold=0.05):

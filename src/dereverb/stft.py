@@ -26,23 +26,16 @@ def hann(frame_len):
 class StftConfig:
     frame_len: int = 512
     hop: int = 128
-    window: str = "hann"
 
     def __post_init__(self):
         if self.frame_len < 2:
             raise ArgumentError("frame_len must be >= 2")
         if self.hop <= 0 or self.frame_len % self.hop != 0:
             raise ArgumentError("hop must divide frame_len")
-        if self.window != "hann":
-            raise ArgumentError(f"unsupported window: {self.window}")
-
-    @property
-    def fft_len(self):
-        return self.frame_len
 
     @property
     def num_bins(self):
-        return self.fft_len // 2 + 1
+        return self.frame_len // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class Spectrogram:
         if values.ndim != 2:
             raise ArgumentError("spectrogram values must be 2-D")
         if values.shape[1] != self.config.num_bins:
-            raise ArgumentError("bin count must equal fft_len/2 + 1")
+            raise ArgumentError("bin count must equal frame_len/2 + 1")
         if not np.all(np.isfinite(values)):
             raise ArgumentError("spectrogram entries must be finite")
         object.__setattr__(self, "values", values)
@@ -117,10 +110,6 @@ class MultichannelSpectrogram:
     def sample_rate(self):
         return self.channels[0].sample_rate
 
-    @property
-    def reference_template(self):
-        return self.channels[0]
-
     def as_array(self):
         """(channels, frames, bins) complex array."""
         return np.stack([ch.values for ch in self.channels])
@@ -141,7 +130,7 @@ def analyze(signal, config=StftConfig()):
     idx = (np.arange(n_frames)[:, None] * config.hop
            + np.arange(config.frame_len)[None, :])
     frames = padded[idx] * window[None, :]
-    values = np.fft.rfft(frames, n=config.fft_len, axis=1)
+    values = np.fft.rfft(frames, n=config.frame_len, axis=1)
     return Spectrogram(values, config, signal.sample_rate, len(x))
 
 
@@ -159,8 +148,8 @@ def synthesize(spec):
     """
     config = spec.config
     window = hann(config.frame_len)
-    frames = np.fft.irfft(spec.values, n=config.fft_len, axis=1)
-    frames = frames[:, :config.frame_len] * window[None, :]
+    frames = np.fft.irfft(spec.values, n=config.frame_len, axis=1)
+    frames = frames * window[None, :]
     out_len = (spec.num_frames - 1) * config.hop + config.frame_len
     buf = np.zeros(out_len)
     wsum = np.zeros(out_len)

@@ -12,7 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
 from .numerics import DEFAULT_LOADING, solve_hpd
-from .stft import MultichannelSpectrogram, Spectrogram
 
 # Regressor bytes built at once; a chunk holds at least one bin.
 CHUNK_BYTES = 8 << 20
@@ -60,22 +59,6 @@ class FilterBank:
     @property
     def taps_per_band(self):
         return self.weights.shape[1]
-
-
-def build_regressor(spec, n, k, delay, order):
-    """Channel-major delayed regressor of length L*Q for frame n, bin k.
-
-    Channel q contributes (X_q(n-D,k), ..., X_q(n-D-L+1,k)); frames with
-    negative index contribute zeros.
-    """
-    obs = spec.as_array()
-    out = np.zeros(order * spec.num_channels, dtype=np.complex128)
-    for q in range(spec.num_channels):
-        for l in range(order):
-            frame = n - delay - l
-            if frame >= 0:
-                out[q * order + l] = obs[q, frame, k]
-    return out
 
 
 class Regressors:
@@ -141,8 +124,7 @@ def estimate_psd(s_hat, epsilon):
     """Elementwise max of squared magnitude and the floor epsilon."""
     if not epsilon > 0:
         raise ArgumentError("epsilon must be > 0")
-    values = s_hat.values if isinstance(s_hat, Spectrogram) else np.asarray(s_hat)
-    return np.maximum(np.abs(values) ** 2, epsilon)
+    return np.maximum(np.abs(s_hat) ** 2, epsilon)
 
 
 def solve_all_bands(regressors, targets, weights, loading=DEFAULT_LOADING):
@@ -207,28 +189,36 @@ def apply_filters(observed, filters, delay, order, reference_channel=0):
         reference.values - regressors.predict(filters.weights))
 
 
+def prepare(observed, params):
+    """Set-up shared by run_wpe and run_pnpwpe.
+
+    Checks that params.reference_channel exists and that there are more
+    frames than params.delay; returns the reference-channel spectrogram and
+    the delayed regressors of observed.
+    """
+    if params.reference_channel >= observed.num_channels:
+        raise ArgumentError("reference_channel out of range")
+    if observed.num_frames <= params.delay:
+        raise ArgumentError("need more frames than the prediction delay")
+    reference = observed.channels[params.reference_channel]
+    regressors = stack_regressors(observed.as_array(), params.delay,
+                                  params.filter_order)
+    return reference, regressors
+
+
 def run_wpe(observed, params):
     """Iterative WPE: alternate per-band filter solves and PSD updates.
 
     Returns (estimate spectrogram, filter bank, per-iteration mean residual
     power trace).
     """
-    if params.reference_channel >= observed.num_channels:
-        raise ArgumentError("reference_channel out of range")
-    if observed.num_frames <= params.delay:
-        raise ArgumentError("need more frames than the prediction delay")
-    ref = observed.channels[params.reference_channel].values
-    regressors = stack_regressors(observed.as_array(), params.delay,
-                                  params.filter_order)
-    sigma = np.maximum(np.abs(ref) ** 2, params.epsilon)
-    trace = []
-    filters = None
+    reference, regressors = prepare(observed, params)
+    ref = reference.values
     s_hat = ref
+    trace = []
     for _ in range(params.iterations):
-        weights, prediction = solve_all_bands(regressors, ref, sigma)
+        weights, prediction = solve_all_bands(
+            regressors, ref, estimate_psd(s_hat, params.epsilon))
         s_hat = ref - prediction
-        sigma = np.maximum(np.abs(s_hat) ** 2, params.epsilon)
-        filters = FilterBank(weights)
         trace.append(float(np.mean(np.abs(s_hat) ** 2)))
-    estimate = observed.channels[params.reference_channel].with_values(s_hat)
-    return estimate, filters, trace
+    return reference.with_values(s_hat), FilterBank(weights), trace

@@ -1,11 +1,12 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
-reference accumulators of the weighted normal equations and a direct-form
-alignment oracle."""
+a per-frame regressor oracle, reference accumulators of the weighted normal
+equations and a direct-form alignment oracle."""
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.signal
 
 from dereverb.errors import ArgumentError
-from dereverb.numerics import NormalEquations
 from dereverb.roomsim import render_scene, sample_room, white_noise
 from dereverb.signals import TimeSignal
 from dereverb.stft import Spectrogram, StftConfig
@@ -65,6 +66,45 @@ def random_spectrogram(n_frames, config=None, seed=0, sample_rate=16000,
                       + 1j * rng.standard_normal(shape))
     length = (n_frames - 1) * config.hop + config.frame_len
     return Spectrogram(values, config, sample_rate, length)
+
+
+def build_regressor(spec, n, k, delay, order):
+    """Channel-major delayed regressor of length L*Q for frame n, bin k.
+
+    Channel q contributes (X_q(n-D,k), ..., X_q(n-D-L+1,k)); frames with
+    negative index contribute zeros.
+    """
+    obs = spec.as_array()
+    out = np.zeros(order * spec.num_channels, dtype=np.complex128)
+    for q in range(spec.num_channels):
+        for l in range(order):
+            frame = n - delay - l
+            if frame >= 0:
+                out[q * order + l] = obs[q, frame, k]
+    return out
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    Z: np.ndarray
+    q: np.ndarray
+
+    def __post_init__(self):
+        Z = np.asarray(self.Z, dtype=np.complex128)
+        q = np.asarray(self.q, dtype=np.complex128)
+        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
+            raise ArgumentError("Z must be square")
+        if q.shape != (Z.shape[0],):
+            raise ArgumentError("q length must match Z")
+        if np.max(np.abs(Z - Z.conj().T), initial=0.0) > 1e-12 * max(
+                1.0, float(np.max(np.abs(Z), initial=0.0))):
+            raise ArgumentError("Z must be Hermitian")
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "q", q)
+
+    @property
+    def size(self):
+        return self.q.shape[0]
 
 
 def accumulate_normal_equations(terms, size=None):

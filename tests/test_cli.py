@@ -10,7 +10,8 @@ import pytest
 
 import dereverb
 from dereverb.cli import (EXIT_ARGS, EXIT_DENOISER, EXIT_IO, EXIT_NUMERIC,
-                          EXIT_OK, _filter_order, build_parser, main)
+                          EXIT_OK, _atomic_write, _filter_order, build_parser,
+                          main)
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
                               write_wav)
 
@@ -93,7 +94,7 @@ def test_dereverb_pnpwpe_with_trace(tmp_path, scene_dir):
                  "--out", str(out), "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
     lines = trace.read_text().splitlines()
-    assert lines[0] == "iteration,error,error_eq24"
+    assert lines[0] == "iteration,error"
     assert len(lines) >= 2
     first = lines[1].split(",")
     assert first[0] == "1" and float(first[1]) >= 0.0
@@ -146,7 +147,7 @@ def test_convergence_trace(tmp_path, scene_dir, capsys):
                  os.path.join(scene_dir, "observed.wav"),
                  "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
-    assert trace.read_text().startswith("iteration,error,error_eq24")
+    assert trace.read_text().startswith("iteration,error")
     out = capsys.readouterr().out
     assert "iterations=" in out and "plateau_iter=" in out
 
@@ -260,6 +261,32 @@ def test_exit_code_empty_clean_wav(tmp_path):
     assert main(["simulate", "--preset", "A", "--seed", "4",
                  "--clean", str(empty), "--out-dir", str(out)]) == EXIT_ARGS
     assert not out.exists()
+
+
+def test_exit_code_clean_wav_not_16khz(tmp_path, capsys):
+    clean = tmp_path / "clean8k.wav"
+    write_wav(MultichannelTimeSignal((speech_like(1.2, fs=8000, seed=0),)),
+              clean, "float32")
+    out = tmp_path / "scene"
+    assert main(["simulate", "--preset", "A", "--seed", "4",
+                 "--clean", str(clean), "--out-dir", str(out)]) == EXIT_ARGS
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_atomic_write_failure_leaves_target_untouched(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        _atomic_write(str(target), failing)
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_exit_code_metric_error(tmp_path, scene_dir):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dereverb.errors import ArgumentError, SingularBandError
-from dereverb.numerics import NormalEquations, solve_hpd
-from helpers import accumulate_batch, accumulate_normal_equations
+from dereverb.numerics import solve_hpd
+from helpers import (NormalEquations, accumulate_batch,
+                     accumulate_normal_equations)
 
 
 def _random_terms(rng, count, dim):

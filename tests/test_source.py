@@ -1,0 +1,44 @@
+"""Checks on the package source itself."""
+import ast
+import pathlib
+
+import dereverb
+
+SRC = pathlib.Path(dereverb.__file__).parent
+
+
+def _definitions(tree):
+    """Top-level functions, classes and constants of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and not target.id.startswith("__")):
+                    yield target.id
+
+
+def _reads(tree):
+    """Every name read in a module, as a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_top_level_name_in_src_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read.update(_reads(tree))
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _definitions(tree)
+                    if name not in read and name not in dereverb.__all__)
+    assert unused == [], (
+        "defined in src/ but neither read there nor exported: "
+        + ", ".join(unused))

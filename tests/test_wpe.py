@@ -8,9 +8,9 @@ from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.stft import MultichannelSpectrogram, Spectrogram, StftConfig
 from dereverb.wpe import (FilterBank, WpeParams, apply_filters,
-                          build_regressor, estimate_psd, run_wpe,
-                          solve_all_bands, stack_regressors)
-from helpers import accumulate_batch
+                          estimate_psd, run_wpe, solve_all_bands,
+                          stack_regressors)
+from helpers import accumulate_batch, build_regressor
 
 SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
 
