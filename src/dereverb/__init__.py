@@ -17,12 +17,13 @@ from .signals import (MultichannelTimeSignal, TimeSignal, convolve,
                       mix_at_snr, read_wav, write_wav)
 from .stft import (MultichannelSpectrogram, Spectrogram, StftConfig, analyze,
                    analyze_multichannel, hann, synthesize)
-from .wpe import FilterBank, WpeParams, apply_filters, run_wpe
+from .wpe import (FilterBank, IterationRecord, WpeParams, apply_filters,
+                  run_wpe)
 
 __all__ = [
     "AdmmState", "AlignmentError", "ArgumentError", "DenoiserError",
     "DenoiserSpec", "DereverbError", "FilterBank", "FormatError",
-    "GeometryError", "MetricError", "MetricReport",
+    "GeometryError", "IterationRecord", "MetricError", "MetricReport",
     "MultichannelSpectrogram", "MultichannelTimeSignal", "PnpParams",
     "ProtocolError", "RoomSpec", "Scene", "Spectrogram", "StftConfig",
     "TimeSignal", "WpeParams", "align", "analyze", "analyze_multichannel",

@@ -138,9 +138,10 @@ def _pnp_params(args, denoiser_kind=None, rho=None, mu=None,
     )
 
 
-def _write_trace_csv(path, error_trace):
-    lines = ["iteration,error"]
-    lines += [f"{i},{err:.12g}" for i, err in enumerate(error_trace, 1)]
+def _write_trace_csv(path, trace):
+    lines = ["iteration,error,change"]
+    lines += [f"{i},{record.error:.12g},{record.change:.12g}"
+              for i, record in enumerate(trace, 1)]
     text = "\n".join(lines) + "\n"
     _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text))
 
@@ -193,16 +194,13 @@ def cmd_dereverb(args):
     config = StftConfig(frame_len=args.frame_len, hop=args.hop)
     observed = _load_observed(args.input, config)
     if args.method == "wpe":
-        estimate, _, _ = run_wpe(observed, _wpe_params(args))
-        trace = None
+        estimate, _, trace = run_wpe(observed, _wpe_params(args))
     else:
-        params = _pnp_params(args)
-        estimate, state, _ = run_pnpwpe(observed, params)
-        trace = state.error_trace
+        estimate, _, trace = run_pnpwpe(observed, _pnp_params(args))
     out = synthesize(estimate)
     _atomic_write(args.out, functools.partial(
         write_wav, MultichannelTimeSignal((out,))))
-    if trace is not None and args.trace_csv:
+    if args.trace_csv:
         _write_trace_csv(args.trace_csv, trace)
     return EXIT_OK
 
@@ -255,13 +253,13 @@ def cmd_sweep(args):
             try:
                 params = _pnp_params(args, denoiser_kind=kind, rho=rho,
                                      mu=mu, filter_order=order)
-                estimate, state, trace = run_pnpwpe(observed, params)
+                estimate, _, trace = run_pnpwpe(observed, params)
                 out = synthesize(estimate)
                 report = evaluate_pair(reference, out)
-                plateau = plateau_iteration(state.r_change_trace)
                 rows.append([scene_dir, rho, mu, order, kind,
                              f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
-                             f"{trace[-1]:.12g}", plateau, "ok"])
+                             f"{trace[-1].error:.12g}",
+                             plateau_iteration(trace), "ok"])
             except Exception as exc:
                 rows.append([scene_dir, rho, mu, order, kind,
                              "", "", "", "", f"error:{exc}"])
@@ -276,12 +274,10 @@ def cmd_sweep(args):
 def cmd_convergence(args):
     config = StftConfig(frame_len=args.frame_len, hop=args.hop)
     observed = _load_observed(args.input, config)
-    params = _pnp_params(args)
-    _, state, _ = run_pnpwpe(observed, params)
-    _write_trace_csv(args.trace_csv, state.error_trace)
-    plateau = plateau_iteration(state.r_change_trace)
-    sys.stdout.write(f"iterations={len(state.error_trace)} "
-                     f"plateau_iter={plateau}\n")
+    _, _, trace = run_pnpwpe(observed, _pnp_params(args))
+    _write_trace_csv(args.trace_csv, trace)
+    sys.stdout.write(f"iterations={len(trace)} "
+                     f"plateau_iter={plateau_iteration(trace)}\n")
     return EXIT_OK
 
 

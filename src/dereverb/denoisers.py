@@ -157,30 +157,30 @@ class ExternalDenoiser:
         tmpdir = tempfile.mkdtemp(prefix="pnpspec_", dir=self.workdir)
         in_path = f"{tmpdir}/in.pnpspec"
         out_path = f"{tmpdir}/out.pnpspec"
-        write_pnpspec(spec, in_path)
         try:
-            result = subprocess.run([*self.command, in_path, out_path],
-                                    capture_output=True, text=True)
-        except OSError as exc:
-            raise DenoiserError(f"denoiser command could not run: {exc} "
-                                f"(inputs kept in {tmpdir})") from exc
-        if result.returncode != 0:
-            raise DenoiserError(
-                f"denoiser command exited {result.returncode} "
-                f"(inputs kept in {tmpdir}); stderr: {result.stderr.strip()}")
-        try:
-            values, sample_rate = read_pnpspec(out_path)
-        except OSError as exc:
-            raise ProtocolError(f"denoiser produced no output: {exc}")
-        if values.shape != spec.values.shape:
-            raise ProtocolError(
-                f"denoiser changed the shape: {spec.values.shape} -> "
-                f"{values.shape} (inputs kept in {tmpdir})")
-        if sample_rate != spec.sample_rate:
-            raise ProtocolError("denoiser changed the sample rate")
-        if not np.all(np.isfinite(values)):
-            raise ProtocolError(
-                f"denoiser output is not finite (inputs kept in {tmpdir})")
+            write_pnpspec(spec, in_path)
+            try:
+                result = subprocess.run([*self.command, in_path, out_path],
+                                        capture_output=True, text=True)
+            except OSError as exc:
+                raise DenoiserError(f"denoiser command could not run: {exc}")
+            if result.returncode != 0:
+                raise DenoiserError(
+                    f"denoiser command exited {result.returncode}; "
+                    f"stderr: {result.stderr.strip()}")
+            try:
+                values, sample_rate = read_pnpspec(out_path)
+            except OSError as exc:
+                raise ProtocolError(f"denoiser produced no output: {exc}")
+            if values.shape != spec.values.shape:
+                raise ProtocolError(f"denoiser changed the shape: "
+                                    f"{spec.values.shape} -> {values.shape}")
+            if sample_rate != spec.sample_rate:
+                raise ProtocolError("denoiser changed the sample rate")
+            if not np.all(np.isfinite(values)):
+                raise ProtocolError("denoiser output is not finite")
+        except (DenoiserError, ProtocolError) as exc:
+            raise type(exc)(f"{exc} (inputs kept in {tmpdir})") from exc
         shutil.rmtree(tmpdir, ignore_errors=True)
         return spec.with_values(values)
 

@@ -7,14 +7,15 @@ noise update V, and the scaled dual update P.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .denoisers import DenoiserSpec, make_denoiser
 from .errors import ArgumentError
 from .stft import StftConfig, analyze_multichannel, synthesize
-from .wpe import FilterBank, WpeParams, estimate_psd, prepare, solve_all_bands
+from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
+                  prepare, relative_change, solve_all_bands)
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,6 @@ class AdmmState:
     r: np.ndarray
     v: np.ndarray
     p: np.ndarray
-    sigma: np.ndarray
-    lam: np.ndarray
-    error_trace: list = field(default_factory=list)
-    r_change_trace: list = field(default_factory=list)
 
 
 def compute_lambda(sigma, rho):
@@ -126,7 +123,8 @@ def constraint_error(r, s_hat, v):
 
 
 def run_pnpwpe(observed, params):
-    """Full solver loop; returns (speech estimate R, AdmmState, error trace)."""
+    """Full solver loop; returns (speech estimate R, AdmmState,
+    IterationRecord list of the consensus error and the change of R)."""
     wpe_params = params.wpe
     reference, regressors = prepare(observed, wpe_params)
     denoiser = make_denoiser(params.denoiser)
@@ -137,8 +135,7 @@ def run_pnpwpe(observed, params):
     r = np.zeros(shape, dtype=np.complex128)
     v = np.zeros(shape, dtype=np.complex128)
     p = np.zeros(shape, dtype=np.complex128)
-    error_trace = []
-    r_change_trace = []
+    trace = []
 
     for _ in range(params.outer_iters):
         sigma = estimate_psd(s_hat, wpe_params.epsilon)
@@ -147,35 +144,28 @@ def run_pnpwpe(observed, params):
         weights, prediction = solve_all_bands(regressors, xtilde, lam)
         s_hat = x_ref - prediction
         r_tilde = compute_rtilde(s_hat, v, p)
-        r_prev = r
-        r = update_r(reference.with_values(r_tilde), denoiser, params.mu,
-                     params.inner_iters).values
+        r_prev, r = r, update_r(reference.with_values(r_tilde), denoiser,
+                                params.mu, params.inner_iters).values
         v = update_v(s_hat, r, p)
         p = update_p(p, s_hat, v, r)
 
-        r_prev_norm = float(np.linalg.norm(r_prev))
-        change = float(np.linalg.norm(r - r_prev)) / max(r_prev_norm, 1e-300)
-        r_change_trace.append(change)
         error = constraint_error(r, s_hat, v)
-        error_trace.append(error)
-        if len(error_trace) >= 2:
-            prev = error_trace[-2]
-            rel = abs(error - prev) / max(prev, 1e-300)
-            if rel < params.stop_tol:
+        trace.append(IterationRecord(error, relative_change(r, r_prev)))
+        if len(trace) >= 2:
+            prev = trace[-2].error
+            if abs(error - prev) / max(prev, 1e-300) < params.stop_tol:
                 break
 
-    state = AdmmState(filters=FilterBank(weights), s_hat=s_hat, r=r, v=v,
-                      p=p, sigma=sigma, lam=lam, error_trace=error_trace,
-                      r_change_trace=r_change_trace)
-    return reference.with_values(r), state, error_trace
+    state = AdmmState(filters=FilterBank(weights), s_hat=s_hat, r=r, v=v, p=p)
+    return reference.with_values(r), state, trace
 
 
-def plateau_iteration(change_trace, threshold=0.05):
-    """First iteration from which the relative iterate change stays below
-    threshold; the trace length if it never settles."""
-    n = len(change_trace)
+def plateau_iteration(trace, threshold=0.05):
+    """First iteration, from the second on, whose change and every later one
+    stay below threshold; the trace length if it never settles."""
+    n = len(trace)
     for i in range(1, n):
-        if all(c < threshold for c in change_trace[i:]):
+        if all(record.change < threshold for record in trace[i:]):
             return i + 1
     return n
 

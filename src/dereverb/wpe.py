@@ -39,6 +39,22 @@ class WpeParams:
 
 
 @dataclass(frozen=True)
+class IterationRecord:
+    """One solver iteration: the error (WPE's mean residual power, PnPWPE's
+    consensus error) and the relative_change of the estimate (S_hat, R)."""
+
+    error: float
+    change: float
+
+
+def relative_change(new, old):
+    """||new - old|| / ||old||; inf if only old is zero, 0.0 if both are.
+    Not np.linalg.norm: its numpy BLAS calls slow the scipy band solves."""
+    diff, base = (np.sum(np.abs(x) ** 2) for x in (new - old, old))
+    return float(np.sqrt(diff / base)) if base else (np.inf if diff else 0.0)
+
+
+@dataclass(frozen=True)
 class FilterBank:
     """Per-band prediction weights, shape (num_bins, L*Q)."""
 
@@ -55,10 +71,6 @@ class FilterBank:
     @property
     def num_bins(self):
         return self.weights.shape[0]
-
-    @property
-    def taps_per_band(self):
-        return self.weights.shape[1]
 
 
 class Regressors:
@@ -209,8 +221,8 @@ def prepare(observed, params):
 def run_wpe(observed, params):
     """Iterative WPE: alternate per-band filter solves and PSD updates.
 
-    Returns (estimate spectrogram, filter bank, per-iteration mean residual
-    power trace).
+    Returns (estimate spectrogram, filter bank, IterationRecord list); each
+    record holds the mean residual power and the relative change of S_hat.
     """
     reference, regressors = prepare(observed, params)
     ref = reference.values
@@ -219,6 +231,7 @@ def run_wpe(observed, params):
     for _ in range(params.iterations):
         weights, prediction = solve_all_bands(
             regressors, ref, estimate_psd(s_hat, params.epsilon))
-        s_hat = ref - prediction
-        trace.append(float(np.mean(np.abs(s_hat) ** 2)))
+        s_prev, s_hat = s_hat, ref - prediction
+        trace.append(IterationRecord(float(np.mean(np.abs(s_hat) ** 2)),
+                                     relative_change(s_hat, s_prev)))
     return reference.with_values(s_hat), FilterBank(weights), trace

@@ -126,8 +126,8 @@ def test_criterion_05_convergence_plateau():
             start = time.time()
             _, _, trace = run_pnpwpe(mc, pnp)
             elapsed = time.time() - start
-            rel = [abs(trace[i] - trace[i - 1]) / trace[i - 1]
-                   for i in range(1, len(trace))]
+            rel = [abs(trace[i].error - trace[i - 1].error)
+                   / trace[i - 1].error for i in range(1, len(trace))]
             # rel[i] is the change entering iteration i+2; iterations >= 5
             # means rel[3:]
             ok &= all(r < 0.05 for r in rel[3:]) and elapsed < 60.0
@@ -185,9 +185,9 @@ def test_criterion_08_rho_insensitivity():
     outputs, plateaus = {}, {}
     for rho in (0.01, 0.1, 1.0):
         pnp = PnpParams(wpe=SCENE_WPE, rho=rho, outer_iters=10, stop_tol=0.0)
-        est, state, _ = run_pnpwpe(mc, pnp)
+        est, _, trace = run_pnpwpe(mc, pnp)
         outputs[rho] = est.values
-        plateaus[rho] = plateau_iteration(state.r_change_trace)
+        plateaus[rho] = plateau_iteration(trace)
     base = outputs[0.01]
     scale = np.max(np.abs(base))
     agree = all(np.max(np.abs(outputs[r] - base)) / scale < 1e-3

@@ -12,6 +12,8 @@ import dereverb
 from dereverb.cli import (EXIT_ARGS, EXIT_DENOISER, EXIT_IO, EXIT_NUMERIC,
                           EXIT_OK, _atomic_write, _filter_order, build_parser,
                           main)
+from dereverb.pnpwpe import plateau_iteration
+from dereverb.wpe import IterationRecord
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
                               write_wav)
 
@@ -85,6 +87,21 @@ def test_dereverb_wpe(tmp_path, scene_dir):
     assert len(estimate) == len(observed)
 
 
+def test_dereverb_wpe_with_trace(tmp_path, scene_dir):
+    trace = tmp_path / "trace.csv"
+    code = main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--method", "wpe",
+                 "--out", str(tmp_path / "wpe.wav"),
+                 "--trace-csv", str(trace)] + FAST)
+    assert code == EXIT_OK
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "iteration,error,change"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["1", "2"]  # FAST runs 2 iterations
+    assert all(float(row[1]) > 0.0 and 0.0 < float(row[2]) < np.inf
+               for row in rows)
+
+
 def test_dereverb_pnpwpe_with_trace(tmp_path, scene_dir):
     out = tmp_path / "pnp.wav"
     trace = tmp_path / "trace.csv"
@@ -94,10 +111,11 @@ def test_dereverb_pnpwpe_with_trace(tmp_path, scene_dir):
                  "--out", str(out), "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
     lines = trace.read_text().splitlines()
-    assert lines[0] == "iteration,error"
+    assert lines[0] == "iteration,error,change"
     assert len(lines) >= 2
     first = lines[1].split(",")
     assert first[0] == "1" and float(first[1]) >= 0.0
+    assert first[2] == "inf"  # R starts at zero
 
 
 def test_evaluate_appends_csv(tmp_path, scene_dir, capsys):
@@ -147,9 +165,26 @@ def test_convergence_trace(tmp_path, scene_dir, capsys):
                  os.path.join(scene_dir, "observed.wav"),
                  "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
-    assert trace.read_text().startswith("iteration,error")
+    assert trace.read_text().startswith("iteration,error,change")
     out = capsys.readouterr().out
     assert "iterations=" in out and "plateau_iter=" in out
+
+
+def test_convergence_plateau_matches_its_csv(tmp_path, scene_dir, capsys):
+    trace = tmp_path / "conv.csv"
+    code = main(["convergence", "--input",
+                 os.path.join(scene_dir, "observed.wav"),
+                 "--trace-csv", str(trace), "--denoiser", "wiener",
+                 "--filter-order", "4", "--iterations", "8",
+                 "--stop-tol", "0"])
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+    records = [IterationRecord(float(error), float(change))
+               for _, error, change in rows]
+    plateau = plateau_iteration(records)
+    assert 1 < plateau < len(records) == 8  # the change settles mid-run
+    out = capsys.readouterr().out.split()
+    assert out == [f"iterations={len(records)}", f"plateau_iter={plateau}"]
 
 
 def test_preset_sets_filter_order():

@@ -234,6 +234,15 @@ def _script_denoiser(tmp_path, body, workdir=None):
     return ExternalDenoiser((sys.executable, str(script)), workdir=workdir)
 
 
+def _kept_dir_named_in(message, work):
+    """The kept pnpspec_* directory under work, checked to be named in
+    message and to hold the denoiser's input."""
+    kept = [work / d for d in os.listdir(work) if d.startswith("pnpspec_")]
+    assert len(kept) == 1 and (kept[0] / "in.pnpspec").exists()
+    assert f"(inputs kept in {kept[0]})" in message
+    return kept[0]
+
+
 def test_external_copy_matches_identity(tmp_path):
     spec = _random_spec(np.random.default_rng(8), float32_exact=True)
     out = _script_denoiser(tmp_path, COPY_SCRIPT).denoise(spec)
@@ -246,10 +255,9 @@ def test_external_failure_keeps_workdir(tmp_path):
     work.mkdir()
     denoiser = _script_denoiser(tmp_path, "import sys; sys.exit(1)",
                                 workdir=str(work))
-    with pytest.raises(DenoiserError):
+    with pytest.raises(DenoiserError) as info:
         denoiser.denoise(spec)
-    kept = [d for d in os.listdir(work) if d.startswith("pnpspec_")]
-    assert kept and (work / kept[0] / "in.pnpspec").exists()
+    _kept_dir_named_in(str(info.value), work)
 
 
 def test_external_command_that_cannot_start_keeps_workdir(tmp_path):
@@ -260,9 +268,7 @@ def test_external_command_that_cannot_start_keeps_workdir(tmp_path):
                                 workdir=str(work))
     with pytest.raises(DenoiserError) as info:
         denoiser.denoise(spec)
-    kept = [d for d in os.listdir(work) if d.startswith("pnpspec_")]
-    assert kept and (work / kept[0] / "in.pnpspec").exists()
-    assert str(work / kept[0]) in str(info.value)
+    _kept_dir_named_in(str(info.value), work)
 
 
 def test_external_missing_output_is_protocol_error(tmp_path):
@@ -300,7 +306,28 @@ def test_external_non_finite_output_is_protocol_error(tmp_path):
     spec = _random_spec(np.random.default_rng(13))
     work = tmp_path / "work"
     work.mkdir()
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError) as info:
         _script_denoiser(tmp_path, body, workdir=str(work)).denoise(spec)
-    kept = [d for d in os.listdir(work) if d.startswith("pnpspec_")]
-    assert kept and (work / kept[0] / "in.pnpspec").exists()
+    _kept_dir_named_in(str(info.value), work)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    ("raw[:8] = b'NOTSPEC1'", "malformed PNPSPEC1 header"),
+    ("raw = raw[:-8]", "payload size inconsistent with header"),
+    ("raw[16:20] = struct.pack('<I', 8000)",
+     "denoiser changed the sample rate"),
+])
+def test_external_protocol_errors_name_the_kept_workdir(tmp_path, edit,
+                                                        reason):
+    body = (COPY_SCRIPT + "\nimport struct\n"
+            "raw = bytearray(open(sys.argv[2], 'rb').read())\n"
+            f"{edit}\n"
+            "open(sys.argv[2], 'wb').write(raw)\n")
+    spec = _random_spec(np.random.default_rng(14))
+    work = tmp_path / "work"
+    work.mkdir()
+    with pytest.raises(ProtocolError) as info:
+        _script_denoiser(tmp_path, body, workdir=str(work)).denoise(spec)
+    assert str(info.value).startswith(reason)
+    _kept_dir_named_in(str(info.value), work)
+

@@ -11,8 +11,9 @@ from dereverb.pnpwpe import (AdmmState, PnpParams, compute_lambda,
                              update_v)
 from dereverb.signals import MultichannelTimeSignal
 from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig)
-from dereverb.wpe import (FilterBank, WpeParams, apply_filters, prepare,
-                          run_wpe, solve_all_bands, stack_regressors)
+from dereverb.wpe import (FilterBank, IterationRecord, WpeParams,
+                          apply_filters, prepare, run_wpe, solve_all_bands,
+                          stack_regressors)
 
 SMALL = StftConfig(frame_len=8, hop=2)
 
@@ -279,7 +280,7 @@ def test_identity_denoiser_null_property():
     assert np.max(np.abs(state.p)) < 1e-12
     assert np.array_equal(state.r, state.s_hat)
     assert np.array_equal(estimate.values, state.r)
-    assert len(trace) == 10 and all(e < 1e-25 for e in trace)
+    assert len(trace) == 10 and all(record.error < 1e-25 for record in trace)
 
 
 def test_small_rho_identity_matches_vanilla_wpe():
@@ -303,7 +304,9 @@ def test_zero_observed_gives_zero_everything():
     estimate, state, trace = run_pnpwpe(spec, _params(outer_iters=3,
                                                       stop_tol=0.0))
     assert np.all(estimate.values == 0)
-    assert all(e == 0.0 for e in trace)
+    assert all(record.error == 0.0 for record in trace)
+    # R stays zero, so every change compares two zero estimates
+    assert all(record.change == 0.0 for record in trace)
 
 
 def test_early_stop_on_flat_error():
@@ -348,11 +351,30 @@ def test_prediction_error_zero_filters():
 
 # --- plateau detection --------------------------------------------------------
 
+def _records(changes):
+    return [IterationRecord(error=0.0, change=c) for c in changes]
+
+
 def test_plateau_iteration_basic():
-    assert plateau_iteration([1.0, 0.5, 0.01, 0.02]) == 3
-    assert plateau_iteration([1.0, 0.5, 0.2, 0.1]) == 4
-    assert plateau_iteration([1.0, 0.01, 0.2, 0.01]) == 4
-    assert plateau_iteration([0.5, 0.01]) == 2
+    assert plateau_iteration(_records([1.0, 0.5, 0.01, 0.02])) == 3
+    assert plateau_iteration(_records([1.0, 0.5, 0.2, 0.1])) == 4
+    assert plateau_iteration(_records([1.0, 0.01, 0.2, 0.01])) == 4
+    assert plateau_iteration(_records([0.5, 0.01])) == 2
+    assert plateau_iteration(_records([np.inf, 0.01, 0.02])) == 2
+
+
+def test_run_pnpwpe_records_error_and_change_of_r():
+    rng = np.random.default_rng(17)
+    spec = _random_mc(rng)
+    params = _params(outer_iters=3, stop_tol=0.0,
+                     denoiser=DenoiserSpec("wiener"))
+    _, state, trace = run_pnpwpe(spec, params)
+    assert len(trace) == 3
+    assert all(isinstance(record, IterationRecord) for record in trace)
+    # R starts at zero, so the first change has no finite relative size
+    assert trace[0].change == np.inf
+    assert all(np.isfinite(record.change) for record in trace[1:])
+    assert trace[-1].error == constraint_error(state.r, state.s_hat, state.v)
 
 
 # --- time-domain pipeline ------------------------------------------------------

@@ -5,6 +5,7 @@ import pathlib
 import dereverb
 
 SRC = pathlib.Path(dereverb.__file__).parent
+ROOT = SRC.parents[1]
 
 
 def _definitions(tree):
@@ -30,6 +31,30 @@ def _reads(tree):
             yield node.attr
 
 
+def _members(tree):
+    """(class, name) of every method, property and dataclass field of the
+    classes defined at the top level of a module; dunders are left out."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif (isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)):
+                name = item.target.id
+            else:
+                continue
+            if not name.startswith("__"):
+                yield node.name, name
+
+
+def _attribute_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def test_every_top_level_name_in_src_is_used():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
@@ -42,3 +67,17 @@ def test_every_top_level_name_in_src_is_used():
     assert unused == [], (
         "defined in src/ but neither read there nor exported: "
         + ", ".join(unused))
+
+
+def test_every_class_member_in_src_is_read():
+    src = {path.name: ast.parse(path.read_text())
+           for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        read.update(_attribute_reads(ast.parse(path.read_text())))
+    unread = sorted(f"{cls}.{name}" for tree in src.values()
+                    for cls, name in _members(tree) if name not in read)
+    assert unread == [], (
+        "members of src/ classes never read as an attribute in src/, "
+        "tests/ or bench/: " + ", ".join(unread))

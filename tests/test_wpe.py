@@ -7,9 +7,9 @@ from dereverb import wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.stft import MultichannelSpectrogram, Spectrogram, StftConfig
-from dereverb.wpe import (FilterBank, WpeParams, apply_filters,
-                          estimate_psd, run_wpe, solve_all_bands,
-                          stack_regressors)
+from dereverb.wpe import (FilterBank, IterationRecord, WpeParams,
+                          apply_filters, estimate_psd, relative_change,
+                          run_wpe, solve_all_bands, stack_regressors)
 from helpers import accumulate_batch, build_regressor
 
 SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
@@ -251,6 +251,29 @@ def test_apply_true_ar_filters_recovers_source():
     filters = FilterBank(c.conj()[:, None])
     out = apply_filters(spec, filters, delay=2, order=1)
     assert np.max(np.abs(out.values - s)) < 1e-10
+
+
+def test_run_wpe_records_residual_power_and_change_of_s_hat():
+    rng = np.random.default_rng(17)
+    spec = _random_mc(rng, 2, 30)
+    first, _, one = run_wpe(spec, WpeParams(filter_order=2, iterations=1))
+    estimate, _, trace = run_wpe(spec, WpeParams(filter_order=2,
+                                                 iterations=3))
+    assert all(isinstance(record, IterationRecord) for record in trace)
+    # the first iteration compares S_hat with the observed reference
+    ref = spec.channels[0].values
+    assert trace[0] == one[0]
+    assert trace[0].change == relative_change(first.values, ref)
+    assert trace[-1].error == float(np.mean(np.abs(estimate.values) ** 2))
+
+
+def test_relative_change_of_a_zero_estimate():
+    zero = np.zeros((3, 5), dtype=np.complex128)
+    ones = np.ones((3, 5), dtype=np.complex128)
+    assert relative_change(ones, zero) == np.inf
+    assert relative_change(zero, zero) == 0.0
+    assert relative_change(zero, ones) == 1.0
+    assert relative_change(3 * ones, ones) == 2.0
 
 
 def test_run_wpe_null_on_unpredictable_input():
