@@ -5,7 +5,8 @@ with denoising priors, a shoebox room simulator, objective metrics and a
 batch CLI.
 """
 
-from .denoisers import DenoiserSpec, make_denoiser
+from .denoisers import (ExternalDenoiser, IdentityDenoiser, Median2dDenoiser,
+                        SoftThresholdDenoiser, WienerDenoiser)
 from .errors import (AlignmentError, ArgumentError, DenoiserError,
                      DereverbError, FormatError, GeometryError, MetricError,
                      ProtocolError)
@@ -22,14 +23,15 @@ from .wpe import (FilterBank, IterationRecord, WpeParams, apply_filters,
 
 __all__ = [
     "AdmmState", "AlignmentError", "ArgumentError", "DenoiserError",
-    "DenoiserSpec", "DereverbError", "FilterBank", "FormatError",
-    "GeometryError", "IterationRecord", "MetricError", "MetricReport",
-    "MultichannelSpectrogram", "MultichannelTimeSignal", "PnpParams",
-    "ProtocolError", "RoomSpec", "Scene", "Spectrogram", "StftConfig",
-    "TimeSignal", "WpeParams", "align", "analyze", "analyze_multichannel",
-    "apply_filters", "cepstral_distance", "convolve",
+    "DereverbError", "ExternalDenoiser", "FilterBank", "FormatError",
+    "GeometryError", "IdentityDenoiser", "IterationRecord", "Median2dDenoiser",
+    "MetricError", "MetricReport", "MultichannelSpectrogram",
+    "MultichannelTimeSignal", "PnpParams", "ProtocolError", "RoomSpec",
+    "Scene", "SoftThresholdDenoiser", "Spectrogram", "StftConfig",
+    "TimeSignal", "WienerDenoiser", "WpeParams", "align", "analyze",
+    "analyze_multichannel", "apply_filters", "cepstral_distance", "convolve",
     "evaluate_pair", "fw_seg_snr", "hann", "image_source_rir",
-    "make_denoiser", "measure_t60", "mix_at_snr", "read_wav",
+    "measure_t60", "mix_at_snr", "read_wav",
     "render_scene", "run_pnpwpe", "run_wpe", "sample_room", "synthesize",
     "time_domain_pipeline", "white_noise", "write_wav",
 ]

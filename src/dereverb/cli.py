@@ -17,9 +17,8 @@ import shlex
 import sys
 import tempfile
 
-import numpy as np
-
-from .denoisers import DenoiserSpec
+from .denoisers import (ExternalDenoiser, IdentityDenoiser, Median2dDenoiser,
+                        SoftThresholdDenoiser, WienerDenoiser)
 from .errors import (AlignmentError, ArgumentError, DenoiserError,
                      FormatError, GeometryError, MetricError, ProtocolError,
                      SingularBandError)
@@ -54,29 +53,45 @@ def _atomic_write(path, write):
         raise
 
 
+# Each --denoiser kind and how the denoiser flags build it.
+DENOISERS = {
+    "identity": lambda args: IdentityDenoiser(),
+    "soft_threshold": lambda args: SoftThresholdDenoiser(args.threshold),
+    "wiener": lambda args: WienerDenoiser(args.quantile, args.min_gain),
+    "median2d": lambda args: Median2dDenoiser(args.median_half_frames,
+                                              args.median_half_bins),
+    "external": lambda args: ExternalDenoiser(
+        shlex.split(args.denoiser_command)),
+}
+
+
 def _add_stft_flags(parser):
-    parser.add_argument("--frame-len", type=int, default=512)
-    parser.add_argument("--hop", type=int, default=128)
+    parser.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
+    parser.add_argument("--hop", type=int, default=StftConfig.hop)
 
 
 def _add_wpe_flags(parser):
     parser.add_argument("--filter-order", type=int, default=None,
-                        help="taps per channel (default 28; 35 for preset B)")
-    parser.add_argument("--delay", type=int, default=2)
-    parser.add_argument("--epsilon", type=float, default=1e-4)
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--reference-channel", type=int, default=0)
+                        help=f"taps per channel (default "
+                             f"{WpeParams.filter_order}; "
+                             f"{PRESET_FILTER_ORDER['B']} for preset B)")
+    parser.add_argument("--delay", type=int, default=WpeParams.delay)
+    parser.add_argument("--epsilon", type=float, default=WpeParams.epsilon)
+    parser.add_argument("--iterations", type=int,
+                        default=WpeParams.iterations)
+    parser.add_argument("--reference-channel", type=int,
+                        default=WpeParams.reference_channel)
     parser.add_argument("--preset", choices=sorted(PRESETS), default=None)
 
 
 def _add_pnp_flags(parser):
-    parser.add_argument("--rho", type=float, default=0.1)
-    parser.add_argument("--mu", type=float, default=0.5)
-    parser.add_argument("--inner-iters", type=int, default=1)
-    parser.add_argument("--stop-tol", type=float, default=1e-4)
+    parser.add_argument("--rho", type=float, default=PnpParams.rho)
+    parser.add_argument("--mu", type=float, default=PnpParams.mu)
+    parser.add_argument("--inner-iters", type=int,
+                        default=PnpParams.inner_iters)
+    parser.add_argument("--stop-tol", type=float, default=PnpParams.stop_tol)
     parser.add_argument("--denoiser", default="identity",
-                        choices=["identity", "soft_threshold", "wiener",
-                                 "median2d", "external"])
+                        choices=list(DENOISERS))
     parser.add_argument("--threshold", type=float, default=0.5)
     parser.add_argument("--quantile", type=float, default=0.3)
     parser.add_argument("--min-gain", type=float, default=0.1)
@@ -91,7 +106,7 @@ def _filter_order(args):
         return args.filter_order
     if args.preset is not None:
         return PRESET_FILTER_ORDER[args.preset]
-    return 28
+    return WpeParams.filter_order
 
 
 def _wpe_params(args):
@@ -104,22 +119,13 @@ def _wpe_params(args):
     )
 
 
-def _denoiser_spec(args, kind=None):
-    kind = kind if kind is not None else args.denoiser
-    command = ()
-    if kind == "external":
-        if not args.denoiser_command:
-            raise ArgumentError("--denoiser-command required for external")
-        command = tuple(shlex.split(args.denoiser_command))
-    return DenoiserSpec(
-        kind=kind,
-        threshold=args.threshold,
-        quantile=args.quantile,
-        min_gain=args.min_gain,
-        half_frames=args.median_half_frames,
-        half_bins=args.median_half_bins,
-        command=command,
-    )
+def _denoiser(args, kind):
+    """The denoiser of the given kind, built from the denoiser flags."""
+    if kind not in DENOISERS:
+        raise ArgumentError(f"unknown denoiser kind: {kind}")
+    if kind == "external" and not args.denoiser_command:
+        raise ArgumentError("--denoiser-command required for external")
+    return DENOISERS[kind](args)
 
 
 def _pnp_params(args, denoiser_kind=None, rho=None, mu=None,
@@ -132,8 +138,7 @@ def _pnp_params(args, denoiser_kind=None, rho=None, mu=None,
         rho=rho if rho is not None else args.rho,
         mu=mu if mu is not None else args.mu,
         inner_iters=args.inner_iters,
-        outer_iters=args.iterations,
-        denoiser=_denoiser_spec(args, denoiser_kind),
+        denoiser=_denoiser(args, denoiser_kind or args.denoiser),
         stop_tol=args.stop_tol,
     )
 
@@ -259,7 +264,7 @@ def cmd_sweep(args):
                 rows.append([scene_dir, rho, mu, order, kind,
                              f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
                              f"{trace[-1].error:.12g}",
-                             plateau_iteration(trace), "ok"])
+                             plateau_iteration(trace) or "none", "ok"])
             except Exception as exc:
                 rows.append([scene_dir, rho, mu, order, kind,
                              "", "", "", "", f"error:{exc}"])
@@ -277,7 +282,7 @@ def cmd_convergence(args):
     _, _, trace = run_pnpwpe(observed, _pnp_params(args))
     _write_trace_csv(args.trace_csv, trace)
     sys.stdout.write(f"iterations={len(trace)} "
-                     f"plateau_iter={plateau_iteration(trace)}\n")
+                     f"plateau_iter={plateau_iteration(trace) or 'none'}\n")
     return EXIT_OK
 
 

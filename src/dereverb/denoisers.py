@@ -1,8 +1,10 @@
 """Pluggable spectrogram denoisers and the external subprocess protocol.
 
-All denoisers are shape-preserving, deterministic maps on complex
-spectrograms. The external protocol exchanges spectrograms through the
-PNPSPEC1 binary format so arbitrary programs can be attached.
+A denoiser is any object with a `denoise(spectrogram) -> spectrogram`
+method; the classes here are shape-preserving, deterministic maps on
+complex spectrograms that check their settings when constructed. The
+external protocol exchanges spectrograms through the PNPSPEC1 binary
+format so arbitrary programs can be attached.
 """
 from __future__ import annotations
 
@@ -10,35 +12,12 @@ import shutil
 import struct
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, DenoiserError, ProtocolError
 
 _MAGIC = b"PNPSPEC1"
-
-
-@dataclass(frozen=True)
-class DenoiserSpec:
-    """Configuration for building a denoiser.
-
-    kind: identity | soft_threshold | wiener | median2d | external.
-    """
-
-    kind: str = "identity"
-    threshold: float = 0.5
-    quantile: float = 0.3
-    min_gain: float = 0.1
-    half_frames: int = 1
-    half_bins: int = 1
-    command: tuple = ()
-    workdir: str = None
-
-    def __post_init__(self):
-        # The denoiser constructors hold the range checks; building one
-        # validates the fields its kind uses.
-        make_denoiser(self)
 
 
 class IdentityDenoiser:
@@ -184,17 +163,3 @@ class ExternalDenoiser:
         shutil.rmtree(tmpdir, ignore_errors=True)
         return spec.with_values(values)
 
-
-def make_denoiser(spec):
-    """Instantiate the denoiser described by a DenoiserSpec."""
-    if spec.kind == "identity":
-        return IdentityDenoiser()
-    if spec.kind == "soft_threshold":
-        return SoftThresholdDenoiser(spec.threshold)
-    if spec.kind == "wiener":
-        return WienerDenoiser(spec.quantile, spec.min_gain)
-    if spec.kind == "median2d":
-        return Median2dDenoiser(spec.half_frames, spec.half_bins)
-    if spec.kind == "external":
-        return ExternalDenoiser(spec.command, spec.workdir)
-    raise ArgumentError(f"unknown denoiser kind: {spec.kind}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import DenoiserSpec, make_denoiser
+from .denoisers import IdentityDenoiser
 from .errors import ArgumentError
 from .stft import StftConfig, analyze_multichannel, synthesize
 from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
@@ -20,12 +20,11 @@ from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
 
 @dataclass(frozen=True)
 class PnpParams:
-    wpe: WpeParams = WpeParams()
+    wpe: WpeParams = WpeParams()  # wpe.iterations counts outer iterations
     rho: float = 0.1
     mu: float = 0.5
     inner_iters: int = 1
-    outer_iters: int = 10
-    denoiser: DenoiserSpec = DenoiserSpec("identity")
+    denoiser: object = IdentityDenoiser()  # has denoise(spec) -> spec
     stop_tol: float = 1e-4
 
     def __post_init__(self):
@@ -35,15 +34,8 @@ class PnpParams:
             raise ArgumentError("mu must be in (0, 1]")
         if self.inner_iters < 1:
             raise ArgumentError("inner_iters must be >= 1")
-        if self.outer_iters < 1:
-            raise ArgumentError("outer_iters must be >= 1")
         if self.stop_tol < 0:
             raise ArgumentError("stop_tol must be >= 0")
-
-    @property
-    def beta(self):
-        """Regularizer weight implied by mu: beta = rho*(1-mu)/mu."""
-        return self.rho * (1.0 - self.mu) / self.mu
 
 
 @dataclass
@@ -127,7 +119,6 @@ def run_pnpwpe(observed, params):
     IterationRecord list of the consensus error and the change of R)."""
     wpe_params = params.wpe
     reference, regressors = prepare(observed, wpe_params)
-    denoiser = make_denoiser(params.denoiser)
     x_ref = reference.values
 
     shape = x_ref.shape
@@ -137,15 +128,16 @@ def run_pnpwpe(observed, params):
     p = np.zeros(shape, dtype=np.complex128)
     trace = []
 
-    for _ in range(params.outer_iters):
+    for _ in range(wpe_params.iterations):
         sigma = estimate_psd(s_hat, wpe_params.epsilon)
         lam = compute_lambda(sigma, params.rho)
         xtilde = compute_xtilde(x_ref, r, v, p, lam, params.rho)
         weights, prediction = solve_all_bands(regressors, xtilde, lam)
         s_hat = x_ref - prediction
         r_tilde = compute_rtilde(s_hat, v, p)
-        r_prev, r = r, update_r(reference.with_values(r_tilde), denoiser,
-                                params.mu, params.inner_iters).values
+        r_prev, r = r, update_r(reference.with_values(r_tilde),
+                                params.denoiser, params.mu,
+                                params.inner_iters).values
         v = update_v(s_hat, r, p)
         p = update_p(p, s_hat, v, r)
 
@@ -162,12 +154,12 @@ def run_pnpwpe(observed, params):
 
 def plateau_iteration(trace, threshold=0.05):
     """First iteration, from the second on, whose change and every later one
-    stay below threshold; the trace length if it never settles."""
-    n = len(trace)
-    for i in range(1, n):
+    stay below threshold; None if there is none, as when the last change
+    is not below threshold."""
+    for i in range(1, len(trace)):
         if all(record.change < threshold for record in trace[i:]):
             return i + 1
-    return n
+    return None
 
 
 def time_domain_pipeline(signal, params, stft_config=StftConfig()):

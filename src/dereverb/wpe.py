@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import DEFAULT_LOADING, solve_hpd
+from .numerics import solve_hpd
 
 # Regressor bytes built at once; a chunk holds at least one bin.
 CHUNK_BYTES = 8 << 20
@@ -22,7 +22,7 @@ class WpeParams:
     filter_order: int = 28
     delay: int = 2
     epsilon: float = 1e-4
-    iterations: int = 3
+    iterations: int = 10
     reference_channel: int = 0
 
     def __post_init__(self):
@@ -139,7 +139,7 @@ def estimate_psd(s_hat, epsilon):
     return np.maximum(np.abs(s_hat) ** 2, epsilon)
 
 
-def solve_all_bands(regressors, targets, weights, loading=DEFAULT_LOADING):
+def solve_all_bands(regressors, targets, weights):
     """Per-band weighted normal-equation solve and the prediction it makes.
 
     regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
@@ -180,7 +180,7 @@ def solve_all_bands(regressors, targets, weights, loading=DEFAULT_LOADING):
             gram = zherk(1.0, band.T, trans=2, lower=1)
             try:
                 filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
-                                       gram[n_taps, :n_taps], loading)
+                                       gram[n_taps, :n_taps])
             except SingularBandError as exc:
                 raise SingularBandError(f"band {k}: {exc}", band=k) from exc
             prediction[k] = zgemv(1.0, band[:n_taps].T, filters[k].conj())

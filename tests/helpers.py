@@ -1,10 +1,11 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
 a per-frame regressor oracle, reference accumulators of the weighted normal
-equations and a direct-form alignment oracle."""
+equations, a direct-form alignment oracle and fuzzing strategies."""
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
+from hypothesis import HealthCheck, strategies as st
 
 from dereverb.errors import ArgumentError
 from dereverb.roomsim import render_scene, sample_room, white_noise
@@ -171,3 +172,25 @@ def align_direct(reference, estimate, max_shift=1024):
         ref_al, est_al = ref[-shift:], est
     n = min(len(ref_al), len(est_al))
     return shift, ref_al[:n], est_al[:n]
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+U32 = st.integers(0, 0xFFFFFFFF)
+
+# Settings of the binary-reader fuzz tests: the same examples on every run,
+# each written to the test's tmp_path.
+FUZZ_SETTINGS = dict(
+    derandomize=True, database=None, max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def often(draw, usual, other):
+    """A draw from usual about seven times in eight, else from other."""
+    return draw(draw(st.sampled_from((usual,) * 7 + (other,))))
+
+
+def cut_short_sometimes(draw, raw):
+    """raw, or about one time in eight a prefix of it."""
+    return often(draw, st.just(raw),
+                 st.integers(0, len(raw)).map(lambda n: raw[:n]))

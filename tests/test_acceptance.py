@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dereverb.denoisers import DenoiserSpec, read_pnpspec, write_pnpspec
+from dereverb.denoisers import WienerDenoiser, read_pnpspec, write_pnpspec
 from dereverb.errors import ProtocolError
 from dereverb.metrics import cepstral_distance, evaluate_pair, fw_seg_snr
 from dereverb.pnpwpe import PnpParams, plateau_iteration, run_pnpwpe
@@ -30,6 +30,8 @@ FS = 16000
 # 6 frames (48 ms) after the current one, so the direct path and early
 # reflections that the time-aligned reference keeps are never cancelled.
 SCENE_WPE = WpeParams(filter_order=10, delay=6, iterations=3)
+# The same predictor over the 10 outer iterations of the PnPWPE criteria.
+SCENE_PNP_WPE = WpeParams(filter_order=10, delay=6, iterations=10)
 
 
 def _verdict(label, ok):
@@ -91,8 +93,7 @@ def test_criterion_03_reduction_law():
         scene = make_scene("A", seed=seed)
         mc = analyze_multichannel(scene.observed)
         wpe_est, _, _ = run_wpe(mc, SCENE_WPE)
-        pnp = PnpParams(wpe=SCENE_WPE, rho=1e-12,
-                        outer_iters=SCENE_WPE.iterations, stop_tol=0.0)
+        pnp = PnpParams(wpe=SCENE_WPE, rho=1e-12, stop_tol=0.0)
         pnp_est, _, _ = run_pnpwpe(mc, pnp)
         rel = (np.max(np.abs(pnp_est.values - wpe_est.values))
                / np.max(np.abs(wpe_est.values)))
@@ -105,7 +106,7 @@ def test_criterion_03_reduction_law():
 def test_criterion_04_identity_null():
     scene = make_scene("A", seed=2)
     mc = analyze_multichannel(scene.observed)
-    pnp = PnpParams(wpe=SCENE_WPE, rho=0.1, outer_iters=10, stop_tol=0.0)
+    pnp = PnpParams(wpe=SCENE_PNP_WPE, rho=0.1, stop_tol=0.0)
     _, state, _ = run_pnpwpe(mc, pnp)
     ok = (np.max(np.abs(state.v)) < 1e-12 and np.max(np.abs(state.p)) < 1e-12)
     _verdict("criterion 4 (identity-null law)", ok)
@@ -114,14 +115,14 @@ def test_criterion_04_identity_null():
 # --- 5. convergence plateau ----------------------------------------------------
 
 def test_criterion_05_convergence_plateau():
-    denoiser = DenoiserSpec(kind="wiener", quantile=0.5, min_gain=0.05)
+    denoiser = WienerDenoiser(quantile=0.5, min_gain=0.05)
     ok = True
     for preset in ("A", "B"):
         for noise_kind, snr in (("none", None), ("wgn", 10.0), ("wgn", 0.0)):
             scene = make_scene(preset, seed=0, noise_kind=noise_kind,
                                snr_db=snr if snr is not None else 10.0)
             mc = analyze_multichannel(scene.observed)
-            pnp = PnpParams(wpe=SCENE_WPE, rho=0.1, mu=0.3, outer_iters=10,
+            pnp = PnpParams(wpe=SCENE_PNP_WPE, rho=0.1, mu=0.3,
                             stop_tol=0.0, denoiser=denoiser)
             start = time.time()
             _, _, trace = run_pnpwpe(mc, pnp)
@@ -154,13 +155,13 @@ def test_criterion_06_dereverberation_direction():
 # --- 7. the denoising prior helps under additive noise --------------------------
 
 def test_criterion_07_pnp_direction_under_noise():
-    denoiser = DenoiserSpec(kind="wiener", quantile=0.5, min_gain=0.05)
+    denoiser = WienerDenoiser(quantile=0.5, min_gain=0.05)
     wpe_cds, pnp_cds = [], []
     for seed in range(10):
         scene = make_scene("A", seed=seed, noise_kind="wgn", snr_db=10.0)
         mc = analyze_multichannel(scene.observed)
         wpe_est, _, _ = run_wpe(mc, SCENE_WPE)
-        pnp = PnpParams(wpe=SCENE_WPE, rho=0.1, mu=0.5, outer_iters=10,
+        pnp = PnpParams(wpe=SCENE_PNP_WPE, rho=0.1, mu=0.5,
                         stop_tol=0.0, denoiser=denoiser)
         pnp_est, _, _ = run_pnpwpe(mc, pnp)
         wpe_cds.append(evaluate_pair(scene.reference, synthesize(wpe_est)).cd)
@@ -184,7 +185,7 @@ def test_criterion_08_rho_insensitivity():
     mc = analyze_multichannel(scaled)
     outputs, plateaus = {}, {}
     for rho in (0.01, 0.1, 1.0):
-        pnp = PnpParams(wpe=SCENE_WPE, rho=rho, outer_iters=10, stop_tol=0.0)
+        pnp = PnpParams(wpe=SCENE_PNP_WPE, rho=rho, stop_tol=0.0)
         est, _, trace = run_pnpwpe(mc, pnp)
         outputs[rho] = est.values
         plateaus[rho] = plateau_iteration(trace)

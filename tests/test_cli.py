@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 import dereverb
-from dereverb.cli import (EXIT_ARGS, EXIT_DENOISER, EXIT_IO, EXIT_NUMERIC,
-                          EXIT_OK, _atomic_write, _filter_order, build_parser,
-                          main)
+from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
+                          EXIT_NUMERIC, EXIT_OK, _atomic_write, _denoiser,
+                          _filter_order, build_parser, main)
+from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
+                                Median2dDenoiser, SoftThresholdDenoiser,
+                                WienerDenoiser)
+from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import plateau_iteration
 from dereverb.wpe import IterationRecord
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
@@ -187,6 +191,21 @@ def test_convergence_plateau_matches_its_csv(tmp_path, scene_dir, capsys):
     assert out == [f"iterations={len(records)}", f"plateau_iter={plateau}"]
 
 
+def test_convergence_plateau_none_when_the_last_change_is_large(
+        tmp_path, scene_dir, capsys):
+    trace = tmp_path / "conv.csv"
+    code = main(["convergence", "--input",
+                 os.path.join(scene_dir, "observed.wav"),
+                 "--trace-csv", str(trace), "--denoiser", "wiener",
+                 "--filter-order", "4", "--iterations", "5",
+                 "--stop-tol", "0"])
+    assert code == EXIT_OK
+    last_change = float(trace.read_text().splitlines()[-1].split(",")[2])
+    assert last_change >= 0.05  # the change has not settled by the end
+    assert capsys.readouterr().out.split() == ["iterations=5",
+                                               "plateau_iter=none"]
+
+
 def test_preset_sets_filter_order():
     parser = build_parser()
     args = parser.parse_args(["dereverb", "--input", "x", "--out", "y",
@@ -197,6 +216,25 @@ def test_preset_sets_filter_order():
     assert _filter_order(args) == 7
     args = parser.parse_args(["dereverb", "--input", "x", "--out", "y"])
     assert _filter_order(args) == 28
+
+
+def test_every_denoiser_choice_builds_its_class():
+    classes = {"identity": IdentityDenoiser,
+               "soft_threshold": SoftThresholdDenoiser,
+               "wiener": WienerDenoiser, "median2d": Median2dDenoiser,
+               "external": ExternalDenoiser}
+    assert list(DENOISERS) == list(classes)  # the --denoiser choices
+    parser = build_parser()
+    for kind, cls in classes.items():
+        args = parser.parse_args(["dereverb", "--input", "x", "--out", "y",
+                                  "--denoiser", kind, "--quantile", "0.4",
+                                  "--denoiser-command", "true"])
+        assert type(_denoiser(args, args.denoiser)) is cls
+    assert _denoiser(args, "wiener").quantile == 0.4
+    with pytest.raises(ArgumentError, match="unknown denoiser kind: fancy"):
+        _denoiser(args, "fancy")
+    assert main(["dereverb", "--input", "x", "--out", "y",
+                 "--denoiser", "fancy"]) == EXIT_ARGS
 
 
 def test_exit_code_bad_args():

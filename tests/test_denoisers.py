@@ -4,13 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dereverb.denoisers import (DenoiserSpec, ExternalDenoiser,
-                                IdentityDenoiser, Median2dDenoiser,
-                                SoftThresholdDenoiser, WienerDenoiser,
-                                make_denoiser, read_pnpspec, write_pnpspec)
+from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
+                                Median2dDenoiser, SoftThresholdDenoiser,
+                                WienerDenoiser, read_pnpspec, write_pnpspec)
 from dereverb.errors import (ArgumentError, DenoiserError, ProtocolError)
 from dereverb.stft import Spectrogram, StftConfig
+
+from helpers import FUZZ_SETTINGS, U32, cut_short_sometimes, often
 
 SMALL = StftConfig(frame_len=8, hop=2)
 
@@ -30,34 +32,19 @@ def _random_spec(rng, n_frames=6, float32_exact=False):
     return _spec(values)
 
 
-# --- spec validation ----------------------------------------------------
+# --- constructor validation ----------------------------------------------
 
 def test_denoiser_spec_validation():
     with pytest.raises(ArgumentError):
-        DenoiserSpec(kind="fancy")
+        SoftThresholdDenoiser(threshold=-0.1)
     with pytest.raises(ArgumentError):
-        DenoiserSpec(kind="soft_threshold", threshold=-0.1)
+        WienerDenoiser(quantile=0.0, min_gain=0.1)
     with pytest.raises(ArgumentError):
-        DenoiserSpec(kind="wiener", quantile=0.0)
+        WienerDenoiser(quantile=0.3, min_gain=1.5)
     with pytest.raises(ArgumentError):
-        DenoiserSpec(kind="wiener", min_gain=1.5)
+        Median2dDenoiser(half_frames=-1, half_bins=1)
     with pytest.raises(ArgumentError):
-        DenoiserSpec(kind="median2d", half_frames=-1)
-    with pytest.raises(ArgumentError):
-        DenoiserSpec(kind="external", command=())
-
-
-def test_factory_covers_all_kinds():
-    assert isinstance(make_denoiser(DenoiserSpec()), IdentityDenoiser)
-    assert isinstance(make_denoiser(DenoiserSpec(kind="soft_threshold")),
-                      SoftThresholdDenoiser)
-    assert isinstance(make_denoiser(DenoiserSpec(kind="wiener")),
-                      WienerDenoiser)
-    assert isinstance(make_denoiser(DenoiserSpec(kind="median2d")),
-                      Median2dDenoiser)
-    assert isinstance(make_denoiser(DenoiserSpec(kind="external",
-                                                 command=("true",))),
-                      ExternalDenoiser)
+        ExternalDenoiser(command=())
 
 
 # --- in-process denoisers -------------------------------------------------
@@ -198,6 +185,35 @@ def test_pnpspec_malformed_inputs(tmp_path):
     path.write_bytes(b"PNPSPEC1" + struct.pack("<IIII", 0, 5, 16000, 0))
     with pytest.raises(ProtocolError):
         read_pnpspec(path)
+
+
+@st.composite
+def _pnpspec_files(draw):
+    """PNPSPEC1 files whose magic, N, K, reserved field and payload size are
+    mostly well formed but each may be random; some are cut short."""
+    magic = often(draw, st.just(b"PNPSPEC1"),
+                  st.binary(min_size=8, max_size=8))
+    n_frames = often(draw, st.integers(1, 4), st.just(0) | U32)
+    n_bins = often(draw, st.integers(1, 4), st.just(0) | U32)
+    header = magic + struct.pack("<IIII", n_frames, n_bins, draw(U32),
+                                 often(draw, st.just(0), U32))
+    declared = 8 * n_frames * n_bins if n_frames * n_bins <= 16 else 0
+    payload = often(draw, st.binary(min_size=declared, max_size=declared),
+                    st.binary(max_size=160))
+    return cut_short_sometimes(draw, header + payload)
+
+
+@settings(**FUZZ_SETTINGS)
+@given(raw=_pnpspec_files())
+def test_read_pnpspec_raises_only_protocol_or_os_errors(tmp_path, raw):
+    path = tmp_path / "fuzz.pnpspec"
+    path.write_bytes(raw)
+    try:
+        values, sample_rate = read_pnpspec(path)
+    except (ProtocolError, OSError):
+        return
+    n_frames, n_bins, rate = struct.unpack_from("<III", raw, 8)
+    assert values.shape == (n_frames, n_bins) and sample_rate == rate
 
 
 # --- external subprocess denoisers -----------------------------------------

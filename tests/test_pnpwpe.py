@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dereverb.denoisers import (DenoiserSpec, IdentityDenoiser,
-                                SoftThresholdDenoiser)
+from dereverb.denoisers import (IdentityDenoiser, SoftThresholdDenoiser,
+                                WienerDenoiser)
 from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import (AdmmState, PnpParams, compute_lambda,
                              compute_rtilde, compute_xtilde,
@@ -54,14 +54,7 @@ def test_params_validation():
     with pytest.raises(ArgumentError):
         PnpParams(inner_iters=0)
     with pytest.raises(ArgumentError):
-        PnpParams(outer_iters=0)
-    with pytest.raises(ArgumentError):
         PnpParams(stop_tol=-1.0)
-
-
-def test_beta_derived_from_mu():
-    assert PnpParams(mu=1.0).beta == 0.0
-    assert abs(PnpParams(rho=0.1, mu=0.5).beta - 0.1) < 1e-15
 
 
 # --- elementwise updates ----------------------------------------------------
@@ -214,7 +207,7 @@ def _params(**kw):
     wpe_kw = {"filter_order": kw.pop("filter_order", 2),
               "delay": kw.pop("delay", 2),
               "epsilon": kw.pop("epsilon", 1e-4),
-              "iterations": 1}
+              "iterations": kw.pop("iterations", 1)}
     return PnpParams(wpe=WpeParams(**wpe_kw), **kw)
 
 
@@ -274,7 +267,7 @@ def test_update_filters_reduces_to_wpe_at_small_rho():
 def test_identity_denoiser_null_property():
     rng = np.random.default_rng(12)
     spec = _random_mc(rng)
-    params = _params(outer_iters=10, stop_tol=0.0)
+    params = _params(iterations=10, stop_tol=0.0)
     estimate, state, trace = run_pnpwpe(spec, params)
     assert np.max(np.abs(state.v)) < 1e-12
     assert np.max(np.abs(state.p)) < 1e-12
@@ -289,7 +282,7 @@ def test_small_rho_identity_matches_vanilla_wpe():
     iters = 3
     params = PnpParams(wpe=WpeParams(filter_order=2, delay=2,
                                      iterations=iters),
-                       rho=1e-12, outer_iters=iters, stop_tol=0.0)
+                       rho=1e-12, stop_tol=0.0)
     estimate, state, _ = run_pnpwpe(spec, params)
     wpe_est, wpe_filters, _ = run_wpe(spec, params.wpe)
     scale = np.max(np.abs(wpe_est.values))
@@ -301,7 +294,7 @@ def test_small_rho_identity_matches_vanilla_wpe():
 
 def test_zero_observed_gives_zero_everything():
     spec = _mc_spec(np.zeros((2, 12, SMALL.num_bins), dtype=np.complex128))
-    estimate, state, trace = run_pnpwpe(spec, _params(outer_iters=3,
+    estimate, state, trace = run_pnpwpe(spec, _params(iterations=3,
                                                       stop_tol=0.0))
     assert np.all(estimate.values == 0)
     assert all(record.error == 0.0 for record in trace)
@@ -312,7 +305,7 @@ def test_zero_observed_gives_zero_everything():
 def test_early_stop_on_flat_error():
     rng = np.random.default_rng(14)
     spec = _random_mc(rng)
-    _, _, trace = run_pnpwpe(spec, _params(outer_iters=10, stop_tol=1e-4))
+    _, _, trace = run_pnpwpe(spec, _params(iterations=10, stop_tol=1e-4))
     # identity denoiser: error is exactly 0 every iteration, so the
     # relative change test fires at the second iteration
     assert len(trace) == 2
@@ -324,7 +317,7 @@ def test_scaling_equivariance_at_small_rho():
     alpha = 4.2
     # epsilon is kept far below any iterate power so the PSD floor never
     # binds; a binding floor is not scale-equivariant
-    params = _params(rho=1e-12, epsilon=1e-20, outer_iters=1, stop_tol=0.0)
+    params = _params(rho=1e-12, epsilon=1e-20, iterations=1, stop_tol=0.0)
     est1, state1, _ = run_pnpwpe(spec, params)
     est2, state2, _ = run_pnpwpe(_mc_spec(alpha * spec.as_array()), params)
     scale = np.max(np.abs(est1.values))
@@ -334,7 +327,7 @@ def test_scaling_equivariance_at_small_rho():
                          - state1.filters.weights)) < 1e-8 * wscale
     # across further iterations the 1/|S_hat|^2 reweighting amplifies
     # rounding at near-null residual entries, so only a looser bound holds
-    params3 = _params(rho=1e-12, epsilon=1e-20, outer_iters=3, stop_tol=0.0)
+    params3 = _params(rho=1e-12, epsilon=1e-20, iterations=3, stop_tol=0.0)
     est1, _, _ = run_pnpwpe(spec, params3)
     est2, _, _ = run_pnpwpe(_mc_spec(alpha * spec.as_array()), params3)
     scale = np.max(np.abs(est1.values))
@@ -357,7 +350,8 @@ def _records(changes):
 
 def test_plateau_iteration_basic():
     assert plateau_iteration(_records([1.0, 0.5, 0.01, 0.02])) == 3
-    assert plateau_iteration(_records([1.0, 0.5, 0.2, 0.1])) == 4
+    assert plateau_iteration(_records([1.0, 0.5, 0.2, 0.1])) is None
+    assert plateau_iteration(_records([1.0, 0.5, 0.2, 0.01])) == 4
     assert plateau_iteration(_records([1.0, 0.01, 0.2, 0.01])) == 4
     assert plateau_iteration(_records([0.5, 0.01])) == 2
     assert plateau_iteration(_records([np.inf, 0.01, 0.02])) == 2
@@ -366,8 +360,8 @@ def test_plateau_iteration_basic():
 def test_run_pnpwpe_records_error_and_change_of_r():
     rng = np.random.default_rng(17)
     spec = _random_mc(rng)
-    params = _params(outer_iters=3, stop_tol=0.0,
-                     denoiser=DenoiserSpec("wiener"))
+    params = _params(iterations=3, stop_tol=0.0,
+                     denoiser=WienerDenoiser(0.3, 0.1))
     _, state, trace = run_pnpwpe(spec, params)
     assert len(trace) == 3
     assert all(isinstance(record, IterationRecord) for record in trace)
@@ -375,6 +369,33 @@ def test_run_pnpwpe_records_error_and_change_of_r():
     assert trace[0].change == np.inf
     assert all(np.isfinite(record.change) for record in trace[1:])
     assert trace[-1].error == constraint_error(state.r, state.s_hat, state.v)
+
+
+class _CountingPassThrough:
+    """A denoiser that is no dereverb class: it counts its calls and
+    returns its input."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def denoise(self, spec):
+        self.calls += 1
+        return spec
+
+
+def test_any_object_with_denoise_plugs_in():
+    rng = np.random.default_rng(19)
+    spec = _random_mc(rng)
+    fake = _CountingPassThrough()
+    kw = {"iterations": 3, "inner_iters": 2, "stop_tol": 0.0}
+    estimate, state, trace = run_pnpwpe(spec, _params(denoiser=fake, **kw))
+    assert fake.calls == 6 and len(trace) == 3
+    ref_est, ref_state, _ = run_pnpwpe(
+        spec, _params(denoiser=IdentityDenoiser(), **kw))
+    assert np.array_equal(estimate.values, ref_est.values)
+    assert np.array_equal(state.r, ref_state.r)
+    assert np.array_equal(state.s_hat, ref_state.s_hat)
+    assert np.array_equal(state.filters.weights, ref_state.filters.weights)
 
 
 # --- time-domain pipeline ------------------------------------------------------
@@ -389,8 +410,8 @@ def _two_channel_signal(rng, n=6000, fs=16000):
 def test_pipeline_preserves_length_and_is_deterministic():
     rng = np.random.default_rng(17)
     sig = _two_channel_signal(rng)
-    params = PnpParams(wpe=WpeParams(filter_order=4, delay=2),
-                       outer_iters=2, stop_tol=0.0)
+    params = PnpParams(wpe=WpeParams(filter_order=4, delay=2, iterations=2),
+                       stop_tol=0.0)
     out1 = time_domain_pipeline(sig, params)
     out2 = time_domain_pipeline(sig, params)
     assert len(out1) == len(sig.channels[0])
@@ -400,12 +421,10 @@ def test_pipeline_preserves_length_and_is_deterministic():
 def test_pipeline_mu_one_matches_identity_denoiser():
     rng = np.random.default_rng(18)
     sig = _two_channel_signal(rng)
-    base = PnpParams(wpe=WpeParams(filter_order=4, delay=2),
-                     outer_iters=3, stop_tol=0.0)
-    with_prior_off = PnpParams(wpe=base.wpe, mu=1.0, outer_iters=3,
-                               stop_tol=0.0,
-                               denoiser=DenoiserSpec(kind="soft_threshold",
-                                                     threshold=0.5))
+    base = PnpParams(wpe=WpeParams(filter_order=4, delay=2, iterations=3),
+                     stop_tol=0.0)
+    with_prior_off = PnpParams(wpe=base.wpe, mu=1.0, stop_tol=0.0,
+                               denoiser=SoftThresholdDenoiser(0.5))
     out_id = time_domain_pipeline(sig, base)
     out_mu1 = time_domain_pipeline(sig, with_prior_off)
     assert np.allclose(out_mu1.samples, out_id.samples, atol=1e-12)

@@ -2,13 +2,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dereverb.errors import ArgumentError, FormatError
 from dereverb.roomsim import image_source_rir, sample_room
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, convolve,
                               mix_at_snr, read_wav, write_wav)
 
-from helpers import speech_like
+from helpers import (FUZZ_SETTINGS, U32, cut_short_sometimes, often,
+                     speech_like)
 
 
 def _raw_wav(audio_format, channels, rate, bits, payload):
@@ -232,3 +234,46 @@ def test_signal_invariants():
     with pytest.raises(ArgumentError):
         MultichannelTimeSignal((TimeSignal([0.0], 8000),
                                 TimeSignal([0.0], 16000)))
+
+
+# --- fuzzing the reader -----------------------------------------------------
+
+U16 = st.integers(0, 0xFFFF)
+
+
+@st.composite
+def _riff_files(draw):
+    """RIFF/WAVE files whose header, fmt fields, samples, chunk sizes and
+    order are mostly well formed but each may be random; some are cut
+    short."""
+    encoding, bits = often(draw, st.sampled_from([(1, 16), (3, 32)]),
+                           st.tuples(U16, U16))
+    channels = often(draw, st.integers(1, 4), st.just(0) | U16)
+    rate = often(draw, st.just(16000), st.just(0) | U32)
+    fmt = struct.pack("<HHIIHH", encoding, channels, rate, draw(U32),
+                      draw(U16), bits)
+    floats = st.lists(st.floats(width=32), max_size=16).map(
+        lambda xs: struct.pack(f"<{len(xs)}f", *xs))
+    chunks = [(b"fmt ", often(draw, st.just(fmt), st.binary(max_size=20))),
+              (b"data", often(draw, floats, st.binary(max_size=64)))]
+    if draw(st.booleans()):
+        chunks.append((draw(st.binary(min_size=4, max_size=4)),
+                       draw(st.binary(max_size=8))))
+    body = b""
+    for chunk_id, chunk in draw(st.permutations(chunks)):
+        size = often(draw, st.just(len(chunk)), U32)
+        body += chunk_id + struct.pack("<I", size) + chunk
+    header = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE"
+    header = often(draw, st.just(header), st.binary(min_size=12, max_size=12))
+    return cut_short_sometimes(draw, header + body)
+
+
+@settings(**FUZZ_SETTINGS)
+@given(raw=_riff_files())
+def test_read_wav_raises_only_format_or_os_errors(tmp_path, raw):
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(raw)
+    try:
+        read_wav(path)
+    except (FormatError, OSError):
+        pass

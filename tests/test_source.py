@@ -81,3 +81,29 @@ def test_every_class_member_in_src_is_read():
     assert unread == [], (
         "members of src/ classes never read as an attribute in src/, "
         "tests/ or bench/: " + ", ".join(unread))
+
+
+def _imported_names(tree):
+    """Names bound by the module-level imports of a module, leaving out
+    `from __future__` imports."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_module_level_import_in_src_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {name}" for name in _imported_names(tree)
+                   if name not in loaded]
+    assert unread == [], ("imported at module level in src/ but never read "
+                          "there: " + ", ".join(unread))
