@@ -115,7 +115,10 @@ def read_pnpspec(path):
     if len(data) != expected:
         raise ProtocolError("payload size inconsistent with header")
     flat = np.frombuffer(data, dtype="<f4", offset=24)
-    pairs = flat.reshape(n_frames, n_bins, 2).astype(np.float64)
+    # Widening a signalling NaN sets numpy's invalid flag; non-finite
+    # values are the caller's to reject, not a warning here.
+    with np.errstate(invalid="ignore"):
+        pairs = flat.reshape(n_frames, n_bins, 2).astype(np.float64)
     values = pairs[..., 0] + 1j * pairs[..., 1]
     return values, int(sample_rate)
 

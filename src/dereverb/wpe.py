@@ -20,9 +20,12 @@ CHUNK_BYTES = 8 << 20
 @dataclass(frozen=True)
 class WpeParams:
     filter_order: int = 28
-    delay: int = 2
+    # The largest delay inside roomsim.EARLY_WINDOW_S at the default hop,
+    # floor(0.050 * 16000 / 128) = 6 frames (48 ms): the reference keeps
+    # those early reflections, so the predictor must not cancel them.
+    delay: int = 6
     epsilon: float = 1e-4
-    iterations: int = 10
+    iterations: int = 3
     reference_channel: int = 0
 
     def __post_init__(self):

@@ -1,6 +1,7 @@
 import os
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,19 @@ def test_pnpspec_malformed_inputs(tmp_path):
     path.write_bytes(b"PNPSPEC1" + struct.pack("<IIII", 0, 5, 16000, 0))
     with pytest.raises(ProtocolError):
         read_pnpspec(path)
+
+
+def test_read_pnpspec_takes_nan_bits_without_a_warning(tmp_path):
+    # 0x7f800001 is a signalling NaN, 0x7fc00000 a quiet one; rejecting
+    # non-finite output is ExternalDenoiser's job, not the reader's.
+    path = tmp_path / "nan.pnpspec"
+    path.write_bytes(b"PNPSPEC1" + struct.pack("<IIII", 1, 2, 16000, 0)
+                     + struct.pack("<4I", 0x7f800001, 0, 0x3f800000,
+                                   0x7fc00000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, _ = read_pnpspec(path)
+    assert values.shape == (1, 2) and not np.isfinite(values).any()
 
 
 @st.composite

@@ -6,6 +6,7 @@ import pytest
 from dereverb import wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
+from dereverb.roomsim import EARLY_WINDOW_S
 from dereverb.stft import MultichannelSpectrogram, Spectrogram, StftConfig
 from dereverb.wpe import (FilterBank, IterationRecord, WpeParams,
                           apply_filters, estimate_psd, relative_change,
@@ -343,6 +344,10 @@ def test_run_wpe_validates_inputs():
         run_wpe(spec, WpeParams(delay=5))
     with pytest.raises(ArgumentError):
         run_wpe(spec, WpeParams(delay=2, reference_channel=2))
+
+
+def test_default_delay_is_the_last_frame_inside_the_early_window():
+    assert WpeParams.delay == round(EARLY_WINDOW_S * 16000) // StftConfig.hop
 
 
 def test_wpe_params_invariants():
