@@ -66,12 +66,10 @@ DENOISERS = {
 }
 
 
-def _add_stft_flags(parser):
+def _add_solver_flags(parser):
+    """The STFT, WPE and PnPWPE flags of dereverb, sweep and convergence."""
     parser.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
     parser.add_argument("--hop", type=int, default=StftConfig.hop)
-
-
-def _add_wpe_flags(parser):
     parser.add_argument("--filter-order", type=int, default=None,
                         help=f"taps per channel (default "
                              f"{WpeParams.filter_order}; "
@@ -84,9 +82,6 @@ def _add_wpe_flags(parser):
     parser.add_argument("--reference-channel", type=int,
                         default=WpeParams.reference_channel)
     parser.add_argument("--preset", choices=sorted(PRESETS), default=None)
-
-
-def _add_pnp_flags(parser):
     parser.add_argument("--rho", type=float, default=PnpParams.rho)
     parser.add_argument("--mu", type=float, default=PnpParams.mu)
     parser.add_argument("--inner-iters", type=int,
@@ -111,10 +106,9 @@ def _filter_order(args):
     return WpeParams.filter_order
 
 
-def _wpe_params(args, filter_order=None):
+def _wpe_params(args):
     return WpeParams(
-        filter_order=(_filter_order(args) if filter_order is None
-                      else filter_order),
+        filter_order=_filter_order(args),
         delay=args.delay,
         epsilon=args.epsilon,
         iterations=args.iterations,
@@ -122,23 +116,23 @@ def _wpe_params(args, filter_order=None):
     )
 
 
-def _denoiser(args, kind):
-    """The denoiser of the given kind, built from the denoiser flags."""
-    if kind not in DENOISERS:
-        raise ArgumentError(f"unknown denoiser kind: {kind}")
-    if kind == "external" and not args.denoiser_command:
+def _denoiser(args):
+    """The --denoiser kind, built from the denoiser flags; sweep's grid
+    kinds come here unchecked by argparse."""
+    if args.denoiser not in DENOISERS:
+        raise ArgumentError(f"unknown denoiser kind: {args.denoiser}")
+    if args.denoiser == "external" and not args.denoiser_command:
         raise ArgumentError("--denoiser-command required for external")
-    return DENOISERS[kind](args)
+    return DENOISERS[args.denoiser](args)
 
 
-def _pnp_params(args, denoiser_kind=None, rho=None, mu=None,
-                filter_order=None):
+def _pnp_params(args):
     return PnpParams(
-        wpe=_wpe_params(args, filter_order),
-        rho=rho if rho is not None else args.rho,
-        mu=mu if mu is not None else args.mu,
+        wpe=_wpe_params(args),
+        rho=args.rho,
+        mu=args.mu,
         inner_iters=args.inner_iters,
-        denoiser=_denoiser(args, denoiser_kind or args.denoiser),
+        denoiser=_denoiser(args),
         stop_tol=args.stop_tol,
     )
 
@@ -190,14 +184,12 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _load_observed(path, config):
-    signal = read_wav(path)
-    return analyze_multichannel(signal, config)
+def _stft_config(args):
+    return StftConfig(frame_len=args.frame_len, hop=args.hop)
 
 
 def cmd_dereverb(args):
-    config = StftConfig(frame_len=args.frame_len, hop=args.hop)
-    observed = _load_observed(args.input, config)
+    observed = analyze_multichannel(read_wav(args.input), _stft_config(args))
     if args.method == "wpe":
         estimate, _, trace = run_wpe(observed, _wpe_params(args))
     else:
@@ -226,28 +218,34 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _parse_grid(text, cast):
-    if text is None or not text.strip():
-        return []
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _parse_grid(args, name, cast):
+    """The comma-separated values of the --NAME flag, each cast; [] when
+    the flag is absent or holds no value."""
+    values = []
+    for tok in (getattr(args, name) or "").split(","):
+        if not tok.strip():
+            continue
+        try:
+            values.append(cast(tok))
+        except ValueError:
+            flag = "--" + name.replace("_", "-")
+            raise ArgumentError(f"{flag}: invalid value {tok!r}") from None
+    return values
 
 
 def cmd_sweep(args):
-    rhos = _parse_grid(args.rho_grid, float) or [args.rho]
-    mus = _parse_grid(args.mu_grid, float) or [args.mu]
-    orders = _parse_grid(args.filter_order_grid, int) or [_filter_order(args)]
-    denoisers = (args.denoiser_grid.split(",") if args.denoiser_grid
-                 else [args.denoiser])
-    denoisers = [d for d in denoisers if d.strip()]
-    if not (rhos and mus and orders and denoisers and args.scenes):
-        raise ArgumentError("sweep grid and scene list must be nonempty")
-    config = StftConfig(frame_len=args.frame_len, hop=args.hop)
-    grid = list(itertools.product(rhos, mus, orders, denoisers))
+    rhos = _parse_grid(args, "rho_grid", float) or [args.rho]
+    mus = _parse_grid(args, "mu_grid", float) or [args.mu]
+    orders = (_parse_grid(args, "filter_order_grid", int)
+              or [_filter_order(args)])
+    kinds = _parse_grid(args, "denoiser_grid", str) or [args.denoiser]
+    config = _stft_config(args)
+    grid = list(itertools.product(rhos, mus, orders, kinds))
     rows = []
     for scene_dir in args.scenes:
         try:
-            observed = _load_observed(
-                os.path.join(scene_dir, "observed.wav"), config)
+            observed = analyze_multichannel(
+                read_wav(os.path.join(scene_dir, "observed.wav")), config)
             reference = read_wav(
                 os.path.join(scene_dir, "reference.wav")).channels[0]
         except Exception as exc:
@@ -255,10 +253,11 @@ def cmd_sweep(args):
                      for point in grid]
             continue
         for rho, mu, order, kind in grid:
+            point = argparse.Namespace(**(vars(args) | {
+                "rho": rho, "mu": mu, "filter_order": order,
+                "denoiser": kind}))
             try:
-                params = _pnp_params(args, denoiser_kind=kind, rho=rho,
-                                     mu=mu, filter_order=order)
-                estimate, _, trace = run_pnpwpe(observed, params)
+                estimate, _, trace = run_pnpwpe(observed, _pnp_params(point))
                 out = synthesize(estimate)
                 report = evaluate_pair(reference, out)
                 rows.append([scene_dir, rho, mu, order, kind,
@@ -277,8 +276,7 @@ def cmd_sweep(args):
 
 
 def cmd_convergence(args):
-    config = StftConfig(frame_len=args.frame_len, hop=args.hop)
-    observed = _load_observed(args.input, config)
+    observed = analyze_multichannel(read_wav(args.input), _stft_config(args))
     _, _, trace = run_pnpwpe(observed, _pnp_params(args))
     _write_trace_csv(args.trace_csv, trace)
     sys.stdout.write(f"iterations={len(trace)} "
@@ -307,9 +305,7 @@ def build_parser():
     p.add_argument("--method", choices=["wpe", "pnpwpe"], default="pnpwpe")
     p.add_argument("--out", required=True)
     p.add_argument("--trace-csv", default=None)
-    _add_stft_flags(p)
-    _add_wpe_flags(p)
-    _add_pnp_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_dereverb)
 
     p = sub.add_parser("evaluate", help="compute CD and F-SNR")
@@ -326,17 +322,13 @@ def build_parser():
     p.add_argument("--filter-order-grid", default=None)
     p.add_argument("--denoiser-grid", default=None)
     p.add_argument("--out", required=True)
-    _add_stft_flags(p)
-    _add_wpe_flags(p)
-    _add_pnp_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("convergence", help="emit the solver error trace")
     p.add_argument("--input", required=True)
     p.add_argument("--trace-csv", required=True)
-    _add_stft_flags(p)
-    _add_wpe_flags(p)
-    _add_pnp_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_convergence)
     return parser
 

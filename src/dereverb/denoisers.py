@@ -92,12 +92,10 @@ def write_pnpspec(spec, path):
         raise ProtocolError("cannot serialize an empty spectrogram")
     header = _MAGIC + struct.pack("<IIII", n_frames, n_bins,
                                   spec.sample_rate, 0)
-    interleaved = np.empty((n_frames, n_bins, 2), dtype="<f4")
-    interleaved[..., 0] = spec.values.real
-    interleaved[..., 1] = spec.values.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        # A little-endian complex64 is the float32 real, imag pair.
+        fh.write(spec.values.astype("<c8").tobytes())
 
 
 def read_pnpspec(path):
@@ -114,12 +112,11 @@ def read_pnpspec(path):
     expected = 24 + n_frames * n_bins * 8
     if len(data) != expected:
         raise ProtocolError("payload size inconsistent with header")
-    flat = np.frombuffer(data, dtype="<f4", offset=24)
     # Widening a signalling NaN sets numpy's invalid flag; non-finite
     # values are the caller's to reject, not a warning here.
     with np.errstate(invalid="ignore"):
-        pairs = flat.reshape(n_frames, n_bins, 2).astype(np.float64)
-    values = pairs[..., 0] + 1j * pairs[..., 1]
+        values = np.frombuffer(data, "<c8", offset=24).reshape(
+            n_frames, n_bins).astype(np.complex128)
     return values, int(sample_rate)
 
 

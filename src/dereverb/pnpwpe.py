@@ -48,31 +48,18 @@ class AdmmState:
 
 
 def compute_lambda(sigma, rho):
-    """2*sigma/(2 + rho*sigma); always in (0, min(sigma, 2/rho))."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0):
-        raise ArgumentError("sigma must be positive")
-    if not rho > 0:
-        raise ArgumentError("rho must be > 0")
+    """2*sigma/(2 + rho*sigma); in (0, min(sigma, 2/rho)) for sigma > 0
+    (estimate_psd floors it at epsilon) and rho > 0 (PnpParams checks it)."""
     return 2.0 * sigma / (2.0 + rho * sigma)
-
-
-def _check_shapes(*arrays):
-    shape = np.shape(arrays[0])
-    for a in arrays[1:]:
-        if np.shape(a) != shape:
-            raise ArgumentError("shape mismatch")
 
 
 def compute_xtilde(x_ref, r, v, p, lam, rho):
     """Shifted targets: X_ref - (rho/2)*lambda*(R + V - P)."""
-    _check_shapes(x_ref, r, v, p, lam)
     return x_ref - 0.5 * rho * lam * (r + v - p)
 
 
 def compute_rtilde(s_hat, v, p):
     """Denoiser input: S_hat - V + P."""
-    _check_shapes(s_hat, v, p)
     return s_hat - v + p
 
 
@@ -81,15 +68,17 @@ def update_r(r_tilde, denoiser, mu, inner_iters=1):
 
     The first inner step denoises R_tilde itself; subsequent steps denoise
     the previous inner iterate.
+    The denoiser is the one value from outside the program: an output
+    whose shape differs from its input raises ArgumentError.
     """
-    if not 0 < mu <= 1:
-        raise ArgumentError("mu must be in (0, 1]")
-    if inner_iters < 1:
-        raise ArgumentError("inner_iters must be >= 1")
     arg = r_tilde
     r = r_tilde
     for _ in range(inner_iters):
         denoised = denoiser.denoise(arg)
+        if denoised.values.shape != arg.values.shape:
+            raise ArgumentError(
+                f"denoiser changed the shape: {arg.values.shape} -> "
+                f"{denoised.values.shape}")
         r = r_tilde.with_values(
             mu * r_tilde.values + (1.0 - mu) * denoised.values)
         arg = r
@@ -98,19 +87,16 @@ def update_r(r_tilde, denoiser, mu, inner_iters=1):
 
 def update_v(s_hat, r, p):
     """Closed-form noise update: V = S_hat - R + P."""
-    _check_shapes(s_hat, r, p)
     return s_hat - r + p
 
 
 def update_p(p, s_hat, v, r):
     """Scaled dual update: P = P + S_hat - V - R."""
-    _check_shapes(p, s_hat, v, r)
     return p + s_hat - v - r
 
 
 def constraint_error(r, s_hat, v):
     """Mean-square consensus error: mean |R - S_hat - V|^2."""
-    _check_shapes(r, s_hat, v)
     return float(np.mean(np.abs(r - s_hat - v) ** 2))
 
 

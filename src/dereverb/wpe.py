@@ -137,8 +137,6 @@ def stack_regressors(obs, delay, order):
 
 def estimate_psd(s_hat, epsilon):
     """Elementwise max of squared magnitude and the floor epsilon."""
-    if not epsilon > 0:
-        raise ArgumentError("epsilon must be > 0")
     return np.maximum(np.abs(s_hat) ** 2, epsilon)
 
 

@@ -173,6 +173,57 @@ def test_sweep_validates_the_grid_order_not_the_base_one(tmp_path, scene_dir):
     assert row[3] == "4" and row[-1] == "ok"
 
 
+def test_sweep_grid_point_reaches_the_solver(tmp_path, scene_dir):
+    flags = ["--iterations", "2", "--inner-iters", "2"]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", scene_dir, "--rho-grid", "50",
+                 "--mu-grid", "0.7", "--filter-order-grid", "3",
+                 "--denoiser-grid", "wiener", "--out", str(out)]
+                + flags) == EXIT_OK
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[1:5] == ["50.0", "0.7", "3", "wiener"] and row[-1] == "ok"
+    est = tmp_path / "est.wav"
+    assert main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"),
+                 "--method", "pnpwpe", "--rho", "50", "--mu", "0.7",
+                 "--filter-order", "3", "--denoiser", "wiener",
+                 "--out", str(est)] + flags) == EXIT_OK
+    metrics = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--reference",
+                 os.path.join(scene_dir, "reference.wav"),
+                 "--estimate", str(est), "--csv", str(metrics)]) == EXIT_OK
+    evaluated = metrics.read_text().splitlines()[1].split(",")
+    # cd, fwsegsnr. The WAV holds float32 samples, which moves the sixth
+    # decimal at most; on this scene, setting any one of rho, mu, L or the
+    # denoiser back to its default moves one of them by 2e-3 or more.
+    assert np.allclose([float(v) for v in row[5:7]],
+                       [float(v) for v in evaluated[1:3]], rtol=0, atol=1e-5)
+
+
+def test_sweep_denoiser_grid_skips_empty_kinds(tmp_path, scene_dir):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", scene_dir,
+                 "--denoiser-grid", "identity,,fancy", "--out", str(out)]
+                + FAST) == EXIT_OK
+    statuses = [line.split(",")[-1]
+                for line in out.read_text().splitlines()[1:]]
+    assert statuses == ["ok", "error:unknown denoiser kind: fancy"]
+
+
+@pytest.mark.parametrize("flag, value, token", [
+    ("--rho-grid", "0.1,abc", "abc"),
+    ("--filter-order-grid", "4.5", "4.5"),
+])
+def test_sweep_malformed_grid_is_a_bad_argument(tmp_path, scene_dir, capsys,
+                                                flag, value, token):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", scene_dir, flag, value,
+                 "--out", str(out)]) == EXIT_ARGS
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and repr(token) in err
+    assert not out.exists()
+
+
 def test_convergence_trace(tmp_path, scene_dir, capsys):
     trace = tmp_path / "conv.csv"
     code = main(["convergence", "--input",
@@ -239,10 +290,12 @@ def test_every_denoiser_choice_builds_its_class():
         args = parser.parse_args(["dereverb", "--input", "x", "--out", "y",
                                   "--denoiser", kind, "--quantile", "0.4",
                                   "--denoiser-command", "true"])
-        assert type(_denoiser(args, args.denoiser)) is cls
-    assert _denoiser(args, "wiener").quantile == 0.4
+        assert type(_denoiser(args)) is cls
+    args.denoiser = "wiener"
+    assert _denoiser(args).quantile == 0.4
+    args.denoiser = "fancy"  # a sweep grid kind, unchecked by argparse
     with pytest.raises(ArgumentError, match="unknown denoiser kind: fancy"):
-        _denoiser(args, "fancy")
+        _denoiser(args)
     assert main(["dereverb", "--input", "x", "--out", "y",
                  "--denoiser", "fancy"]) == EXIT_ARGS
 

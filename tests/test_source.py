@@ -1,8 +1,13 @@
 """Checks on the package source itself."""
 import ast
+import dataclasses
 import pathlib
 
 import dereverb
+from dereverb.cli import build_parser
+from dereverb.pnpwpe import PnpParams
+from dereverb.stft import StftConfig
+from dereverb.wpe import WpeParams
 
 SRC = pathlib.Path(dereverb.__file__).parent
 ROOT = SRC.parents[1]
@@ -107,3 +112,36 @@ def test_every_module_level_import_in_src_is_read():
                    if name not in loaded]
     assert unread == [], ("imported at module level in src/ but never read "
                           "there: " + ", ".join(unread))
+
+
+# The required flags of each solver subcommand, and the flags that only it
+# has; every other flag is a solver flag, shared by all three.
+SOLVER_SUBCOMMANDS = {
+    "dereverb": (["--input", "x", "--out", "y"],
+                 ["input", "method", "out", "trace_csv"]),
+    "sweep": (["--scenes", "s", "--out", "y"],
+              ["denoiser_grid", "filter_order_grid", "mu_grid", "out",
+               "rho_grid", "scenes"]),
+    "convergence": (["--input", "x", "--trace-csv", "t"],
+                    ["input", "trace_csv"]),
+}
+
+
+def test_solver_subcommands_share_one_flag_set():
+    parsed = {command: vars(build_parser().parse_args([command, *required]))
+              for command, (required, _) in SOLVER_SUBCOMMANDS.items()}
+    not_flags = {"func", "subcommand"}
+    shared = set.intersection(*map(set, parsed.values())) - not_flags
+    for command, (_, own) in SOLVER_SUBCOMMANDS.items():
+        assert sorted(set(parsed[command]) - shared - not_flags) == own
+    defaults = [{name: args[name] for name in shared}
+                for args in parsed.values()]
+    assert defaults[0] == defaults[1] == defaults[2]
+    for cls in (StftConfig, WpeParams, PnpParams):
+        for field in dataclasses.fields(cls):
+            if field.name in ("wpe", "denoiser"):
+                continue
+            # --filter-order defaults to None so that --preset can pick it.
+            default = (None if field.name == "filter_order"
+                       else getattr(cls, field.name))
+            assert field.name in shared and defaults[0][field.name] == default

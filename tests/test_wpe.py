@@ -85,11 +85,6 @@ def test_estimate_psd_floor_and_passthrough():
     assert psd[0, 2] == 25.0
 
 
-def test_estimate_psd_epsilon_validated():
-    with pytest.raises(ArgumentError):
-        estimate_psd(np.zeros((2, 2)), epsilon=0.0)
-
-
 # --- per-band solve ---------------------------------------------------------
 
 def test_solve_all_bands_matches_per_band_oracle():
