@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import os
@@ -259,6 +260,10 @@ def cmd_sweep(args):
             try:
                 estimate, _, trace = run_pnpwpe(observed, _pnp_params(point))
                 out = synthesize(estimate)
+                # Scored as dereverb writes it, through float32 samples, so
+                # that dereverb + evaluate reproduce the row.
+                out = dataclasses.replace(
+                    out, samples=out.samples.astype("<f4"))
                 report = evaluate_pair(reference, out)
                 rows.append([scene_dir, rho, mu, order, kind,
                              f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",

@@ -5,11 +5,53 @@ Z w = q with relative diagonal loading.
 """
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
 
 from .errors import ArgumentError, SingularBandError
 
 DEFAULT_LOADING = 1e-10
+
+
+def scipy_linalg_module(name):
+    """scipy.linalg.<name>, one of scipy's f2py extension modules (_fblas,
+    _flapack), loaded straight from its file on first use.
+
+    `import scipy.linalg` costs about 0.3 s, most of it numpy.f2py,
+    numpy.testing and numpy.ma pulled in by scipy's array-API layer, while
+    the band solves need only four f2py routines. Loading the extension
+    file runs neither the scipy nor the scipy.linalg package __init__. The
+    module is registered under its canonical name before it runs, so a
+    later `import scipy.linalg` reuses this very module. Where no such file
+    sits in scipy's linalg directory, as in an editable build, this is the
+    normal import; without scipy it raises ImportError.
+    """
+    qualname = "scipy.linalg." + name
+    module = sys.modules.get(qualname)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    directories = spec.submodule_search_locations if spec else None
+    for directory in directories or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", name + suffix)
+            if not os.path.isfile(path):
+                continue
+            file_spec = importlib.util.spec_from_file_location(qualname, path)
+            module = importlib.util.module_from_spec(file_spec)
+            sys.modules[qualname] = module
+            try:
+                file_spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[qualname]
+                raise
+            return module
+    return importlib.import_module(qualname)
 
 
 def solve_hpd(Z, q, loading=DEFAULT_LOADING):
@@ -21,10 +63,6 @@ def solve_hpd(Z, q, loading=DEFAULT_LOADING):
     vector; a zero trace with a nonzero q, a failed factorization or a
     non-finite solution raises SingularBandError. Z and q are not modified.
     """
-    # Imported here, like the BLAS calls of wpe.solve_all_bands; a repeated
-    # import costs about a microsecond per band.
-    from scipy.linalg.lapack import zpotrf, zpotrs
-
     if loading < 0:
         raise ArgumentError("loading must be >= 0")
     size = q.shape[0]
@@ -33,13 +71,15 @@ def solve_hpd(Z, q, loading=DEFAULT_LOADING):
         if np.all(q == 0):
             return np.zeros(size, dtype=np.complex128)
         raise SingularBandError("zero matrix with nonzero right-hand side")
+    # One sys.modules lookup after the first band.
+    lapack = scipy_linalg_module("_flapack")
     # The same LAPACK calls as scipy.linalg.cho_factor/cho_solve, without
     # their per-call wrapping; potrf factors the F-ordered copy in place.
     A = np.array(Z, dtype=np.complex128, order="F")
     A[np.diag_indices(size)] += loading * trace / size
-    factor, info = zpotrf(A, lower=1, clean=0, overwrite_a=1)
+    factor, info = lapack.zpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info == 0:
-        w, info = zpotrs(factor, q, lower=1)
+        w, info = lapack.zpotrs(factor, q, lower=1)
     if info != 0:
         raise SingularBandError(
             f"Cholesky factorization failed: LAPACK info {info}")

@@ -11,7 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import solve_hpd
+from .numerics import scipy_linalg_module, solve_hpd
 
 # Regressor bytes built at once; a chunk holds at least one bin.
 CHUNK_BYTES = 8 << 20
@@ -153,9 +153,9 @@ def solve_all_bands(regressors, targets, weights):
     Returns the (bins, L*Q) filter weights and the (frames, bins)
     prediction. A failing band raises SingularBandError naming that band.
     """
-    # Imported here: scipy.linalg slows every CLI start-up otherwise, and
-    # simulate and evaluate never solve a band.
-    from scipy.linalg.blas import zgemv, zherk
+    # Loaded on the first solve, so simulate and evaluate never load it.
+    fblas = scipy_linalg_module("_fblas")
+    zherk, zgemv = fblas.zherk, fblas.zgemv
 
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dereverb
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from helpers import (NormalEquations, accumulate_batch,
@@ -162,3 +167,70 @@ def test_hermitian_enforced():
     terms = _random_terms(rng, 50, 6)
     ne = accumulate_normal_equations(terms)
     assert np.max(np.abs(ne.Z - ne.Z.conj().T)) == 0.0
+
+
+# Run in a fresh interpreter with src/ first on the path (argv[1]): solve()
+# runs WPE on seeded two-channel noise and returns a digest of the estimate
+# and filters; scipy_modules() lists the scipy modules loaded so far.
+_SOLVE = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from dereverb.signals import MultichannelTimeSignal, TimeSignal
+from dereverb.stft import analyze_multichannel
+from dereverb.wpe import WpeParams, run_wpe
+noise = np.random.default_rng(0).standard_normal((2, 8000))
+observed = analyze_multichannel(
+    MultichannelTimeSignal(tuple(TimeSignal(x, 16000) for x in noise)))
+def solve():
+    estimate, bank, _ = run_wpe(observed, WpeParams(filter_order=3,
+                                                    iterations=2))
+    return hashlib.sha256(estimate.values.tobytes()
+                          + bank.weights.tobytes()).hexdigest()
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+
+def _run_fresh(code, *args):
+    src = os.path.dirname(os.path.dirname(dereverb.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", _SOLVE + code, src, *args], check=True,
+        capture_output=True, text=True, timeout=60).stdout.splitlines()
+
+
+def test_scipy_linalg_imported_after_a_solve_reuses_the_loaded_modules():
+    lines = _run_fresh("""
+solve()
+print(scipy_modules())
+from dereverb.denoisers import Median2dDenoiser
+from dereverb.numerics import scipy_linalg_module
+import scipy.linalg
+fblas = scipy_linalg_module("_fblas")
+flapack = scipy_linalg_module("_flapack")
+print(scipy.linalg.blas.zherk is fblas.zherk,
+      scipy.linalg.blas.zgemv is fblas.zgemv,
+      scipy.linalg.lapack.zpotrf is flapack.zpotrf,
+      scipy.linalg.lapack.zpotrs is flapack.zpotrs,
+      scipy.linalg.get_blas_funcs("herk", dtype=complex) is fblas.zherk)
+spec = observed.channels[0]
+print(Median2dDenoiser(1, 1).denoise(spec).values.shape == spec.values.shape)
+""")
+    assert lines == ["['scipy.linalg._fblas', 'scipy.linalg._flapack']",
+                     "True True True True True", "True"]
+
+
+def test_scipy_linalg_module_falls_back_to_the_normal_import(tmp_path):
+    direct = _run_fresh("print(solve(), 'scipy.linalg' in sys.modules)")
+    # scipy's package directory pointed at an empty one: no extension file.
+    fallback = _run_fresh("""
+import importlib.util, types
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *args: (
+    types.SimpleNamespace(submodule_search_locations=[sys.argv[2]])
+    if name == "scipy" else find_spec(name, *args))
+print(solve(), 'scipy.linalg' in sys.modules)
+""", str(tmp_path))
+    digest, loaded = direct[0].split()
+    assert loaded == "False"
+    assert fallback == [f"{digest} True"]

@@ -114,6 +114,26 @@ def test_every_module_level_import_in_src_is_read():
                           "there: " + ", ".join(unread))
 
 
+def test_src_never_imports_scipy_linalg():
+    """The band solves reach scipy's f2py modules through
+    numerics.scipy_linalg_module; importing the scipy.linalg package
+    instead costs about 0.3 s in every solver process."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {module}"
+                      for module in modules
+                      if (module + ".").startswith("scipy.linalg.")]
+    assert found == [], "scipy.linalg imported in src/: " + ", ".join(found)
+
+
 # The required flags of each solver subcommand, and the flags that only it
 # has; every other flag is a solver flag, shared by all three.
 SOLVER_SUBCOMMANDS = {
