@@ -17,7 +17,7 @@ import shlex
 import sys
 import tempfile
 
-from .denoisers import (ExternalDenoiser, IdentityDenoiser, Median2dDenoiser,
+from .denoisers import (ExternalDenoiser, IdentityDenoiser,
                         SoftThresholdDenoiser, WienerDenoiser)
 from .errors import (AlignmentError, ArgumentError, DenoiserError,
                      FormatError, GeometryError, MetricError, ProtocolError,
@@ -60,10 +60,8 @@ DENOISERS = {
     "identity": lambda args: IdentityDenoiser(),
     "soft_threshold": lambda args: SoftThresholdDenoiser(args.threshold),
     "wiener": lambda args: WienerDenoiser(args.quantile, args.min_gain),
-    "median2d": lambda args: Median2dDenoiser(args.median_half_frames,
-                                              args.median_half_bins),
     "external": lambda args: ExternalDenoiser(
-        shlex.split(args.denoiser_command)),
+        shlex.split(args.denoiser_command or "")),
 }
 
 
@@ -93,8 +91,6 @@ def _add_solver_flags(parser):
     parser.add_argument("--threshold", type=float, default=0.5)
     parser.add_argument("--quantile", type=float, default=0.3)
     parser.add_argument("--min-gain", type=float, default=0.1)
-    parser.add_argument("--median-half-frames", type=int, default=1)
-    parser.add_argument("--median-half-bins", type=int, default=1)
     parser.add_argument("--denoiser-command", default=None,
                         help="command line for the external denoiser")
 
@@ -122,8 +118,6 @@ def _denoiser(args):
     kinds come here unchecked by argparse."""
     if args.denoiser not in DENOISERS:
         raise ArgumentError(f"unknown denoiser kind: {args.denoiser}")
-    if args.denoiser == "external" and not args.denoiser_command:
-        raise ArgumentError("--denoiser-command required for external")
     return DENOISERS[args.denoiser](args)
 
 

@@ -62,25 +62,6 @@ class WienerDenoiser:
         return spec.with_values(spec.values * gain)
 
 
-class Median2dDenoiser:
-    """2-D median smoothing of magnitudes with preserved phase."""
-
-    def __init__(self, half_frames, half_bins):
-        if half_frames < 0 or half_bins < 0:
-            raise ArgumentError("median window half-sizes must be >= 0")
-        self.half_frames = half_frames
-        self.half_bins = half_bins
-
-    def denoise(self, spec):
-        # Imported here: scipy.ndimage slows every CLI start-up otherwise.
-        from scipy.ndimage import median_filter
-
-        mag = np.abs(spec.values)
-        size = (2 * self.half_frames + 1, 2 * self.half_bins + 1)
-        smoothed = median_filter(mag, size=size, mode="nearest")
-        return spec.with_values(smoothed * np.exp(1j * np.angle(spec.values)))
-
-
 def write_pnpspec(spec, path):
     """Serialize a spectrogram in the PNPSPEC1 binary format.
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from .denoisers import IdentityDenoiser
 from .errors import ArgumentError
-from .stft import StftConfig, analyze_multichannel, synthesize
 from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
                   prepare, relative_change, solve_all_bands)
 
@@ -102,7 +101,10 @@ def constraint_error(r, s_hat, v):
 
 def run_pnpwpe(observed, params):
     """Full solver loop; returns (speech estimate R, AdmmState,
-    IterationRecord list of the consensus error and the change of R)."""
+    IterationRecord list of the consensus error and the change of R).
+
+    From the second iteration on, the run stops once the relative change
+    of the error and the change of R are both below stop_tol."""
     wpe_params = params.wpe
     reference, regressors = prepare(observed, wpe_params)
     x_ref = reference.values
@@ -129,9 +131,12 @@ def run_pnpwpe(observed, params):
 
         error = constraint_error(r, s_hat, v)
         trace.append(IterationRecord(error, relative_change(r, r_prev)))
+        # The error alone cannot end the run: with the identity denoiser
+        # it is 0 in every iteration while R still moves.
         if len(trace) >= 2:
             prev = trace[-2].error
-            if abs(error - prev) / max(prev, 1e-300) < params.stop_tol:
+            if (abs(error - prev) / max(prev, 1e-300) < params.stop_tol
+                    and trace[-1].change < params.stop_tol):
                 break
 
     state = AdmmState(filters=FilterBank(weights), s_hat=s_hat, r=r, v=v, p=p)
@@ -146,10 +151,3 @@ def plateau_iteration(trace, threshold=0.05):
         if all(record.change < threshold for record in trace[i:]):
             return i + 1
     return None
-
-
-def time_domain_pipeline(signal, params, stft_config=StftConfig()):
-    """analyze -> run_pnpwpe -> synthesize; output length matches input."""
-    observed = analyze_multichannel(signal, stft_config)
-    estimate, _, _ = run_pnpwpe(observed, params)
-    return synthesize(estimate)

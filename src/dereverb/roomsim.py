@@ -3,7 +3,7 @@ noise addition and early-reflection reference generation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class RoomSpec:
     mics: tuple
     sample_rate: int = 16000
     rir_length: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.dimensions) != 3 or any(d <= 0 for d in self.dimensions):
@@ -116,7 +115,6 @@ def sample_room(preset, seed, sample_rate=16000):
             mics=tuple(tuple(m) for m in mics),
             sample_rate=sample_rate,
             rir_length=default_rir_length(t60, sample_rate),
-            seed=seed,
         )
     raise GeometryError(f"could not satisfy preset {preset} constraints")
 
@@ -197,17 +195,15 @@ class Scene:
     reference: TimeSignal
     clean: TimeSignal
     rirs: tuple
-    metadata: dict = field(default_factory=dict)
 
 
-def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0,
-                 reference_channel=0):
+def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     """Convolve clean speech with the room RIRs and optionally add noise.
 
-    The reference keeps the direct path plus 50 ms of early reflections;
-    noise is scaled against the reverberant reference channel and the same
-    scaled segment is added to every channel. All signals are trimmed to
-    the clean length.
+    The reference keeps microphone 0's direct path plus 50 ms of early
+    reflections; noise is scaled against microphone 0's reverberant signal
+    and the same scaled segment is added to every channel. All signals are
+    trimmed to the clean length.
     """
     if clean.sample_rate != spec.sample_rate:
         raise ArgumentError("clean signal sample rate must match the room")
@@ -215,7 +211,7 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0,
     length = len(clean)
     observed = [convolve(clean, rir).samples[:length] for rir in rirs]
 
-    ref_rir = rirs[reference_channel].samples
+    ref_rir = rirs[0].samples
     nonzero = np.nonzero(ref_rir)[0]
     if nonzero.size == 0:
         raise GeometryError("reference RIR is all zero")
@@ -224,28 +220,19 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0,
     reference = TimeSignal(convolve(clean, early).samples[:length],
                            spec.sample_rate)
 
-    snr_used = None
     if noise is not None:
         if snr_db is None:
             raise ArgumentError("snr_db required when noise is given")
-        rev_ref = TimeSignal(observed[reference_channel], spec.sample_rate)
+        rev_ref = TimeSignal(observed[0], spec.sample_rate)
         segment = scaled_noise_segment(rev_ref, noise, snr_db, noise_seed)
         observed = [ch + segment for ch in observed]
-        snr_used = snr_db
 
-    metadata = {
-        "t60": spec.t60,
-        "snr_db": snr_used,
-        "noise": "none" if noise is None else "added",
-        "seed": spec.seed,
-    }
     return Scene(
         observed=MultichannelTimeSignal.from_array(np.stack(observed),
                                                    spec.sample_rate),
         reference=reference,
         clean=TimeSignal(clean.samples[:length], spec.sample_rate),
         rirs=rirs,
-        metadata=metadata,
     )
 
 

@@ -90,10 +90,6 @@ class MultichannelTimeSignal:
         return np.stack([ch.samples for ch in self.channels])
 
 
-def _round_half_away(values):
-    return np.sign(values) * np.floor(np.abs(values) + 0.5)
-
-
 def read_wav(path):
     """Read a PCM16 or IEEE float32 RIFF/WAVE file.
 
@@ -151,37 +147,22 @@ def read_wav(path):
     return MultichannelTimeSignal.from_array(frames.T, sample_rate)
 
 
-def write_wav(signal, path, encoding="float32"):
-    """Write a MultichannelTimeSignal as a RIFF/WAVE file.
-
-    encoding "pcm16" clamps to [-1, 1) and rounds half away from zero;
-    "float32" stores the samples directly.
-    """
-    array = signal.as_array()  # (Q, T)
-    frames = array.T
-    if encoding == "pcm16":
-        ints = _round_half_away(frames * _PCM16_SCALE)
-        ints = np.clip(ints, -32768, 32767)
-        payload = ints.astype("<i2").tobytes()
-        audio_format, bits = 1, 16
-    elif encoding == "float32":
-        payload = frames.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
-    else:
-        raise ArgumentError(f"unknown encoding: {encoding}")
-
+def write_wav(signal, path):
+    """Write a MultichannelTimeSignal as an IEEE float32 RIFF/WAVE file."""
+    payload = signal.as_array().T.astype("<f4").tobytes()
+    audio_format, bits = 3, 32
     num_channels = signal.num_channels
     rate = signal.sample_rate
     block_align = num_channels * bits // 8
     byte_rate = rate * block_align
     fmt_chunk = struct.pack("<HHIIHH", audio_format, num_channels, rate,
                             byte_rate, block_align, bits)
-    pad = b"\x00" if len(payload) % 2 else b""
-    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + len(payload) + len(pad))
+    # Four bytes a sample: the data chunk never needs a pad byte.
+    riff_size = 4 + (8 + len(fmt_chunk)) + (8 + len(payload))
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE")
         fh.write(b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk)
-        fh.write(b"data" + struct.pack("<I", len(payload)) + payload + pad)
+        fh.write(b"data" + struct.pack("<I", len(payload)) + payload)
 
 
 def convolve(signal, kernel):
@@ -222,9 +203,3 @@ def scaled_noise_segment(clean, noise, snr_db, seed):
         raise ArgumentError("noise segment has zero power")
     gain = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
     return gain * segment
-
-
-def mix_at_snr(clean, noise, snr_db, seed):
-    """Add a seeded random segment of noise to clean at the requested SNR."""
-    segment = scaled_noise_segment(clean, noise, snr_db, seed)
-    return TimeSignal(clean.samples + segment, clean.sample_rate)

@@ -110,24 +110,11 @@ class Regressors:
         windows = sliding_window_view(self._padded[k0:k1], self.order, axis=2)
         return windows[..., ::-1].transpose(0, 1, 3, 2)
 
-    def block(self, k0, k1):
-        """The regressors of bins k0..k1-1 as a (k1-k0, L*Q, frames) array."""
-        return self.windows(k0, k1).reshape(k1 - k0, *self.shape[1:])
-
     def chunks(self):
         """(k0, k1) bin ranges over all bins, chunk_bins at a time."""
         n_bins = self.shape[0]
         for k0 in range(0, n_bins, self.chunk_bins):
             yield k0, min(k0 + self.chunk_bins, n_bins)
-
-    def predict(self, weights):
-        """w^H x for all frames and bins: (frames, bins)."""
-        n_bins, _, n_frames = self.shape
-        prediction = np.empty((n_frames, n_bins), dtype=np.complex128)
-        for k0, k1 in self.chunks():
-            prediction[:, k0:k1] = np.einsum(
-                "ki,kin->nk", weights[k0:k1].conj(), self.block(k0, k1))
-        return prediction
 
 
 def stack_regressors(obs, delay, order):
@@ -187,19 +174,6 @@ def solve_all_bands(regressors, targets, weights):
             prediction[k] = zgemv(1.0, band[:n_taps].T, filters[k].conj())
     prediction /= scale
     return filters, prediction.T
-
-
-def apply_filters(observed, filters, delay, order, reference_channel=0):
-    """Prediction residual: X_ref(n,k) - w^H(k) regressor(n,k)."""
-    n_ch = observed.num_channels
-    if filters.weights.shape != (observed.num_bins, order * n_ch):
-        raise ArgumentError("filter bank shape inconsistent with observed")
-    if reference_channel >= n_ch:
-        raise ArgumentError("reference_channel out of range")
-    reference = observed.channels[reference_channel]
-    regressors = stack_regressors(observed.as_array(), delay, order)
-    return reference.with_values(
-        reference.values - regressors.predict(filters.weights))
 
 
 def prepare(observed, params):

@@ -1,6 +1,7 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
-a per-frame regressor oracle, reference accumulators of the weighted normal
-equations, a direct-form alignment oracle and fuzzing strategies."""
+per-frame regressor and prediction oracles, reference accumulators of the
+weighted normal equations, a direct-form alignment oracle and fuzzing
+strategies."""
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,25 @@ def build_regressor(spec, n, k, delay, order):
             if frame >= 0:
                 out[q * order + l] = obs[q, frame, k]
     return out
+
+
+def regressor_block(regressors, k0, k1):
+    """The regressors of bins k0..k1-1 as a (k1-k0, L*Q, frames) array, read
+    from the strided window view wpe.Regressors.windows."""
+    return regressors.windows(k0, k1).reshape(k1 - k0,
+                                              *regressors.shape[1:])
+
+
+def predict(spec, weights, delay, order):
+    """w^H x for every frame and bin, one build_regressor at a time:
+    the (frames, bins) prediction of the filters `weights` (bins, L*Q)."""
+    prediction = np.empty((spec.num_frames, spec.num_bins),
+                          dtype=np.complex128)
+    for n in range(spec.num_frames):
+        for k in range(spec.num_bins):
+            prediction[n, k] = np.vdot(
+                weights[k], build_regressor(spec, n, k, delay, order))
+    return prediction
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
                           EXIT_NUMERIC, EXIT_OK, _atomic_write, _denoiser,
                           _filter_order, build_parser, main)
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
-                                Median2dDenoiser, SoftThresholdDenoiser,
-                                WienerDenoiser)
+                                SoftThresholdDenoiser, WienerDenoiser)
 from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import plateau_iteration
 from dereverb.wpe import IterationRecord
@@ -28,7 +27,7 @@ from helpers import speech_like
 def clean_wav(tmp_path_factory):
     path = tmp_path_factory.mktemp("clean") / "clean.wav"
     clean = speech_like(1.2, seed=0)
-    write_wav(MultichannelTimeSignal((clean,)), path, "float32")
+    write_wav(MultichannelTimeSignal((clean,)), path)
     return str(path)
 
 
@@ -280,8 +279,7 @@ def test_preset_sets_filter_order():
 def test_every_denoiser_choice_builds_its_class():
     classes = {"identity": IdentityDenoiser,
                "soft_threshold": SoftThresholdDenoiser,
-               "wiener": WienerDenoiser, "median2d": Median2dDenoiser,
-               "external": ExternalDenoiser}
+               "wiener": WienerDenoiser, "external": ExternalDenoiser}
     assert list(DENOISERS) == list(classes)  # the --denoiser choices
     parser = build_parser()
     for kind, cls in classes.items():
@@ -412,8 +410,7 @@ def test_dereverb_loads_only_the_f2py_modules_of_scipy(tmp_path, scene_dir,
 
 def test_exit_code_empty_clean_wav(tmp_path):
     empty = tmp_path / "empty.wav"
-    write_wav(MultichannelTimeSignal((TimeSignal([], 16000),)), empty,
-              "float32")
+    write_wav(MultichannelTimeSignal((TimeSignal([], 16000),)), empty)
     out = tmp_path / "scene"
     assert main(["simulate", "--preset", "A", "--seed", "4",
                  "--clean", str(empty), "--out-dir", str(out)]) == EXIT_ARGS
@@ -423,7 +420,7 @@ def test_exit_code_empty_clean_wav(tmp_path):
 def test_exit_code_clean_wav_not_16khz(tmp_path, capsys):
     clean = tmp_path / "clean8k.wav"
     write_wav(MultichannelTimeSignal((speech_like(1.2, fs=8000, seed=0),)),
-              clean, "float32")
+              clean)
     out = tmp_path / "scene"
     assert main(["simulate", "--preset", "A", "--seed", "4",
                  "--clean", str(clean), "--out-dir", str(out)]) == EXIT_ARGS
@@ -449,7 +446,7 @@ def test_atomic_write_failure_leaves_target_untouched(tmp_path):
 def test_exit_code_metric_error(tmp_path, scene_dir):
     silent = tmp_path / "silent.wav"
     write_wav(MultichannelTimeSignal((TimeSignal(np.zeros(16000), 16000),)),
-              silent, "float32")
+              silent)
     ref = os.path.join(scene_dir, "reference.wav")
     assert main(["evaluate", "--reference", str(silent), "--estimate", ref,
                  "--csv", str(tmp_path / "m.csv")]) == EXIT_NUMERIC
@@ -467,7 +464,7 @@ def test_defaults_dereverberate_noise_free_scenes(tmp_path, preset):
         scene = tmp_path / str(seed)
         clean = tmp_path / f"clean{seed}.wav"
         write_wav(MultichannelTimeSignal((speech_like(3.0, seed=seed),)),
-                  clean, "float32")
+                  clean)
         assert main(["simulate", "--preset", preset, "--seed", str(seed),
                      "--clean", str(clean), "--noise", "none",
                      "--out-dir", str(scene)]) == EXIT_OK

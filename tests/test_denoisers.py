@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
-                                Median2dDenoiser, SoftThresholdDenoiser,
-                                WienerDenoiser, read_pnpspec, write_pnpspec)
+                                SoftThresholdDenoiser, WienerDenoiser,
+                                read_pnpspec, write_pnpspec)
 from dereverb.errors import (ArgumentError, DenoiserError, ProtocolError)
 from dereverb.stft import Spectrogram, StftConfig
 
@@ -42,8 +42,6 @@ def test_denoiser_spec_validation():
         WienerDenoiser(quantile=0.0, min_gain=0.1)
     with pytest.raises(ArgumentError):
         WienerDenoiser(quantile=0.3, min_gain=1.5)
-    with pytest.raises(ArgumentError):
-        Median2dDenoiser(half_frames=-1, half_bins=1)
     with pytest.raises(ArgumentError):
         ExternalDenoiser(command=())
 
@@ -108,36 +106,9 @@ def test_wiener_matches_direct_evaluation():
             assert abs(out.values[n, k] - g * spec.values[n, k]) < 1e-12
 
 
-def test_median2d_constant_unchanged():
-    spec = _spec(np.full((4, SMALL.num_bins), 2.0 - 1.0j))
-    out = Median2dDenoiser(1, 1).denoise(spec)
-    assert np.allclose(out.values, spec.values, atol=1e-12)
-
-
-def test_median2d_removes_isolated_impulse():
-    values = np.zeros((5, SMALL.num_bins), dtype=np.complex128)
-    values[2, 2] = 5.0
-    out = Median2dDenoiser(1, 1).denoise(_spec(values))
-    assert np.all(np.abs(out.values) == 0)
-
-
-def test_median2d_matches_sorting_oracle():
-    rng = np.random.default_rng(5)
-    spec = _random_spec(rng, n_frames=5)
-    out = Median2dDenoiser(1, 1).denoise(spec)
-    mag = np.abs(spec.values)
-    padded = np.pad(mag, 1, mode="edge")
-    for n in range(mag.shape[0]):
-        for k in range(mag.shape[1]):
-            window = sorted(padded[n:n + 3, k:k + 3].ravel())
-            expected = window[4] * np.exp(1j * np.angle(spec.values[n, k]))
-            assert abs(out.values[n, k] - expected) < 1e-12
-
-
 @pytest.mark.parametrize("denoiser", [
     SoftThresholdDenoiser(0.4),
     WienerDenoiser(0.3, 0.1),
-    Median2dDenoiser(1, 1),
 ])
 def test_magnitude_scale_homogeneity(denoiser):
     rng = np.random.default_rng(6)

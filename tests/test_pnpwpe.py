@@ -7,13 +7,12 @@ from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import (AdmmState, PnpParams, compute_lambda,
                              compute_rtilde, compute_xtilde,
                              constraint_error, plateau_iteration, run_pnpwpe,
-                             time_domain_pipeline, update_p, update_r,
-                             update_v)
+                             update_p, update_r, update_v)
 from dereverb.signals import MultichannelTimeSignal
-from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig)
-from dereverb.wpe import (FilterBank, IterationRecord, WpeParams,
-                          apply_filters, prepare, run_wpe, solve_all_bands,
-                          stack_regressors)
+from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
+                           analyze_multichannel, synthesize)
+from dereverb.wpe import (FilterBank, IterationRecord, WpeParams, prepare,
+                          run_wpe, solve_all_bands, stack_regressors)
 
 SMALL = StftConfig(frame_len=8, hop=2)
 
@@ -307,13 +306,37 @@ def test_zero_observed_gives_zero_everything():
     assert all(record.change == 0.0 for record in trace)
 
 
+def _settled(trace, i, tol):
+    """Whether iteration i+1 meets run_pnpwpe's stop rule."""
+    prev, record = trace[i - 1].error, trace[i]
+    return (abs(record.error - prev) / max(prev, 1e-300) < tol
+            and record.change < tol)
+
+
 def test_early_stop_on_flat_error():
     rng = np.random.default_rng(14)
     spec = _random_mc(rng)
-    _, _, trace = run_pnpwpe(spec, _params(iterations=10, stop_tol=1e-4))
-    # identity denoiser: error is exactly 0 every iteration, so the
-    # relative change test fires at the second iteration
-    assert len(trace) == 2
+    _, _, trace = run_pnpwpe(spec, _params(iterations=10, stop_tol=0.05))
+    # identity denoiser: the error is exactly 0 every iteration, so the run
+    # goes on while R still moves and stops once it settles
+    assert all(record.error == 0.0 for record in trace)
+    assert trace[1].change >= 0.05
+    assert len(trace) == 3 and trace[-1].change < 0.05
+
+
+def test_early_stop_waits_for_error_and_change_to_settle():
+    rng = np.random.default_rng(14)
+    spec = _random_mc(rng)
+    tol, iterations = 0.05, 40
+    _, _, trace = run_pnpwpe(spec, _params(
+        iterations=iterations, stop_tol=tol,
+        denoiser=WienerDenoiser(0.3, 0.1)))
+    stop = len(trace) - 1
+    assert 2 <= stop < iterations - 1
+    assert _settled(trace, stop, tol)
+    assert not any(_settled(trace, i, tol) for i in range(1, stop))
+    # an earlier iteration had a settled change but a moving error
+    assert any(trace[i].change < tol for i in range(1, stop))
 
 
 def test_scaling_equivariance_at_small_rho():
@@ -337,14 +360,6 @@ def test_scaling_equivariance_at_small_rho():
     est2, _, _ = run_pnpwpe(_mc_spec(alpha * spec.as_array()), params3)
     scale = np.max(np.abs(est1.values))
     assert np.max(np.abs(est2.values - alpha * est1.values)) < 1e-5 * alpha * scale
-
-
-def test_prediction_error_zero_filters():
-    rng = np.random.default_rng(16)
-    spec = _random_mc(rng)
-    filters = FilterBank(np.zeros((spec.num_bins, 4)))
-    out = apply_filters(spec, filters, delay=2, order=2, reference_channel=0)
-    assert np.array_equal(out.values, spec.channels[0].values)
 
 
 # --- plateau detection --------------------------------------------------------
@@ -403,33 +418,35 @@ def test_any_object_with_denoise_plugs_in():
     assert np.array_equal(state.filters.weights, ref_state.filters.weights)
 
 
-# --- time-domain pipeline ------------------------------------------------------
+# --- time-domain pipeline: analyze -> run_pnpwpe -> synthesize --------------
 
-def _two_channel_signal(rng, n=6000, fs=16000):
+def _two_channel_spectrogram(rng, n=6000, fs=16000):
     from dereverb.signals import TimeSignal
     x = rng.standard_normal(n)
-    return MultichannelTimeSignal((TimeSignal(x, fs),
-                                   TimeSignal(np.roll(x, 3), fs)))
+    signal = MultichannelTimeSignal((TimeSignal(x, fs),
+                                     TimeSignal(np.roll(x, 3), fs)))
+    return analyze_multichannel(signal, StftConfig())
 
 
 def test_pipeline_preserves_length_and_is_deterministic():
     rng = np.random.default_rng(17)
-    sig = _two_channel_signal(rng)
+    observed = _two_channel_spectrogram(rng)
     params = PnpParams(wpe=WpeParams(filter_order=4, delay=2, iterations=2),
                        stop_tol=0.0)
-    out1 = time_domain_pipeline(sig, params)
-    out2 = time_domain_pipeline(sig, params)
-    assert len(out1) == len(sig.channels[0])
-    assert np.array_equal(out1.samples, out2.samples)
+    out1, _, _ = run_pnpwpe(observed, params)
+    out2, _, _ = run_pnpwpe(observed, params)
+    assert len(synthesize(out1)) == 6000
+    assert np.array_equal(out1.values, out2.values)
 
 
 def test_pipeline_mu_one_matches_identity_denoiser():
     rng = np.random.default_rng(18)
-    sig = _two_channel_signal(rng)
+    observed = _two_channel_spectrogram(rng)
     base = PnpParams(wpe=WpeParams(filter_order=4, delay=2, iterations=3),
                      stop_tol=0.0)
     with_prior_off = PnpParams(wpe=base.wpe, mu=1.0, stop_tol=0.0,
                                denoiser=SoftThresholdDenoiser(0.5))
-    out_id = time_domain_pipeline(sig, base)
-    out_mu1 = time_domain_pipeline(sig, with_prior_off)
-    assert np.allclose(out_mu1.samples, out_id.samples, atol=1e-12)
+    out_id, _, _ = run_pnpwpe(observed, base)
+    out_mu1, _, _ = run_pnpwpe(observed, with_prior_off)
+    assert np.allclose(synthesize(out_mu1).samples,
+                       synthesize(out_id).samples, atol=1e-12)

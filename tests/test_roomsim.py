@@ -239,7 +239,6 @@ def test_scene_noise_power_at_zero_db():
              - noiseless.observed.channels[0].samples)
     p_ref = np.mean(noiseless.observed.channels[0].samples ** 2)
     assert abs(np.mean(added ** 2) - p_ref) / p_ref < 1e-6
-    assert noisy.metadata["snr_db"] == 0.0
 
 
 def test_reference_energy_not_above_observed():

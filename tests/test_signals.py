@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dereverb.errors import ArgumentError, FormatError
 from dereverb.roomsim import image_source_rir, sample_room
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, convolve,
-                              mix_at_snr, read_wav, write_wav)
+                              read_wav, scaled_noise_segment, write_wav)
 
 from helpers import (FUZZ_SETTINGS, U32, cut_short_sometimes, often,
                      speech_like)
@@ -42,19 +42,10 @@ def test_float32_round_trip(tmp_path):
     data = rng.standard_normal((3, 1000)).astype(np.float32).astype(np.float64)
     sig = MultichannelTimeSignal.from_array(data, 16000)
     path = tmp_path / "rt.wav"
-    write_wav(sig, path, "float32")
+    write_wav(sig, path)
     back = read_wav(path)
     assert back.num_channels == 3
     assert np.array_equal(back.as_array(), data)
-
-
-def test_pcm16_clamp_rules(tmp_path):
-    sig = MultichannelTimeSignal.from_array(np.array([[1.5, -1.0, 0.5]]), 8000)
-    path = tmp_path / "clamp.wav"
-    write_wav(sig, path, "pcm16")
-    raw = path.read_bytes()
-    stored = np.frombuffer(raw[-6:], dtype="<i2")
-    assert stored.tolist() == [32767, -32768, 16384]
 
 
 def test_unsupported_encoding(tmp_path):
@@ -173,12 +164,13 @@ def test_convolve_rejects_empty_operands():
             convolve(signal, kernel)
 
 
+# --- the noise segment render_scene mixes in at an SNR ----------------------
+
 def test_mix_at_snr_zero_db_power_match():
     rng = np.random.default_rng(5)
     clean = TimeSignal(rng.standard_normal(4000), 16000)
     noise = TimeSignal(rng.standard_normal(8000), 16000)
-    mixed = mix_at_snr(clean, noise, 0.0, seed=11)
-    added = mixed.samples - clean.samples
+    added = scaled_noise_segment(clean, noise, 0.0, seed=11)
     p_clean = np.mean(clean.samples**2)
     p_added = np.mean(added**2)
     assert abs(p_added - p_clean) / p_clean < 1e-10
@@ -188,15 +180,14 @@ def test_mix_at_snr_huge_snr_is_identity():
     rng = np.random.default_rng(6)
     clean = TimeSignal(rng.standard_normal(1000), 16000)
     noise = TimeSignal(rng.standard_normal(2000), 16000)
-    mixed = mix_at_snr(clean, noise, 300.0, seed=1)
-    assert np.max(np.abs(mixed.samples - clean.samples)) < 1e-10
+    added = scaled_noise_segment(clean, noise, 300.0, seed=1)
+    assert np.max(np.abs(added)) < 1e-10
 
 
 def test_mix_at_snr_gain_formula():
     clean = TimeSignal(np.ones(100), 16000)          # power 1.0
     noise = TimeSignal(np.full(200, 2.0), 16000)     # power 4.0
-    mixed = mix_at_snr(clean, noise, 10.0, seed=0)
-    added = mixed.samples - clean.samples
+    added = scaled_noise_segment(clean, noise, 10.0, seed=0)
     g_squared = np.mean(added**2) / 4.0
     assert abs(g_squared - 0.025) < 1e-12
 
@@ -205,25 +196,26 @@ def test_mix_at_snr_deterministic():
     rng = np.random.default_rng(8)
     clean = TimeSignal(rng.standard_normal(500), 16000)
     noise = TimeSignal(rng.standard_normal(3000), 16000)
-    a = mix_at_snr(clean, noise, 5.0, seed=42)
-    b = mix_at_snr(clean, noise, 5.0, seed=42)
-    assert np.array_equal(a.samples, b.samples)
+    a = scaled_noise_segment(clean, noise, 5.0, seed=42)
+    b = scaled_noise_segment(clean, noise, 5.0, seed=42)
+    assert np.array_equal(a, b)
 
 
 def test_mix_at_snr_zero_power_errors():
     clean = TimeSignal(np.zeros(10), 16000)
     noise = TimeSignal(np.ones(20), 16000)
     with pytest.raises(ArgumentError):
-        mix_at_snr(clean, noise, 0.0, seed=0)
+        scaled_noise_segment(clean, noise, 0.0, seed=0)
     with pytest.raises(ArgumentError):
-        mix_at_snr(noise, TimeSignal(np.zeros(40), 16000), 0.0, seed=0)
+        scaled_noise_segment(noise, TimeSignal(np.zeros(40), 16000), 0.0,
+                             seed=0)
 
 
 def test_mix_at_snr_short_noise_errors():
     clean = TimeSignal(np.ones(100), 16000)
     noise = TimeSignal(np.ones(50), 16000)
     with pytest.raises(ArgumentError):
-        mix_at_snr(clean, noise, 0.0, seed=0)
+        scaled_noise_segment(clean, noise, 0.0, seed=0)
 
 
 def test_signal_invariants():

@@ -134,6 +134,40 @@ def test_src_never_imports_scipy_linalg():
     assert found == [], "scipy.linalg imported in src/: " + ", ".join(found)
 
 
+def test_src_imports_scipy_only_through_scipy_linalg_module():
+    """No import statement in src/, function-local ones included, names
+    scipy: the band solves load the f2py modules they need through
+    numerics.scipy_linalg_module, and nothing else in src/ needs scipy."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {module}"
+                      for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert found == [], "scipy imported in src/: " + ", ".join(found)
+
+
+def test_every_public_name_is_used_in_src_or_by_the_acceptance_gate():
+    """dereverb.__all__ holds no name that only unit tests reach."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            read.update(_reads(ast.parse(path.read_text())))
+    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    read.update(alias.asname or alias.name for node in ast.walk(gate)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names)
+    unused = sorted(set(dereverb.__all__) - read)
+    assert unused == [], ("exported but neither read in src/ nor imported "
+                          "by tests/test_acceptance.py: " + ", ".join(unused))
+
+
 # The required flags of each solver subcommand, and the flags that only it
 # has; every other flag is a solver flag, shared by all three.
 SOLVER_SUBCOMMANDS = {
