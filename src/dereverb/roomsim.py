@@ -114,7 +114,6 @@ def sample_room(preset, seed, sample_rate=16000):
             source=tuple(source),
             mics=tuple(tuple(m) for m in mics),
             sample_rate=sample_rate,
-            rir_length=default_rir_length(t60, sample_rate),
         )
     raise GeometryError(f"could not satisfy preset {preset} constraints")
 

@@ -102,14 +102,6 @@ class MultichannelSpectrogram:
     def num_bins(self):
         return self.channels[0].num_bins
 
-    @property
-    def config(self):
-        return self.channels[0].config
-
-    @property
-    def sample_rate(self):
-        return self.channels[0].sample_rate
-
     def as_array(self):
         """(channels, frames, bins) complex array."""
         return np.stack([ch.values for ch in self.channels])

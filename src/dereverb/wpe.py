@@ -13,9 +13,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ArgumentError, SingularBandError
 from .numerics import scipy_linalg_module, solve_hpd
 
-# Regressor bytes built at once; a chunk holds at least one bin.
-CHUNK_BYTES = 8 << 20
-
 
 @dataclass(frozen=True)
 class WpeParams:
@@ -71,50 +68,32 @@ class FilterBank:
             raise ArgumentError("filter weights must be finite")
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def num_bins(self):
-        return self.weights.shape[0]
-
 
 class Regressors:
-    """Delayed regressors of every bin, built one chunk of bins at a time.
+    """Delayed regressors of every bin, read one band at a time.
 
     Stands for the (bins, L*Q, frames) tensor whose entry [k, q*L + l, n]
     is X_q(n-D-l, k), zero for negative frames, without holding it: only a
-    zero-padded, bin-major copy of the observation is kept, and `windows`
-    reads a chunk of bins as a strided window view of that copy (the
-    construction of NARA-WPE's build_y_tilde, Drude et al. 2018).
+    zero-padded, bin-major copy of the observation is kept (`nbytes` is
+    its size). `windows` is a (bins, Q, L, frames) strided window view of
+    that copy whose entry [k, q, l, n] is X_q(n-D-l, k), so windows[k]
+    reads band k (the construction of NARA-WPE's build_y_tilde, Drude et
+    al. 2018).
     """
 
     def __init__(self, obs, delay, order):
         n_ch, n_frames, n_bins = obs.shape
-        self.order = order
         self.shape = (n_bins, order * n_ch, n_frames)
         # padded[k, q, m] = X_q(m - D - L + 1, k): window n of length L
         # holds the frames n-D-L+1 .. n-D, oldest first.
-        self._padded = np.zeros((n_bins, n_ch, n_frames + order - 1),
-                                dtype=np.complex128)
+        padded = np.zeros((n_bins, n_ch, n_frames + order - 1),
+                          dtype=np.complex128)
         kept = max(n_frames - delay, 0)
-        self._padded[:, :, n_frames + order - 1 - kept:] = (
+        padded[:, :, n_frames + order - 1 - kept:] = (
             obs[:, :kept, :].transpose(2, 0, 1))
-        bin_bytes = 16 * order * n_ch * n_frames
-        self.chunk_bins = max(1, min(n_bins, CHUNK_BYTES // bin_bytes))
-
-    @property
-    def nbytes(self):
-        return self._padded.nbytes
-
-    def windows(self, k0, k1):
-        """Bins k0..k1-1 as a (k1-k0, Q, L, frames) strided view of the
-        padded copy; entry [k, q, l, n] is X_q(n-D-l, k)."""
-        windows = sliding_window_view(self._padded[k0:k1], self.order, axis=2)
-        return windows[..., ::-1].transpose(0, 1, 3, 2)
-
-    def chunks(self):
-        """(k0, k1) bin ranges over all bins, chunk_bins at a time."""
-        n_bins = self.shape[0]
-        for k0 in range(0, n_bins, self.chunk_bins):
-            yield k0, min(k0 + self.chunk_bins, n_bins)
+        self.nbytes = padded.nbytes
+        windows = sliding_window_view(padded, order, axis=2)
+        self.windows = windows[..., ::-1].transpose(0, 1, 3, 2)
 
 
 def stack_regressors(obs, delay, order):
@@ -131,13 +110,13 @@ def solve_all_bands(regressors, targets, weights):
     """Per-band weighted normal-equation solve and the prediction it makes.
 
     regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
-    (frames, bins). Each chunk of bins is written once into scaled rows
-    [x; t] / sqrt(weight), straight from the strided window view. Per band,
-    one Hermitian rank-k update of those rows yields the lower triangles of
-    Z = sum x x^H / weight and q = sum x t* / weight; solve_hpd reads only
-    that lower triangle. The prediction w^H x is taken from the same scaled
-    rows right after the solve and unscaled once at the end.
-    Returns the (bins, L*Q) filter weights and the (frames, bins)
+    (frames, bins). Band by band, one reused buffer is written with the
+    scaled rows [x; t] / sqrt(weight), straight from the strided window
+    view. One Hermitian rank-k update of those rows yields the lower
+    triangles of Z = sum x x^H / weight and q = sum x t* / weight;
+    solve_hpd reads only that lower triangle. The prediction w^H x is taken
+    from the same scaled rows right after the solve and unscaled once at
+    the end. Returns the (bins, L*Q) filter weights and the (frames, bins)
     prediction. A failing band raises SingularBandError naming that band.
     """
     # Loaded on the first solve, so simulate and evaluate never load it.
@@ -148,30 +127,25 @@ def solve_all_bands(regressors, targets, weights):
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
     filters = np.empty((n_bins, n_taps), dtype=np.complex128)
     prediction = np.empty((n_bins, n_frames), dtype=np.complex128)
-    rows = np.empty((regressors.chunk_bins, n_taps + 1, n_frames),
-                    dtype=np.complex128)
+    band = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
+    taps = band[:n_taps].reshape(regressors.windows.shape[1:])  # a view
     # Per-band BLAS and LAPACK calls all go to scipy (zherk, zpotrf, zpotrs,
-    # zgemv); everything else is elementwise or chunk-level numpy.
-    # numpy and scipy each bundle their own OpenBLAS, and alternating the two
-    # thread pools band by band made a preset-A WPE run about 3x slower.
-    for k0, k1 in regressors.chunks():
-        chunk = rows[:k1 - k0]
-        windows = regressors.windows(k0, k1)
-        np.multiply(windows, scale[k0:k1, None, None],
-                    out=chunk[:, :n_taps].reshape(windows.shape))
-        np.multiply(targets[:, k0:k1].T, scale[k0:k1], out=chunk[:, n_taps])
-        for k in range(k0, k1):
-            # band.T and band[:n_taps].T are Fortran-ordered, so f2py copies
-            # neither; trans=2 gives conj(band band^H), whose lower triangle
-            # holds conj(Z) and, in its last row, q.
-            band = chunk[k - k0]
-            gram = zherk(1.0, band.T, trans=2, lower=1)
-            try:
-                filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
-                                       gram[n_taps, :n_taps])
-            except SingularBandError as exc:
-                raise SingularBandError(f"band {k}: {exc}", band=k) from exc
-            prediction[k] = zgemv(1.0, band[:n_taps].T, filters[k].conj())
+    # zgemv); everything else is elementwise numpy. numpy and scipy each
+    # bundle their own OpenBLAS, and alternating the two thread pools band
+    # by band made a preset-A WPE run about 3x slower.
+    for k in range(n_bins):
+        np.multiply(regressors.windows[k], scale[k], out=taps)
+        np.multiply(targets[:, k], scale[k], out=band[n_taps])
+        # band.T and band[:n_taps].T are Fortran-ordered, so f2py copies
+        # neither; trans=2 gives conj(band band^H), whose lower triangle
+        # holds conj(Z) and, in its last row, q.
+        gram = zherk(1.0, band.T, trans=2, lower=1)
+        try:
+            filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
+                                   gram[n_taps, :n_taps])
+        except SingularBandError as exc:
+            raise SingularBandError(f"band {k}: {exc}", band=k) from exc
+        prediction[k] = zgemv(1.0, band[:n_taps].T, filters[k].conj())
     prediction /= scale
     return filters, prediction.T
 

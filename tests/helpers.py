@@ -89,8 +89,7 @@ def build_regressor(spec, n, k, delay, order):
 def regressor_block(regressors, k0, k1):
     """The regressors of bins k0..k1-1 as a (k1-k0, L*Q, frames) array, read
     from the strided window view wpe.Regressors.windows."""
-    return regressors.windows(k0, k1).reshape(k1 - k0,
-                                              *regressors.shape[1:])
+    return regressors.windows[k0:k1].reshape(k1 - k0, *regressors.shape[1:])
 
 
 def predict(spec, weights, delay, order):

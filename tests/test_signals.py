@@ -246,13 +246,13 @@ def _riff_files(draw):
                       draw(U16), bits)
     floats = st.lists(st.floats(width=32), max_size=16).map(
         lambda xs: struct.pack(f"<{len(xs)}f", *xs))
-    chunks = [(b"fmt ", often(draw, st.just(fmt), st.binary(max_size=20))),
+    pieces = [(b"fmt ", often(draw, st.just(fmt), st.binary(max_size=20))),
               (b"data", often(draw, floats, st.binary(max_size=64)))]
     if draw(st.booleans()):
-        chunks.append((draw(st.binary(min_size=4, max_size=4)),
+        pieces.append((draw(st.binary(min_size=4, max_size=4)),
                        draw(st.binary(max_size=8))))
     body = b""
-    for chunk_id, chunk in draw(st.permutations(chunks)):
+    for chunk_id, chunk in draw(st.permutations(pieces)):
         size = often(draw, st.just(len(chunk)), U32)
         body += chunk_id + struct.pack("<I", size) + chunk
     header = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE"

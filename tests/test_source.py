@@ -54,10 +54,22 @@ def _members(tree):
                 yield node.name, name
 
 
-def _attribute_reads(tree):
-    for node in ast.walk(tree):
+def _attribute_reads(tree, owner=None):
+    """(owner, name) of every attribute read in a module. A read on `self`
+    belongs to the class around it; any other read has owner None and may
+    be of any class, except a read on `args`, an argparse namespace, whose
+    flags share names with fields (such as `seed`)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _attribute_reads(node, node.name)
+            continue
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            receiver = getattr(node.value, "id", None)
+            if receiver == "self":
+                yield owner, node.attr
+            elif receiver != "args":
+                yield None, node.attr
+        yield from _attribute_reads(node, owner)
 
 
 def test_every_top_level_name_in_src_is_used():
@@ -82,7 +94,8 @@ def test_every_class_member_in_src_is_read():
                  *(ROOT / "bench").glob("*.py")]:
         read.update(_attribute_reads(ast.parse(path.read_text())))
     unread = sorted(f"{cls}.{name}" for tree in src.values()
-                    for cls, name in _members(tree) if name not in read)
+                    for cls, name in _members(tree)
+                    if (cls, name) not in read and (None, name) not in read)
     assert unread == [], (
         "members of src/ classes never read as an attribute in src/, "
         "tests/ or bench/: " + ", ".join(unread))

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dereverb import wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.roomsim import EARLY_WINDOW_S
@@ -105,19 +104,11 @@ def test_solve_all_bands_matches_per_band_oracle():
         assert np.allclose(filters[k], oracle, rtol=1e-10, atol=1e-12)
 
 
-def _two_bin_chunks(monkeypatch, spec, delay, order):
-    bin_bytes = 16 * order * spec.num_channels * spec.num_frames
-    monkeypatch.setattr(wpe, "CHUNK_BYTES", 2 * bin_bytes)
-    taps = stack_regressors(spec.as_array(), delay, order)
-    assert taps.chunk_bins == 2 and spec.num_bins % 2 != 0
-    return taps
-
-
-def test_solve_all_bands_across_chunk_boundaries(monkeypatch):
+def test_solve_all_bands_matches_per_frame_oracle():
     rng = np.random.default_rng(14)
     delay, order, n_frames = 2, 3, 40
     spec = _random_mc(rng, 3, n_frames)
-    taps = _two_bin_chunks(monkeypatch, spec, delay, order)
+    taps = stack_regressors(spec.as_array(), delay, order)
     targets = spec.channels[0].values
     weights = rng.uniform(0.5, 2.0, (n_frames, spec.num_bins))
     filters, prediction = solve_all_bands(taps, targets, weights)
@@ -150,14 +141,14 @@ def test_failing_band_is_named_in_the_message():
         solve_all_bands(taps, np.ones((10, 3)), np.ones((10, 3)))
 
 
-def test_fused_prediction_matches_unscaled_predict(monkeypatch):
+def test_fused_prediction_matches_unscaled_predict():
     # weights over eight decades: the prediction is made from rows scaled
     # by 1/sqrt(weight) and unscaled afterwards, against w^H x made from
     # the unscaled per-frame regressors
     rng = np.random.default_rng(17)
     delay, order, n_frames = 2, 3, 40
     spec = _random_mc(rng, 3, n_frames)
-    taps = _two_bin_chunks(monkeypatch, spec, delay, order)
+    taps = stack_regressors(spec.as_array(), delay, order)
     targets = spec.channels[0].values
     weights = 10.0 ** rng.uniform(-4, 4, (n_frames, spec.num_bins))
     filters, prediction = solve_all_bands(taps, targets, weights)
@@ -166,15 +157,39 @@ def test_fused_prediction_matches_unscaled_predict(monkeypatch):
                                rtol=1e-10)
 
 
-def test_failing_band_in_a_later_chunk_reports_global_index(monkeypatch):
+def test_failing_target_band_reports_its_index():
     rng = np.random.default_rng(15)
     spec = _random_mc(rng, 2, 12)
-    taps = _two_bin_chunks(monkeypatch, spec, delay=1, order=1)
+    taps = stack_regressors(spec.as_array(), delay=1, order=1)
     targets = spec.channels[0].values.copy()
     targets[:, 3] = np.nan
     with pytest.raises(SingularBandError) as info:
         solve_all_bands(taps, targets, np.ones(targets.shape))
     assert info.value.band == 3
+
+
+def test_solve_all_bands_works_in_one_band_of_memory():
+    # many bins of short rows: beyond its outputs (filters, prediction and
+    # the (bins, frames) scale), the solver holds one band's scaled rows at
+    # a time, plus numpy's casting buffer of np.getbufsize() complex
+    # elements for the final unscaling
+    rng = np.random.default_rng(18)
+    config = StftConfig()
+    delay, order, n_frames = 2, 2, 200
+    spec = _random_mc(rng, 2, n_frames, config)
+    taps = stack_regressors(spec.as_array(), delay, order)
+    targets = spec.channels[0].values
+    weights = rng.uniform(0.5, 2.0, (n_frames, config.num_bins))
+    solve_all_bands(taps, targets, weights)  # loads the BLAS module
+    tracemalloc.start()
+    try:
+        filters, prediction = solve_all_bands(taps, targets, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = 16 * (taps.shape[1] + 1) * n_frames
+    working = peak - filters.nbytes - prediction.nbytes - weights.nbytes
+    assert working <= 4 * band + 16 * np.getbufsize()
 
 
 # --- run_wpe ----------------------------------------------------------------
