@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, ArgumentError, MetricError
-from .signals import TimeSignal, convolve
+from .signals import TimeSignal, fft_length
 from .stft import hann
 
 FRAME_LEN = 512
@@ -28,12 +29,11 @@ class MetricReport:
     frames_used: int
 
 
-def _frame(x, frame_len=FRAME_LEN, hop=HOP):
+def _frames(x, frame_len=FRAME_LEN, hop=HOP):
+    """Unwindowed (frames, frame_len) strided view of x at hop intervals."""
     if len(x) < frame_len:
         raise MetricError("signal shorter than one metric frame")
-    n_frames = (len(x) - frame_len) // hop + 1
-    idx = np.arange(n_frames)[:, None] * hop + np.arange(frame_len)[None, :]
-    return x[idx] * hann(frame_len)[None, :]
+    return sliding_window_view(x, frame_len)[::hop]
 
 
 def _vad_mask(ref_frames):
@@ -44,22 +44,26 @@ def _vad_mask(ref_frames):
     return energy > peak * 10.0 ** (-VAD_RANGE_DB / 10.0)
 
 
-def _active_frames(reference, estimate):
-    """Windowed frames of both signals where the reference is speech-active.
+def _active_spectra(reference, estimate):
+    """One-sided spectra of the Hann-windowed frames of both signals where
+    the reference is speech-active, one rfft a frame.
 
     Both signals must share sample rate and length; a pair with no active
-    frame raises MetricError. Returns (reference frames, estimate frames).
+    frame raises MetricError. Returns (reference spectra, estimate
+    spectra), each (active frames, FRAME_LEN // 2 + 1).
     """
     if reference.sample_rate != estimate.sample_rate:
         raise ArgumentError("sample_rate mismatch")
     if len(reference) != len(estimate):
         raise ArgumentError("length mismatch; align the signals first")
-    ref_frames = _frame(reference.samples)
-    est_frames = _frame(estimate.samples)
+    window = hann(FRAME_LEN)
+    ref_frames = _frames(reference.samples) * window
     mask = _vad_mask(ref_frames)
     if not np.any(mask):
         raise MetricError("no frames above the energy threshold")
-    return ref_frames[mask], est_frames[mask]
+    est_frames = _frames(estimate.samples)[mask] * window
+    return (np.fft.rfft(ref_frames[mask], n=FRAME_LEN, axis=1),
+            np.fft.rfft(est_frames, n=FRAME_LEN, axis=1))
 
 
 def cepstral_distance(reference, estimate):
@@ -68,17 +72,16 @@ def cepstral_distance(reference, estimate):
     Per frame: real cepstrum of the log power spectrum; distance over
     coefficients 1..24 (gain coefficient excluded), clamped to [0, 10].
     """
-    return _cd(*_active_frames(reference, estimate))
+    return _cd(*_active_spectra(reference, estimate))
 
 
-def _cd(ref_frames, est_frames):
-    def cepstra(frames):
-        spectra = np.fft.rfft(frames, n=FRAME_LEN, axis=1)
+def _cd(ref_spec, est_spec):
+    def cepstra(spectra):
         log_power = np.log(np.abs(spectra) ** 2 + LOG_FLOOR)
         return np.fft.irfft(log_power, n=FRAME_LEN, axis=1)
 
-    c_ref = cepstra(ref_frames)[:, 1:NUM_CEPS + 1]
-    c_est = cepstra(est_frames)[:, 1:NUM_CEPS + 1]
+    c_ref = cepstra(ref_spec)[:, 1:NUM_CEPS + 1]
+    c_est = cepstra(est_spec)[:, 1:NUM_CEPS + 1]
     per_frame = (10.0 / np.log(10.0)) * np.sqrt(
         2.0 * np.sum((c_ref - c_est) ** 2, axis=1))
     per_frame = np.clip(per_frame, *CD_CLAMP)
@@ -113,14 +116,12 @@ def fw_seg_snr(reference, estimate):
     energy of (reference - estimate), clamped to [-10, 35]; band weights
     are reference band magnitudes to the 0.2 power.
     """
-    return _fwsegsnr(*_active_frames(reference, estimate),
+    return _fwsegsnr(*_active_spectra(reference, estimate),
                      reference.sample_rate)
 
 
-def _fwsegsnr(ref_frames, est_frames, sample_rate):
+def _fwsegsnr(ref_spec, est_spec, sample_rate):
     bank = mel_filterbank(sample_rate=sample_rate)
-    ref_spec = np.fft.rfft(ref_frames, n=FRAME_LEN, axis=1)
-    est_spec = np.fft.rfft(est_frames, n=FRAME_LEN, axis=1)
     e_ref = np.abs(ref_spec) ** 2 @ bank.T
     e_err = np.abs(ref_spec - est_spec) ** 2 @ bank.T
     with np.errstate(divide="ignore"):
@@ -136,8 +137,12 @@ def _fwsegsnr(ref_frames, est_frames, sample_rate):
 def align(reference, estimate, max_shift=1024):
     """Time-align by the cross-correlation peak within +/- max_shift.
 
-    The cross-correlation sum_n est[n + lag] ref[n] is the FFT convolution
-    of est with the reversed ref (signals.convolve), so it agrees with the
+    The cross-correlation c[lag] = sum_n est[n + lag] ref[n] of every lag
+    in the window is read off one circular correlation,
+    irfft(rfft(est) * conj(rfft(ref))). Its length is the power of two at
+    or above max(len) plus the largest admissible |lag|, so no lag in the
+    window wraps around; for 8 s at 16 kHz and the default window that is
+    131072 points, half a full linear correlation. It agrees with the
     direct form to rounding; the first maximum over ascending lags wins. A
     window whose correlation is zero to rounding raises AlignmentError.
     Returns both signals trimmed to their overlap.
@@ -148,18 +153,22 @@ def align(reference, estimate, max_shift=1024):
     est = estimate.samples
     if not np.any(ref) or not np.any(est):
         raise AlignmentError("cannot align silent signals")
-    corr = convolve(estimate, TimeSignal(ref[::-1], reference.sample_rate))
-    lags = np.arange(-(len(ref) - 1), len(est))
-    window = np.abs(lags) <= max_shift
-    if not np.any(window):
+    before = min(max_shift, len(ref) - 1)
+    after = min(max_shift, len(est) - 1)
+    lags = np.arange(-before, after + 1)
+    if lags.size == 0:
         raise AlignmentError("no admissible lags")
-    segment = corr.samples[window]
+    nfft = fft_length(max(len(ref), len(est)) + max(before, after))
+    spectrum = np.fft.rfft(est, nfft)
+    spectrum *= np.fft.rfft(ref, nfft).conj()
+    # A negative lag reads from the end of the circular correlation.
+    segment = np.fft.irfft(spectrum, nfft)[lags]
     # FFT rounding leaves about 1e-16 of the Cauchy-Schwarz bound where the
     # exact correlation is zero; a window below 1e-12 of it is degenerate.
     bound = np.linalg.norm(ref) * np.linalg.norm(est)
     if np.max(np.abs(segment)) <= 1e-12 * bound:
         raise AlignmentError("degenerate correlation")
-    shift = int(lags[window][np.argmax(segment)])
+    shift = int(lags[np.argmax(segment)])
     if shift >= 0:
         ref_al, est_al = ref, est[shift:]
     else:
@@ -172,11 +181,16 @@ def align(reference, estimate, max_shift=1024):
 
 
 def evaluate_pair(reference, estimate):
-    """Align, then compute both metrics over one set of active frames."""
+    """Align, then score both metrics on one set of active frames.
+
+    Each active frame of the aligned pair is windowed and transformed once;
+    CD and F-SNR both read those spectra, so the report equals
+    cepstral_distance and fw_seg_snr of align's output.
+    """
     ref, est = align(reference, estimate)
-    ref_frames, est_frames = _active_frames(ref, est)
+    ref_spec, est_spec = _active_spectra(ref, est)
     return MetricReport(
-        cd=_cd(ref_frames, est_frames),
-        fwsegsnr=_fwsegsnr(ref_frames, est_frames, ref.sample_rate),
-        frames_used=len(ref_frames),
+        cd=_cd(ref_spec, est_spec),
+        fwsegsnr=_fwsegsnr(ref_spec, est_spec, ref.sample_rate),
+        frames_used=len(ref_spec),
     )

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, GeometryError
-from .signals import (MultichannelTimeSignal, TimeSignal, convolve,
-                      scaled_noise_segment)
+from .signals import (MultichannelTimeSignal, TimeSignal, check_noise,
+                      convolve, convolve_each, scaled_noise_segment)
 
 SPEED_OF_SOUND = 343.0
 EARLY_WINDOW_S = 0.050
@@ -136,8 +136,11 @@ def reflection_coefficient(spec):
 def image_source_rir(spec, mic_index, reflection=None):
     """Shoebox image-source impulse response for one microphone.
 
-    Each image contributes amplitude reflection^order / (4*pi*distance) at
-    the nearest sample round(distance/c * fs); truncated to rir_length.
+    Each image within reach, (rir_length - 1) / fs seconds of travel,
+    contributes amplitude reflection^order / (4*pi*distance) at the nearest
+    sample round(distance/c * fs). Only images within reach are built: two
+    runs of z images for each (x, y) column of the image lattice, about a
+    third of the lattice's bounding box in a preset-B room.
     """
     if not 0 <= mic_index < spec.num_mics:
         raise ArgumentError("mic_index out of range")
@@ -159,24 +162,35 @@ def image_source_rir(spec, mic_index, reflection=None):
         coords.append(np.concatenate([plus, minus]) - mic[axis])
         orders.append(np.concatenate([2 * np.abs(m), np.abs(2 * m - 1)]))
 
-    dist2 = (coords[0][:, None, None] ** 2
-             + coords[1][None, :, None] ** 2
-             + coords[2][None, None, :] ** 2)
-    order = (orders[0][:, None, None]
-             + orders[1][None, :, None]
-             + orders[2][None, None, :])
-    dist = np.sqrt(dist2).ravel()
-    order = order.ravel()
-    mask = dist <= d_max + 1e-9
-    dist = dist[mask]
-    order = order[mask]
-    with np.errstate(divide="ignore"):
-        gain = np.where(order == 0, 1.0, float(reflection) ** order)
-    amp = gain / (4.0 * np.pi * np.maximum(dist, 1e-9))
+    # Each half of the z images (plus, minus) is sorted, so the images
+    # within reach of one (x, y) column are two runs of z indices. The runs
+    # are found with a bound loosened by 1e-9 of reach**2; the exact test
+    # then keeps the images a test of the whole (x, y, z) grid would keep,
+    # in the grid's order, so the taps sum in the same order.
+    reach = d_max + 1e-9
+    xy2 = (coords[0][:, None] ** 2 + coords[1][None, :] ** 2).ravel()
+    xy_order = (orders[0][:, None] + orders[1][None, :]).ravel()
+    z = coords[2]
+    half = len(z) // 2
+    z_reach = np.sqrt(np.maximum(reach**2 - xy2, 0.0) + 1e-9 * reach**2)
+    starts, stops = (
+        np.stack([np.searchsorted(z[:half], edge, side),
+                  half + np.searchsorted(z[half:], edge, side)],
+                 axis=1).ravel()
+        for edge, side in ((-z_reach, "left"), (z_reach, "right")))
+    runs = stops - starts
+    column = np.repeat(np.arange(len(xy2)), runs[0::2] + runs[1::2])
+    first = np.cumsum(runs) - runs
+    k = np.arange(runs.sum()) + np.repeat(starts - first, runs)
+    dist = np.sqrt(xy2[column] + z[k] ** 2)
+    inside = dist <= reach
+    dist = dist[inside]
+    order = (xy_order[column] + orders[2][k])[inside]
+    gain = float(reflection) ** np.arange(order.max(initial=0) + 1)
+    amp = gain[order] / (4.0 * np.pi * np.maximum(dist, 1e-9))
     taps = np.rint(dist / SPEED_OF_SOUND * fs).astype(np.int64)
-    keep = taps < spec.rir_length
-    rir = np.zeros(spec.rir_length)
-    np.add.at(rir, taps[keep], amp[keep])
+    # bincount adds the weights in input order, as np.add.at would.
+    rir = np.bincount(taps, amp, minlength=spec.rir_length)[:spec.rir_length]
     return TimeSignal(rir, fs)
 
 
@@ -199,16 +213,24 @@ class Scene:
 def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     """Convolve clean speech with the room RIRs and optionally add noise.
 
-    The reference keeps microphone 0's direct path plus 50 ms of early
-    reflections; noise is scaled against microphone 0's reverberant signal
-    and the same scaled segment is added to every channel. All signals are
-    trimmed to the clean length.
+    The microphone channels are one signals.convolve_each call: the clean
+    signal's rfft is taken once and shared by all the RIRs, and each
+    channel is written into one (mics, length) array. The reference keeps
+    microphone 0's direct path plus 50 ms of early reflections, convolved
+    on its own (signals.convolve). Noise is scaled against microphone 0's
+    reverberant signal, and the same scaled segment is added in place to
+    every channel. All signals are trimmed to the clean length. The sample
+    rates, snr_db and the noise length are checked before any RIR is built.
     """
     if clean.sample_rate != spec.sample_rate:
         raise ArgumentError("clean signal sample rate must match the room")
+    if noise is not None:
+        if snr_db is None:
+            raise ArgumentError("snr_db required when noise is given")
+        check_noise(clean, noise)
     rirs = tuple(image_source_rir(spec, q) for q in range(spec.num_mics))
     length = len(clean)
-    observed = [convolve(clean, rir).samples[:length] for rir in rirs]
+    observed = convolve_each(clean, rirs, length)
 
     ref_rir = rirs[0].samples
     nonzero = np.nonzero(ref_rir)[0]
@@ -220,15 +242,11 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
                            spec.sample_rate)
 
     if noise is not None:
-        if snr_db is None:
-            raise ArgumentError("snr_db required when noise is given")
         rev_ref = TimeSignal(observed[0], spec.sample_rate)
-        segment = scaled_noise_segment(rev_ref, noise, snr_db, noise_seed)
-        observed = [ch + segment for ch in observed]
+        observed += scaled_noise_segment(rev_ref, noise, snr_db, noise_seed)
 
     return Scene(
-        observed=MultichannelTimeSignal.from_array(np.stack(observed),
-                                                   spec.sample_rate),
+        observed=MultichannelTimeSignal.from_array(observed, spec.sample_rate),
         reference=reference,
         clean=TimeSignal(clean.samples[:length], spec.sample_rate),
         rirs=rirs,

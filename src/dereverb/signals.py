@@ -147,7 +147,7 @@ def read_wav(path):
     return MultichannelTimeSignal.from_array(frames.T, sample_rate)
 
 
-def write_wav(signal, path):
+def write_wav(signal: MultichannelTimeSignal, path):
     """Write a MultichannelTimeSignal as an IEEE float32 RIFF/WAVE file."""
     payload = signal.as_array().T.astype("<f4").tobytes()
     audio_format, bits = 3, 32
@@ -165,11 +165,17 @@ def write_wav(signal, path):
         fh.write(b"data" + struct.pack("<I", len(payload)) + payload)
 
 
+def fft_length(n):
+    """The power of two at or above n: the FFT length of convolve_each and
+    of metrics.align."""
+    return 1 << (n - 1).bit_length()
+
+
 def convolve(signal, kernel):
     """Full linear convolution of two signals at the same sample rate.
 
-    Computed as a product of real FFTs zero-padded to the next power of two
-    at or above the output length, so it agrees with the direct form
+    The one-kernel case of convolve_each, at the full output length
+    len(signal) + len(kernel) - 1. It agrees with the direct form
     (np.convolve) to rounding. An empty signal or kernel raises
     ArgumentError.
     """
@@ -178,20 +184,53 @@ def convolve(signal, kernel):
     if len(signal) == 0 or len(kernel) == 0:
         raise ArgumentError("cannot convolve an empty signal")
     n = len(signal) + len(kernel) - 1
-    nfft = 1 << (n - 1).bit_length()
-    spectrum = (np.fft.rfft(signal.samples, nfft)
-                * np.fft.rfft(kernel.samples, nfft))
-    return TimeSignal(np.fft.irfft(spectrum, nfft)[:n], signal.sample_rate)
+    return TimeSignal(convolve_each(signal, (kernel,), n)[0],
+                      signal.sample_rate)
+
+
+def convolve_each(signal, kernels, length):
+    """The first `length` samples of `signal` convolved with each of
+    `kernels`, as a (len(kernels), length) float64 array.
+
+    All kernels share one real-FFT length, the power of two at or above the
+    longest full convolution, so no output sample wraps around. The signal's
+    rfft is taken once. Each kernel's rfft is then multiplied by it and
+    inverted in turn, in two buffers reused from kernel to kernel, so one
+    kernel's spectrum and output are held at a time. The kernels must share
+    the signal's sample rate; convolve and render_scene check it.
+    """
+    nfft = fft_length(len(signal) + max(len(k) for k in kernels) - 1)
+    signal_spectrum = np.fft.rfft(signal.samples, nfft)
+    kernel_spectrum = np.empty_like(signal_spectrum)
+    full = np.empty(nfft)
+    out = np.empty((len(kernels), length))
+    for row, kernel in zip(out, kernels):
+        np.fft.rfft(kernel.samples, nfft, out=kernel_spectrum)
+        np.multiply(signal_spectrum, kernel_spectrum, out=kernel_spectrum)
+        np.fft.irfft(kernel_spectrum, nfft, out=full)
+        row[:] = full[:length]
+    return out
+
+
+def check_noise(signal, noise):
+    """Raise ArgumentError unless `noise` can be mixed into `signal`: the
+    same sample rate, and at least as many samples."""
+    if noise.sample_rate != signal.sample_rate:
+        raise ArgumentError(
+            f"noise is sampled at {noise.sample_rate} Hz, the signal at "
+            f"{signal.sample_rate} Hz")
+    if len(noise) < len(signal):
+        raise ArgumentError("noise must be at least as long as the signal")
 
 
 def scaled_noise_segment(clean, noise, snr_db, seed):
     """A random contiguous noise segment scaled to sit snr_db below clean.
 
-    Powers are mean-square over the full segment length. Returns the scaled
-    segment as a float64 array of len(clean).
+    Powers are mean-square over the full segment length. Noise at another
+    sample rate, or shorter than clean, raises ArgumentError (check_noise).
+    Returns the scaled segment as a float64 array of len(clean).
     """
-    if len(noise) < len(clean):
-        raise ArgumentError("noise must be at least as long as clean")
+    check_noise(clean, noise)
     p_clean = clean.power
     if p_clean <= 0.0:
         raise ArgumentError("clean signal has zero power")

@@ -131,7 +131,7 @@ def analyze_multichannel(signal, config=StftConfig()):
         tuple(analyze(ch, config) for ch in signal.channels))
 
 
-def synthesize(spec):
+def synthesize(spec: Spectrogram):
     """Weighted overlap-add inverse of analyze.
 
     The synthesis window equals the analysis window; the overlap-added

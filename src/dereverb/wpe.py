@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
 from .numerics import scipy_linalg_module, solve_hpd
+from .stft import MultichannelSpectrogram
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def solve_all_bands(regressors, targets, weights):
     return filters, prediction.T
 
 
-def prepare(observed, params):
+def prepare(observed: MultichannelSpectrogram, params: WpeParams):
     """Set-up shared by run_wpe and run_pnpwpe.
 
     Checks that params.reference_channel exists and that there are more

@@ -1,7 +1,8 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
 per-frame regressor and prediction oracles, reference accumulators of the
-weighted normal equations, a direct-form alignment oracle and fuzzing
-strategies."""
+weighted normal equations, a whole-lattice image-source RIR, a direct-form
+alignment oracle and fuzzing strategies."""
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,8 @@ import scipy.signal
 from hypothesis import HealthCheck, strategies as st
 
 from dereverb.errors import ArgumentError
-from dereverb.roomsim import render_scene, sample_room, white_noise
+from dereverb.roomsim import (SPEED_OF_SOUND, reflection_coefficient,
+                              render_scene, sample_room, white_noise)
 from dereverb.signals import TimeSignal
 from dereverb.stft import Spectrogram, StftConfig
 
@@ -171,6 +173,41 @@ def accumulate_batch(vectors, targets, weights):
     Z = 0.5 * (Z + Z.conj().T)
     q = scaled.T @ targets.conj()
     return NormalEquations(Z, q)
+
+
+def image_source_rir_grid(spec, mic_index):
+    """Whole-lattice reference of roomsim.image_source_rir: the distance of
+    every image in the bounding box of the lattice, the ones within reach
+    kept in that box's order and summed tap by tap with np.add.at."""
+    reflection = reflection_coefficient(spec)
+    fs = spec.sample_rate
+    mic = np.asarray(spec.mics[mic_index])
+    src = np.asarray(spec.source)
+    d_max = (spec.rir_length - 1) / fs * SPEED_OF_SOUND
+    coords = []
+    orders = []
+    for axis in range(3):
+        size = spec.dimensions[axis]
+        m_range = int(math.ceil(d_max / (2.0 * size))) + 1
+        m = np.arange(-m_range, m_range + 1)
+        coords.append(np.concatenate([2.0 * m * size + src[axis],
+                                      2.0 * m * size - src[axis]]) - mic[axis])
+        orders.append(np.concatenate([2 * np.abs(m), np.abs(2 * m - 1)]))
+    dist = np.sqrt(coords[0][:, None, None] ** 2
+                   + coords[1][None, :, None] ** 2
+                   + coords[2][None, None, :] ** 2).ravel()
+    order = (orders[0][:, None, None] + orders[1][None, :, None]
+             + orders[2][None, None, :]).ravel()
+    mask = dist <= d_max + 1e-9
+    dist = dist[mask]
+    order = order[mask]
+    gain = np.where(order == 0, 1.0, float(reflection) ** order)
+    amp = gain / (4.0 * np.pi * np.maximum(dist, 1e-9))
+    taps = np.rint(dist / SPEED_OF_SOUND * fs).astype(np.int64)
+    keep = taps < spec.rir_length
+    rir = np.zeros(spec.rir_length)
+    np.add.at(rir, taps[keep], amp[keep])
+    return rir
 
 
 def align_direct(reference, estimate, max_shift=1024):

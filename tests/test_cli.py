@@ -16,6 +16,7 @@ from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
 from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import plateau_iteration
+from dereverb.roomsim import white_noise
 from dereverb.wpe import IterationRecord
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
                               write_wav)
@@ -385,6 +386,23 @@ def test_cli_import_and_evaluate_load_no_scipy(tmp_path, scene_dir):
     assert lines[-1] == f"{EXIT_OK} False"
 
 
+def test_simulate_loads_no_scipy(tmp_path, clean_wav):
+    """simulate's FFTs are numpy's: scipy.fft or scipy.signal would add
+    about 0.3 s of imports to every scene."""
+    src = os.path.dirname(os.path.dirname(dereverb.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dereverb.cli; "
+            "code = dereverb.cli.main(['simulate', '--preset', 'B', "
+            "'--seed', '4', '--clean', sys.argv[2], '--noise', 'wgn', "
+            "'--out-dir', sys.argv[3]]); "
+            "print(code, *sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, clean_wav, str(tmp_path / "scene")],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines()[-1] == str(EXIT_OK)
+    assert (tmp_path / "scene" / "observed.wav").exists()
+
+
 @pytest.mark.parametrize("method", [
     ["--method", "wpe"],
     ["--method", "pnpwpe", "--denoiser", "wiener"],
@@ -425,6 +443,17 @@ def test_exit_code_clean_wav_not_16khz(tmp_path, capsys):
     assert main(["simulate", "--preset", "A", "--seed", "4",
                  "--clean", str(clean), "--out-dir", str(out)]) == EXIT_ARGS
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_exit_code_noise_wav_at_another_rate(tmp_path, clean_wav, capsys):
+    noise = tmp_path / "noise8k.wav"
+    write_wav(MultichannelTimeSignal((white_noise(40000, 0, 8000),)), noise)
+    out = tmp_path / "scene"
+    assert main(["simulate", "--preset", "A", "--seed", "4",
+                 "--clean", clean_wav, "--noise", str(noise),
+                 "--out-dir", str(out)]) == EXIT_ARGS
+    assert "8000 Hz" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,13 +18,13 @@ from helpers import FUZZ_SETTINGS, U32, cut_short_sometimes, often
 SMALL = StftConfig(frame_len=8, hop=2)
 
 
-def _spec(values, fs=16000):
+def _spec(values, fs=16000) -> Spectrogram:
     values = np.asarray(values, dtype=np.complex128)
     length = (values.shape[0] - 1) * SMALL.hop + SMALL.frame_len
     return Spectrogram(values, SMALL, fs, length)
 
 
-def _random_spec(rng, n_frames=6, float32_exact=False):
+def _random_spec(rng, n_frames=6, float32_exact=False) -> Spectrogram:
     shape = (n_frames, SMALL.num_bins)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if float32_exact:

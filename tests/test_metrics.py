@@ -230,6 +230,47 @@ def test_align_matches_direct_oracle_below_max_shift():
     assert _assert_align_matches_oracle(y, x) == -40
 
 
+@pytest.mark.parametrize("longer", ["reference", "estimate"])
+@pytest.mark.parametrize("reach", [4095, 4096, 4097])
+def test_align_matches_direct_oracle_around_a_power_of_two(reach, longer):
+    """max(len) + max_shift just below, at and just above 4096, where align's
+    FFT length steps from 4096 to 8192; true shifts include both edges of
+    the +/- max_shift window."""
+    max_shift = 100
+    n_long = reach - max_shift
+    n_short = n_long - 150
+    rng = np.random.default_rng(reach)
+    base = rng.standard_normal(n_long + 2 * max_shift)
+    long_part = base[max_shift:max_shift + n_long]
+    for shift in (-max_shift, -37, 0, 58, max_shift):
+        start = max_shift + shift
+        short_part = (base[start:start + n_short]
+                      + 0.1 * rng.standard_normal(n_short))
+        if longer == "reference":
+            assert _assert_align_matches_oracle(
+                long_part, short_part, max_shift) == -shift
+        else:
+            assert _assert_align_matches_oracle(
+                short_part, long_part, max_shift) == shift
+
+
+@pytest.mark.parametrize("n", [3997, 4076, 4096])
+def test_align_window_never_sees_a_wrapped_lag(n):
+    """The only correlation sits at lag -/+(4096 - 100), which a circular
+    correlation of 4096 points would fold onto the window's edge, lag
+    +/-100. With n + 100 above 4096, align's FFT must be long enough to
+    keep it out."""
+    width = n + 100 - 4096
+    pattern = np.random.default_rng(n).standard_normal(width)
+    early = np.zeros(n)
+    late = np.zeros(n)
+    early[:width] = pattern
+    late[-width:] = pattern
+    for ref, est in ((late, early), (early, late)):
+        with pytest.raises(AlignmentError):
+            align(TimeSignal(ref, FS), TimeSignal(est, FS), max_shift=100)
+
+
 def test_align_rejects_correlation_outside_window_at_any_length():
     rng = np.random.default_rng(21)
     for n in (300, 3000, 30000):
@@ -239,6 +280,21 @@ def test_align_rejects_correlation_outside_window_at_any_length():
         y[-50:] = rng.standard_normal(50)
         with pytest.raises(AlignmentError):
             align(TimeSignal(x, FS), TimeSignal(y, FS), max_shift=100)
+
+
+def test_evaluate_pair_equals_the_metrics_of_the_aligned_pair():
+    """evaluate_pair shares one rfft a frame between CD and F-SNR; its
+    scores are exactly those of the two metric functions on align's
+    output."""
+    rng = np.random.default_rng(23)
+    x = _speechy(rng)
+    est = TimeSignal(np.concatenate([np.zeros(90), 0.8 * x.samples[:-120]])
+                     + 0.2 * rng.standard_normal(len(x) - 30), FS)
+    report = evaluate_pair(x, est)
+    ref_al, est_al = align(x, est)
+    assert 0.0 < report.cd < 10.0 and -10.0 < report.fwsegsnr < 35.0
+    assert report.cd == cepstral_distance(ref_al, est_al)
+    assert report.fwsegsnr == fw_seg_snr(ref_al, est_al)
 
 
 def test_evaluate_pair_aligned_copy():

@@ -24,7 +24,8 @@ def _mc_spec(arr, config=SMALL, fs=16000):
         Spectrogram(arr[q], config, fs, length) for q in range(arr.shape[0])))
 
 
-def _random_mc(rng, n_ch=2, n_frames=30, config=SMALL):
+def _random_mc(rng, n_ch=2, n_frames=30,
+               config=SMALL) -> MultichannelSpectrogram:
     arr = (rng.standard_normal((n_ch, n_frames, config.num_bins))
            + 1j * rng.standard_normal((n_ch, n_frames, config.num_bins)))
     return _mc_spec(arr, config)

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from dereverb import roomsim
 from dereverb.errors import ArgumentError
-from dereverb.roomsim import (ARRAY_SPACING, PRESETS, RoomSpec,
-                              SPEED_OF_SOUND, default_rir_length,
+from dereverb.roomsim import (ARRAY_SPACING, EARLY_WINDOW_S, PRESETS,
+                              RoomSpec, SPEED_OF_SOUND, default_rir_length,
                               image_source_rir, measure_t60,
                               reflection_coefficient, render_scene,
                               sample_room, white_noise)
-from dereverb.signals import TimeSignal
+from dereverb.signals import TimeSignal, convolve, scaled_noise_segment
+
+from helpers import image_source_rir_grid, speech_like
 
 
 # --- geometry sampling -------------------------------------------------------
@@ -145,6 +148,17 @@ def test_rir_matches_brute_force_image_oracle():
     assert np.allclose(rir, expected, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("preset", ["A", "B"])
+def test_rir_equals_the_whole_lattice_reference_byte_for_byte(preset):
+    """Building only the images within reach keeps the whole lattice's
+    images, in its order, so every tap sums to the same bits."""
+    for seed in range(3):
+        spec = sample_room(preset, seed)
+        for q in range(spec.num_mics):
+            rir = image_source_rir(spec, q).samples
+            assert rir.tobytes() == image_source_rir_grid(spec, q).tobytes()
+
+
 def test_first_tap_is_direct_path():
     for seed in range(5):
         spec = sample_room("A", seed)
@@ -268,3 +282,50 @@ def test_render_scene_validates_rates():
     with pytest.raises(ArgumentError):
         render_scene(spec, TimeSignal(np.ones(100), 16000),
                      white_noise(200, 0), snr_db=None)
+
+
+def _one_convolution_each(spec, clean):
+    """render_scene's channels without noise, and its reference, one
+    signals.convolve call each, trimmed to the clean length."""
+    n = len(clean)
+    channels = [convolve(clean, image_source_rir(spec, q)).samples[:n]
+                for q in range(spec.num_mics)]
+    rir = image_source_rir(spec, 0).samples
+    cutoff = (int(np.flatnonzero(rir)[0])
+              + int(round(EARLY_WINDOW_S * spec.sample_rate)))
+    early = TimeSignal(rir[:cutoff + 1], spec.sample_rate)
+    return channels, convolve(clean, early).samples[:n]
+
+
+@pytest.mark.parametrize("preset,seed", [("A", 2), ("B", 4)])
+def test_scene_is_one_convolution_per_microphone_byte_for_byte(preset, seed):
+    """Sharing the clean spectrum among the RIRs changes no rounding: each
+    observed channel is convolve(clean, its RIR) plus the scaled noise
+    segment, and the reference is convolve(clean, early RIR), to the
+    byte."""
+    spec = sample_room(preset, seed)
+    clean = speech_like(1.5, seed=seed)
+    noise = white_noise(len(clean) + 16000, seed=5)
+    channels, reference = _one_convolution_each(spec, clean)
+    segment = scaled_noise_segment(TimeSignal(channels[0], 16000), noise,
+                                   10.0, seed=6)
+    for scene, added in ((render_scene(spec, clean), 0.0),
+                         (render_scene(spec, clean, noise, 10.0, 6), segment)):
+        assert scene.observed.num_channels == spec.num_mics
+        for channel, expected in zip(scene.observed.channels, channels):
+            assert channel.samples.tobytes() == (expected + added).tobytes()
+        assert scene.reference.samples.tobytes() == reference.tobytes()
+
+
+def test_render_scene_checks_the_noise_before_building_any_rir(monkeypatch):
+    def no_rir(*args):
+        raise AssertionError("an RIR was built before the noise was checked")
+
+    monkeypatch.setattr(roomsim, "image_source_rir", no_rir)
+    spec = _small_spec()
+    clean = TimeSignal(np.ones(100), 16000)
+    for noise, snr_db in ((white_noise(200, 0, sample_rate=8000), 10.0),
+                          (white_noise(200, 0), None),
+                          (white_noise(99, 0), 10.0)):
+        with pytest.raises(ArgumentError):
+            render_scene(spec, clean, noise, snr_db)

@@ -211,6 +211,13 @@ def test_mix_at_snr_zero_power_errors():
                              seed=0)
 
 
+def test_mix_at_snr_rejects_noise_at_another_rate():
+    clean = TimeSignal(np.ones(100), 16000)
+    noise = TimeSignal(np.ones(200), 8000)
+    with pytest.raises(ArgumentError, match="8000 Hz"):
+        scaled_noise_segment(clean, noise, 0.0, seed=0)
+
+
 def test_mix_at_snr_short_noise_errors():
     clean = TimeSignal(np.ones(100), 16000)
     noise = TimeSignal(np.ones(50), 16000)

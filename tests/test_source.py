@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 import ast
+import collections
 import dataclasses
 import pathlib
 
@@ -54,22 +55,102 @@ def _members(tree):
                 yield node.name, name
 
 
-def _attribute_reads(tree, owner=None):
-    """(owner, name) of every attribute read in a module. A read on `self`
-    belongs to the class around it; any other read has owner None and may
-    be of any class, except a read on `args`, an argparse namespace, whose
-    flags share names with fields (such as `seed`)."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.ClassDef):
-            yield from _attribute_reads(node, node.name)
+def _named_class(node, classes):
+    """The src class a name, attribute or annotation node names, or None."""
+    name = getattr(node, "id", getattr(node, "attr", None))
+    return name if name in classes else None
+
+
+def _returns(trees, classes):
+    """Function name -> the src class its return annotation names, over
+    every function whose name carries one such annotation in all trees."""
+    found = collections.defaultdict(set)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                found[node.name].add(_named_class(node.returns, classes))
+    return {name: kinds.pop() for name, kinds in found.items()
+            if len(kinds) == 1 and None not in kinds}
+
+
+def _made_class(node, classes, returns):
+    """The src class of a call to that class, or to a function annotated to
+    return it; None for any other expression."""
+    if not isinstance(node, ast.Call):
+        return None
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    return name if name in classes else returns.get(name)
+
+
+def _own_nodes(node):
+    """The nodes under a function or module, leaving out the bodies of the
+    functions and classes defined in it."""
+    todo = collections.deque(ast.iter_child_nodes(node))
+    while todo:
+        child = todo.popleft()
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(child))
+
+
+def _scope(node, outer, classes, returns, owner=None):
+    """Name -> src class of the names a function or module binds, on top of
+    the enclosing scope `outer`. The class is known for `self` in a method
+    of `owner`, for a parameter annotated with the class, and for a name
+    that is only ever assigned a call made by _made_class; it is None for
+    every other name."""
+    scope = dict(outer)
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        for arg in params:
+            scope[arg.arg] = _named_class(arg.annotation, classes)
+        for arg in (args.vararg, args.kwarg):
+            if arg is not None:
+                scope[arg.arg] = None
+        if owner is not None and params and params[0].arg == "self":
+            scope["self"] = owner
+    kinds = collections.defaultdict(set)
+    assigned = set()
+    for child in _own_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            kinds[child.name].add(None)
+        elif isinstance(child, ast.Assign):
+            for target in child.targets:
+                if isinstance(target, ast.Name):
+                    assigned.add(target)
+                    kinds[target.id].add(
+                        _made_class(child.value, classes, returns))
+        elif (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store)
+              and child not in assigned):
+            kinds[child.id].add(None)
+    for name, bound in kinds.items():
+        scope[name] = bound.pop() if len(bound) == 1 else None
+    return scope
+
+
+def _attribute_reads(node, scope, classes, returns, owner=None):
+    """(class, name) of every attribute read under a node: the receiver's
+    src class where _scope or _made_class knows it, else None. Reads on
+    `args`, an argparse namespace whose flags share names with fields (such
+    as `seed`), are left out."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _attribute_reads(child, scope, classes, returns,
+                                        child.name)
             continue
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            receiver = getattr(node.value, "id", None)
-            if receiver == "self":
-                yield owner, node.attr
-            elif receiver != "args":
-                yield None, node.attr
-        yield from _attribute_reads(node, owner)
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            inner = _scope(child, scope, classes, returns, owner)
+            yield from _attribute_reads(child, inner, classes, returns)
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            receiver = child.value
+            if isinstance(receiver, ast.Name):
+                if receiver.id != "args":
+                    yield scope.get(receiver.id), child.attr
+            else:
+                yield _made_class(receiver, classes, returns), child.attr
+        yield from _attribute_reads(child, scope, classes, returns, owner)
 
 
 def test_every_top_level_name_in_src_is_used():
@@ -87,15 +168,26 @@ def test_every_top_level_name_in_src_is_used():
 
 
 def test_every_class_member_in_src_is_read():
-    src = {path.name: ast.parse(path.read_text())
-           for path in sorted(SRC.glob("*.py"))}
+    """A member counts as read where an attribute of that name is read on a
+    receiver known to be of its class (_attribute_reads). A read on a
+    receiver of unknown type counts only for a member whose name no other
+    src class has, so a second class's member of a shared name needs a
+    read of its own."""
+    members = [member for path in sorted(SRC.glob("*.py"))
+               for member in _members(ast.parse(path.read_text()))]
+    classes = {cls for cls, _ in members}
+    owners = collections.Counter(name for _, name in members)
+    trees = [ast.parse(path.read_text())
+             for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                          *(ROOT / "bench").glob("*.py")]]
+    returns = _returns(trees, classes)
     read = set()
-    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                 *(ROOT / "bench").glob("*.py")]:
-        read.update(_attribute_reads(ast.parse(path.read_text())))
-    unread = sorted(f"{cls}.{name}" for tree in src.values()
-                    for cls, name in _members(tree)
-                    if (cls, name) not in read and (None, name) not in read)
+    for tree in trees:
+        read.update(_attribute_reads(
+            tree, _scope(tree, {}, classes, returns), classes, returns))
+    unread = sorted(f"{cls}.{name}" for cls, name in members
+                    if (cls, name) not in read
+                    and not (owners[name] == 1 and (None, name) in read))
     assert unread == [], (
         "members of src/ classes never read as an attribute in src/, "
         "tests/ or bench/: " + ", ".join(unread))
