@@ -114,7 +114,9 @@ def fw_seg_snr(reference, estimate):
 
     Per frame and mel band: SNR of reference band energy over the band
     energy of (reference - estimate), clamped to [-10, 35]; band weights
-    are reference band magnitudes to the 0.2 power.
+    are reference band magnitudes to the 0.2 power. The reference energy
+    is floored at LOG_FLOOR and the error energy 35 dB lower, so the score
+    is continuous in the error and an error of zero scores 35.
     """
     return _fwsegsnr(*_active_spectra(reference, estimate),
                      reference.sample_rate)
@@ -124,10 +126,11 @@ def _fwsegsnr(ref_spec, est_spec, sample_rate):
     bank = mel_filterbank(sample_rate=sample_rate)
     e_ref = np.abs(ref_spec) ** 2 @ bank.T
     e_err = np.abs(ref_spec - est_spec) ** 2 @ bank.T
-    with np.errstate(divide="ignore"):
-        ratio = np.maximum(e_ref, LOG_FLOOR) / np.maximum(e_err, LOG_FLOOR)
-        snr = np.where(e_err == 0.0, SNR_CLAMP[1],
-                       np.clip(10.0 * np.log10(ratio), *SNR_CLAMP))
+    # The error floor sits SNR_CLAMP[1] dB under the reference floor, so an
+    # error too small to resolve scores the ceiling, as no error does.
+    err_floor = LOG_FLOOR * 10.0 ** (-SNR_CLAMP[1] / 10.0)
+    ratio = np.maximum(e_ref, LOG_FLOOR) / np.maximum(e_err, err_floor)
+    snr = np.clip(10.0 * np.log10(ratio), *SNR_CLAMP)
     weights = np.sqrt(e_ref) ** BAND_WEIGHT_EXP
     per_frame = np.sum(weights * snr, axis=1) / np.maximum(
         np.sum(weights, axis=1), 1e-12)

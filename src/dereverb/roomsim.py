@@ -213,17 +213,22 @@ class Scene:
 def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     """Convolve clean speech with the room RIRs and optionally add noise.
 
-    The microphone channels are one signals.convolve_each call: the clean
-    signal's rfft is taken once and shared by all the RIRs, and each
-    channel is written into one (mics, length) array. The reference keeps
+    The microphone channels are one signals.convolve_each call: overlap-add
+    in blocks of fft_length(2 * rir_length) points (65536 for a preset-B
+    room), whose clean spectra are taken once and shared by all the RIRs,
+    each channel written into one (mics, length) array. The reference keeps
     microphone 0's direct path plus 50 ms of early reflections, convolved
-    on its own (signals.convolve). Noise is scaled against microphone 0's
-    reverberant signal, and the same scaled segment is added in place to
-    every channel. All signals are trimmed to the clean length. The sample
-    rates, snr_db and the noise length are checked before any RIR is built.
+    on its own (signals.convolve) in blocks sized to that short kernel
+    (4096 points for a preset-B room). Noise is scaled against microphone
+    0's reverberant signal, and the same scaled segment is added in place
+    to every channel. All signals are trimmed to the clean length. The
+    sample rates, an empty clean signal, snr_db and the noise length are
+    checked before any RIR is built.
     """
     if clean.sample_rate != spec.sample_rate:
         raise ArgumentError("clean signal sample rate must match the room")
+    if len(clean) == 0:
+        raise ArgumentError("clean signal is empty")
     if noise is not None:
         if snr_db is None:
             raise ArgumentError("snr_db required when noise is given")

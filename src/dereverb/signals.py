@@ -166,8 +166,9 @@ def write_wav(signal: MultichannelTimeSignal, path):
 
 
 def fft_length(n):
-    """The power of two at or above n: the FFT length of convolve_each and
-    of metrics.align."""
+    """The power of two at or above n: the block length of convolve_each
+    (capped at fft_length(2 * taps)) and the correlation length of
+    metrics.align."""
     return 1 << (n - 1).bit_length()
 
 
@@ -190,25 +191,48 @@ def convolve(signal, kernel):
 
 def convolve_each(signal, kernels, length):
     """The first `length` samples of `signal` convolved with each of
-    `kernels`, as a (len(kernels), length) float64 array.
+    `kernels`, as a (len(kernels), length) float64 array; samples past a
+    full convolution are zero.
 
-    All kernels share one real-FFT length, the power of two at or above the
-    longest full convolution, so no output sample wraps around. The signal's
-    rfft is taken once. Each kernel's rfft is then multiplied by it and
-    inverted in turn, in two buffers reused from kernel to kernel, so one
-    kernel's spectrum and output are held at a time. The kernels must share
-    the signal's sample rate; convolve and render_scene check it.
+    Overlap-add in real-FFT blocks of nfft points, where taps is the longest
+    kernel: nfft = fft_length(2 * taps), or fft_length(len(signal) + taps
+    - 1) if that is shorter, in which case the whole convolution is one
+    block and one FFT. The signal is cut into blocks of nfft - taps + 1
+    samples, as many as the first `length` outputs read, and their spectra
+    are one 2-D rfft shared by every kernel. Each kernel in turn takes one
+    rfft, one multiply and one 2-D irfft, in buffers reused from kernel to
+    kernel; its block outputs are added where they overlap, in block order.
+    The kernels must share the signal's sample rate; convolve and
+    render_scene check it.
     """
-    nfft = fft_length(len(signal) + max(len(k) for k in kernels) - 1)
-    signal_spectrum = np.fft.rfft(signal.samples, nfft)
-    kernel_spectrum = np.empty_like(signal_spectrum)
-    full = np.empty(nfft)
-    out = np.empty((len(kernels), length))
+    taps = max(len(k) for k in kernels)
+    nfft = min(fft_length(2 * taps), fft_length(len(signal) + taps - 1))
+    step = nfft - taps + 1
+    out = np.zeros((len(kernels), length))
+    used = min(length, len(signal))
+    if used == 0:
+        return out
+    starts = range(0, used, step)
+    blocks = np.zeros((len(starts), nfft))
+    for block, start in zip(blocks, starts):
+        piece = signal.samples[start:start + step]
+        block[:len(piece)] = piece
+    block_spectra = np.fft.rfft(blocks, nfft)
+    kernel_spectrum = np.empty(nfft // 2 + 1, dtype=np.complex128)
+    products = np.empty_like(block_spectra)
+    outputs = np.empty_like(blocks)
     for row, kernel in zip(out, kernels):
         np.fft.rfft(kernel.samples, nfft, out=kernel_spectrum)
-        np.multiply(signal_spectrum, kernel_spectrum, out=kernel_spectrum)
-        np.fft.irfft(kernel_spectrum, nfft, out=full)
-        row[:] = full[:length]
+        np.multiply(block_spectra, kernel_spectrum, out=products)
+        np.fft.irfft(products, nfft, out=outputs)
+        # Block b's output starts at b * step and overlaps only block
+        # b - 1's, which ends at `end`: add there, assign past it.
+        end = 0
+        for start, output in zip(starts, outputs):
+            stop = min(start + nfft, length)
+            row[start:end] += output[:end - start]
+            row[end:stop] = output[end - start:stop - start]
+            end = stop
     return out
 
 

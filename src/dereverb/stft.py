@@ -61,10 +61,6 @@ class Spectrogram:
     def num_frames(self):
         return self.values.shape[0]
 
-    @property
-    def num_bins(self):
-        return self.values.shape[1]
-
     def with_values(self, values):
         """Same metadata, new complex matrix of identical shape."""
         values = np.asarray(values, dtype=np.complex128)
@@ -97,10 +93,6 @@ class MultichannelSpectrogram:
     @property
     def num_frames(self):
         return self.channels[0].num_frames
-
-    @property
-    def num_bins(self):
-        return self.channels[0].num_bins
 
     def as_array(self):
         """(channels, frames, bins) complex array."""

@@ -97,10 +97,10 @@ def regressor_block(regressors, k0, k1):
 def predict(spec, weights, delay, order):
     """w^H x for every frame and bin, one build_regressor at a time:
     the (frames, bins) prediction of the filters `weights` (bins, L*Q)."""
-    prediction = np.empty((spec.num_frames, spec.num_bins),
-                          dtype=np.complex128)
+    num_bins = spec.channels[0].config.num_bins
+    prediction = np.empty((spec.num_frames, num_bins), dtype=np.complex128)
     for n in range(spec.num_frames):
-        for k in range(spec.num_bins):
+        for k in range(num_bins):
             prediction[n, k] = np.vdot(
                 weights[k], build_regressor(spec, n, k, delay, order))
     return prediction

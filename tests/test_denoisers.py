@@ -99,7 +99,7 @@ def test_wiener_matches_direct_evaluation():
     spec = _random_spec(rng, n_frames=5)
     out = WienerDenoiser(0.5, 0.2).denoise(spec)
     power = np.abs(spec.values) ** 2
-    for k in range(spec.num_bins):
+    for k in range(spec.config.num_bins):
         floor = sorted(power[:, k])[2]  # median of 5
         for n in range(5):
             g = max(1.0 - floor / max(power[n, k], floor), 0.2)

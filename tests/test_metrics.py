@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dereverb.errors import AlignmentError, ArgumentError, MetricError
-from dereverb.metrics import (FRAME_LEN, HOP, MetricReport, align,
-                              cepstral_distance, evaluate_pair, fw_seg_snr,
-                              mel_filterbank)
+from dereverb.metrics import (FRAME_LEN, HOP, LOG_FLOOR, MetricReport,
+                              _fwsegsnr, align, cepstral_distance,
+                              evaluate_pair, fw_seg_snr, mel_filterbank)
 from dereverb.signals import TimeSignal
 from dereverb.stft import hann
 
@@ -37,6 +37,19 @@ def test_cd_gain_invariant():
 def test_fwsegsnr_identical_signals_is_ceiling():
     x = _speechy(np.random.default_rng(2))
     assert fw_seg_snr(x, x) == 35.0
+
+
+def test_fwsegsnr_is_continuous_at_zero_error():
+    """Bands whose reference energy is under LOG_FLOOR score the same with
+    no error as with an error energy of about 1e-30."""
+    ref = np.full((1, FRAME_LEN // 2 + 1), 1e-7 + 0j)
+    bank = mel_filterbank()
+    assert np.all(np.abs(ref) ** 2 @ bank.T < LOG_FLOOR)
+    est = ref + 1e-15
+    assert np.all(np.abs(ref - est) ** 2 @ bank.T < 1e-28)
+    score = _fwsegsnr(ref, ref, FS)
+    assert abs(score - 35.0) < 1e-12
+    assert _fwsegsnr(ref, est, FS) == score
 
 
 def test_fwsegsnr_zero_estimate_scores_low():

@@ -10,7 +10,8 @@ from dereverb.roomsim import (ARRAY_SPACING, EARLY_WINDOW_S, PRESETS,
                               image_source_rir, measure_t60,
                               reflection_coefficient, render_scene,
                               sample_room, white_noise)
-from dereverb.signals import TimeSignal, convolve, scaled_noise_segment
+from dereverb.signals import (TimeSignal, convolve, fft_length,
+                              scaled_noise_segment)
 
 from helpers import image_source_rir_grid, speech_like
 
@@ -315,6 +316,30 @@ def test_scene_is_one_convolution_per_microphone_byte_for_byte(preset, seed):
         for channel, expected in zip(scene.observed.channels, channels):
             assert channel.samples.tobytes() == (expected + added).tobytes()
         assert scene.reference.samples.tobytes() == reference.tobytes()
+
+
+def test_render_scene_transforms_are_at_most_twice_the_rir(monkeypatch):
+    """Every rfft and irfft of an 8 s preset-B scene is at most
+    fft_length(2 * rir_length) points long: overlap-add blocks, not one
+    transform of the whole convolution."""
+    lengths = []
+    real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
+
+    def rfft(a, n=None, axis=-1, **kwargs):
+        lengths.append(np.shape(a)[axis] if n is None else n)
+        return real_rfft(a, n, axis, **kwargs)
+
+    def irfft(a, n=None, axis=-1, **kwargs):
+        out = real_irfft(a, n, axis, **kwargs)
+        lengths.append(out.shape[axis])
+        return out
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    spec = sample_room("B", 4)
+    render_scene(spec, speech_like(8.0, seed=0))
+    assert fft_length(2 * spec.rir_length) == 65536
+    assert lengths and max(lengths) <= 65536
 
 
 def test_render_scene_checks_the_noise_before_building_any_rir(monkeypatch):

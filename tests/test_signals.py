@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dereverb.errors import ArgumentError, FormatError
 from dereverb.roomsim import image_source_rir, sample_room
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, convolve,
-                              read_wav, scaled_noise_segment, write_wav)
+                              convolve_each, fft_length, read_wav,
+                              scaled_noise_segment, write_wav)
 
 from helpers import (FUZZ_SETTINGS, U32, cut_short_sometimes, often,
                      speech_like)
@@ -128,12 +129,23 @@ def test_convolve_rate_mismatch():
         convolve(TimeSignal([1.0], 16000), TimeSignal([1.0], 8000))
 
 
-def _assert_matches_direct_form(x, h):
-    out = convolve(TimeSignal(x, 16000), TimeSignal(h, 16000)).samples
-    expected = np.convolve(x, h, mode="full")
-    assert out.shape == expected.shape
-    peak = np.max(np.abs(expected))
-    assert np.max(np.abs(out - expected)) <= 1e-12 * peak
+def _assert_matches_direct_form(x, *kernels, length=None):
+    """convolve(x, h) for one kernel, or convolve_each(x, kernels, length),
+    agrees with np.convolve, trimmed or zero-padded to the output length,
+    within 1e-12 of each row's peak."""
+    signal = TimeSignal(x, 16000)
+    taps = tuple(TimeSignal(h, 16000) for h in kernels)
+    if length is None:
+        out = convolve(signal, *taps).samples[None]
+    else:
+        out = convolve_each(signal, taps, length)
+    for row, h in zip(out, kernels, strict=True):
+        full = np.convolve(x, h, mode="full")
+        expected = np.zeros(len(full) if length is None else length)
+        expected[:len(full)] = full[:len(expected)]
+        assert row.shape == expected.shape
+        peak = np.max(np.abs(full))
+        assert np.max(np.abs(row - expected)) <= 1e-12 * peak
 
 
 def test_convolve_room_rir_matches_direct_form():
@@ -154,6 +166,45 @@ def test_convolve_length_one_operands_match_direct_form():
     _assert_matches_direct_form(x, np.array([-0.75]))
     _assert_matches_direct_form(np.array([2.5]), x)
     _assert_matches_direct_form(np.array([2.0]), np.array([3.0]))
+
+
+def test_convolve_each_kernels_of_unequal_length_match_direct_form():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(20000)
+    kernels = [rng.standard_normal(n) for n in (700, 3000, 1)]
+    _assert_matches_direct_form(x, *kernels, length=len(x) + 3000 - 1)
+    _assert_matches_direct_form(x, *kernels, length=len(x))
+
+
+def test_convolve_each_length_off_the_block_grid_matches_direct_form():
+    """A `length` shorter than the full convolution and shorter than the
+    signal, ending inside a block: 3000 taps make 8192-point blocks of
+    5193 samples."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(20000)
+    h = rng.standard_normal(3000)
+    step = fft_length(2 * len(h)) - len(h) + 1
+    for length in (12345, step - 1, step + 1, 1):
+        assert length % step != 0
+        _assert_matches_direct_form(x, h, length=length)
+
+
+def test_convolve_each_signal_shorter_than_one_block_matches_direct_form():
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal(3000)
+    for n in (1, 1000, 4000, fft_length(2 * len(h)) - len(h)):
+        x = rng.standard_normal(n)
+        _assert_matches_direct_form(x, h)
+        _assert_matches_direct_form(x, h, length=n)
+        _assert_matches_direct_form(x, h, length=n + 5000)
+
+
+def test_convolve_each_kernel_longer_than_signal_matches_direct_form():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(300)
+    kernels = [rng.standard_normal(n) for n in (17, 5000)]
+    _assert_matches_direct_form(x, *kernels, length=len(x) + 5000 - 1)
+    _assert_matches_direct_form(x, *kernels, length=len(x))
 
 
 def test_convolve_rejects_empty_operands():

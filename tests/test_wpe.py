@@ -63,9 +63,9 @@ def test_stack_matches_per_frame_loop():
     obs = spec.as_array()
     delay, order = 2, 3
     taps = stack_regressors(obs, delay, order)
-    assert taps.shape == (spec.num_bins, order * 2, spec.num_frames)
+    assert taps.shape == (SMALL.num_bins, order * 2, spec.num_frames)
     for n in range(spec.num_frames):
-        for k in range(spec.num_bins):
+        for k in range(SMALL.num_bins):
             expected = build_regressor(spec, n, k, delay, order)
             assert np.array_equal(regressor_block(taps, k, k + 1)[0, :, n],
                                   expected)
@@ -94,11 +94,11 @@ def test_solve_all_bands_matches_per_band_oracle():
     n_frames = 50
     spec = _random_mc(rng, 3, n_frames)
     taps = stack_regressors(spec.as_array(), delay=2, order=1)
-    targets = (rng.standard_normal((n_frames, spec.num_bins))
-               + 1j * rng.standard_normal((n_frames, spec.num_bins)))
-    weights = rng.uniform(0.5, 2.0, (n_frames, spec.num_bins))
+    targets = (rng.standard_normal((n_frames, SMALL.num_bins))
+               + 1j * rng.standard_normal((n_frames, SMALL.num_bins)))
+    weights = rng.uniform(0.5, 2.0, (n_frames, SMALL.num_bins))
     filters, _ = solve_all_bands(taps, targets, weights)
-    for k in range(spec.num_bins):
+    for k in range(SMALL.num_bins):
         vectors = regressor_block(taps, k, k + 1)[0].T
         ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
         oracle = solve_hpd(ne.Z, ne.q)
@@ -111,9 +111,9 @@ def test_solve_all_bands_matches_per_frame_oracle():
     spec = _random_mc(rng, 3, n_frames)
     taps = stack_regressors(spec.as_array(), delay, order)
     targets = spec.channels[0].values
-    weights = rng.uniform(0.5, 2.0, (n_frames, spec.num_bins))
+    weights = rng.uniform(0.5, 2.0, (n_frames, SMALL.num_bins))
     filters, prediction = solve_all_bands(taps, targets, weights)
-    for k in range(spec.num_bins):
+    for k in range(SMALL.num_bins):
         vectors = np.array([build_regressor(spec, n, k, delay, order)
                             for n in range(n_frames)])
         ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
@@ -151,7 +151,7 @@ def test_fused_prediction_matches_unscaled_predict():
     spec = _random_mc(rng, 3, n_frames)
     taps = stack_regressors(spec.as_array(), delay, order)
     targets = spec.channels[0].values
-    weights = 10.0 ** rng.uniform(-4, 4, (n_frames, spec.num_bins))
+    weights = 10.0 ** rng.uniform(-4, 4, (n_frames, SMALL.num_bins))
     filters, prediction = solve_all_bands(taps, targets, weights)
     np.testing.assert_allclose(prediction,
                                predict(spec, filters, delay, order),
@@ -291,7 +291,7 @@ def test_run_wpe_objective_does_not_increase():
     sigma = np.maximum(np.abs(ref) ** 2, params.epsilon)
     taps = stack_regressors(obs, params.delay, params.filter_order)
     w, _ = solve_all_bands(taps, ref, sigma)
-    block = regressor_block(taps, 0, spec.num_bins)
+    block = regressor_block(taps, 0, SMALL.num_bins)
     residual = ref - np.einsum("ki,kin->nk", w.conj(), block)
     cost_before = np.sum(np.abs(ref) ** 2 / sigma)
     cost_after = np.sum(np.abs(residual) ** 2 / sigma)
