@@ -132,8 +132,11 @@ def _fwsegsnr(ref_spec, est_spec, sample_rate):
     ratio = np.maximum(e_ref, LOG_FLOOR) / np.maximum(e_err, err_floor)
     snr = np.clip(10.0 * np.log10(ratio), *SNR_CLAMP)
     weights = np.sqrt(e_ref) ** BAND_WEIGHT_EXP
-    per_frame = np.sum(weights * snr, axis=1) / np.maximum(
-        np.sum(weights, axis=1), 1e-12)
+    # The weighted mean taken as its shortfall from the ceiling, so a frame
+    # whose bands all score the ceiling scores it exactly.
+    ceiling = SNR_CLAMP[1]
+    per_frame = ceiling - np.sum(weights * (ceiling - snr), axis=1) / (
+        np.maximum(np.sum(weights, axis=1), 1e-12))
     return float(np.mean(per_frame))
 
 

@@ -1,10 +1,15 @@
 """Complex linear algebra kernel for the per-band filter solves.
 
 Hermitian positive-definite solves of the weighted normal equations
-Z w = q with relative diagonal loading.
+Z w = q with relative diagonal loading, the rank-k update that forms them,
+and the thread count of the BLAS they run on.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import importlib
 import importlib.machinery
 import importlib.util
@@ -16,6 +21,8 @@ import numpy as np
 from .errors import ArgumentError, SingularBandError
 
 DEFAULT_LOADING = 1e-10
+# CBLAS enum values: CblasColMajor, CblasLower, CblasConjTrans.
+_COL_MAJOR, _LOWER, _CONJ_TRANS = 102, 122, 113
 
 
 def scipy_linalg_module(name):
@@ -52,6 +59,92 @@ def scipy_linalg_module(name):
                 raise
             return module
     return importlib.import_module(qualname)
+
+
+@functools.cache
+def scipy_openblas():
+    """scipy's bundled OpenBLAS as a ctypes library, or None.
+
+    The wheel's _fblas finds it through its RPATH, $ORIGIN/../../scipy.libs,
+    so this looks for libscipy_openblas* there, beside the _fblas that
+    scipy_linalg_module loaded. The dynamic loader hands back the copy
+    _fblas already uses, so a thread count set here is the one _fblas and
+    _flapack run at. None where no such file exports scipy_cblas_zherk and
+    the thread-count calls (another scipy build, or no wheel layout).
+    """
+    fblas = scipy_linalg_module("_fblas")
+    pattern = os.path.join(os.path.dirname(fblas.__file__), os.pardir,
+                           os.pardir, "scipy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            herk = lib.scipy_cblas_zherk
+            get_threads = lib.scipy_openblas_get_num_threads
+            set_threads = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        c_int, c_double, pointer = (ctypes.c_int, ctypes.c_double,
+                                    ctypes.c_void_p)
+        herk.argtypes = [c_int, c_int, c_int, c_int, c_int, c_double,
+                         pointer, c_int, c_double, pointer, c_int]
+        herk.restype = None
+        get_threads.argtypes, get_threads.restype = [], c_int
+        set_threads.argtypes, set_threads.restype = [c_int], None
+        return lib
+    return None
+
+
+def blas_threads():
+    """The thread count scipy's OpenBLAS is configured with: what
+    OPENBLAS_NUM_THREADS or, without it, the CPU affinity set at start-up.
+    1 where scipy_openblas() finds no library."""
+    lib = scipy_openblas()
+    return lib.scipy_openblas_get_num_threads() if lib else 1
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Holds scipy's OpenBLAS at one thread inside the block and restores
+    its thread count afterwards, also when the block raises. Does nothing
+    where scipy_openblas() finds no library."""
+    lib = scipy_openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
+
+
+def herk_lower(rows, gram):
+    """Writes the lower triangle of conj(rows rows^H) into gram in place.
+
+    rows: C-contiguous complex128 (n, k); gram: F-contiguous complex128
+    (n, n), whose strict upper triangle is left as it was. This is f2py's
+    zherk(1.0, rows.T, trans=2, lower=1). Through scipy_openblas() it is
+    cblas_zherk, which ctypes calls with the GIL released, so threads can
+    run it side by side; without that library it is the f2py zherk, which
+    holds the GIL.
+    """
+    n, k = rows.shape
+    if not (rows.dtype == gram.dtype == np.complex128
+            and rows.flags.c_contiguous and gram.flags.f_contiguous
+            and gram.shape == (n, n)):
+        raise ArgumentError("herk_lower needs C-ordered complex128 rows and "
+                            "an F-ordered complex128 square gram to match")
+    lib = scipy_openblas()
+    if lib is None:
+        scipy_linalg_module("_fblas").zherk(1.0, rows.T, trans=2, lower=1,
+                                             c=gram, overwrite_c=1)
+    else:
+        # __array_interface__, not .ctypes: that makes reference cycles,
+        # which hold memory until the garbage collector runs.
+        lib.scipy_cblas_zherk(_COL_MAJOR, _LOWER, _CONJ_TRANS, n, k, 1.0,
+                              rows.__array_interface__["data"][0], k, 0.0,
+                              gram.__array_interface__["data"][0], n)
 
 
 def solve_hpd(Z, q, loading=DEFAULT_LOADING):

@@ -5,13 +5,15 @@ reweighted least squares; the prediction residual is the desired signal.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import scipy_linalg_module, solve_hpd
+from .numerics import (blas_threads, herk_lower, one_blas_thread,
+                       scipy_linalg_module, solve_hpd)
 from .stft import MultichannelSpectrogram
 
 
@@ -111,42 +113,74 @@ def solve_all_bands(regressors, targets, weights):
     """Per-band weighted normal-equation solve and the prediction it makes.
 
     regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
-    (frames, bins). Band by band, one reused buffer is written with the
+    (frames, bins). Band by band, a reused buffer is written with the
     scaled rows [x; t] / sqrt(weight), straight from the strided window
-    view. One Hermitian rank-k update of those rows yields the lower
-    triangles of Z = sum x x^H / weight and q = sum x t* / weight;
+    view. One Hermitian rank-k update of those rows (herk_lower) yields the
+    lower triangles of Z = sum x x^H / weight and q = sum x t* / weight;
     solve_hpd reads only that lower triangle. The prediction w^H x is taken
     from the same scaled rows right after the solve and unscaled once at
     the end. Returns the (bins, L*Q) filter weights and the (frames, bins)
-    prediction. A failing band raises SingularBandError naming that band.
+    prediction.
+
+    The bins are split into blas_threads() contiguous ranges (at most one
+    per bin), each solved by its own thread with its own buffers; the
+    calling thread solves the first. The rank-k update runs without the
+    GIL, so the ranges overlap, and BLAS is held at one thread meanwhile
+    (one_blas_thread), so every band is computed alike whatever the thread
+    count. A failing band raises SingularBandError naming the lowest
+    failing band, after every thread has finished.
     """
     # Loaded on the first solve, so simulate and evaluate never load it.
-    fblas = scipy_linalg_module("_fblas")
-    zherk, zgemv = fblas.zherk, fblas.zgemv
+    zgemv = scipy_linalg_module("_fblas").zgemv
 
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
     filters = np.empty((n_bins, n_taps), dtype=np.complex128)
     prediction = np.empty((n_bins, n_frames), dtype=np.complex128)
-    band = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
-    taps = band[:n_taps].reshape(regressors.windows.shape[1:])  # a view
-    # Per-band BLAS and LAPACK calls all go to scipy (zherk, zpotrf, zpotrs,
-    # zgemv); everything else is elementwise numpy. numpy and scipy each
-    # bundle their own OpenBLAS, and alternating the two thread pools band
-    # by band made a preset-A WPE run about 3x slower.
-    for k in range(n_bins):
-        np.multiply(regressors.windows[k], scale[k], out=taps)
-        np.multiply(targets[:, k], scale[k], out=band[n_taps])
-        # band.T and band[:n_taps].T are Fortran-ordered, so f2py copies
-        # neither; trans=2 gives conj(band band^H), whose lower triangle
-        # holds conj(Z) and, in its last row, q.
-        gram = zherk(1.0, band.T, trans=2, lower=1)
+    workers = min(blas_threads(), n_bins)
+    edges = [n_bins * i // workers for i in range(workers + 1)]
+    errors = [None] * workers
+
+    def solve_range(index):
+        band = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
+        gram = np.zeros((n_taps + 1, n_taps + 1), dtype=np.complex128,
+                        order="F")
+        taps = band[:n_taps].reshape(regressors.windows.shape[1:])  # a view
         try:
-            filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
-                                   gram[n_taps, :n_taps])
-        except SingularBandError as exc:
-            raise SingularBandError(f"band {k}: {exc}", band=k) from exc
-        prediction[k] = zgemv(1.0, band[:n_taps].T, filters[k].conj())
+            for k in range(edges[index], edges[index + 1]):
+                np.multiply(regressors.windows[k], scale[k], out=taps)
+                np.multiply(targets[:, k], scale[k], out=band[n_taps])
+                # gram's lower triangle: conj(Z), and q in its last row.
+                herk_lower(band, gram)
+                try:
+                    filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
+                                           gram[n_taps, :n_taps])
+                except SingularBandError as exc:
+                    raise SingularBandError(f"band {k}: {exc}",
+                                            band=k) from exc
+                # band[:n_taps].T is Fortran-ordered: f2py does not copy it.
+                prediction[k] = zgemv(1.0, band[:n_taps].T,
+                                      filters[k].conj())
+        except Exception as exc:  # raised by the calling thread, below
+            errors[index] = exc
+
+    # Per-band BLAS and LAPACK calls all go to scipy's OpenBLAS (zherk,
+    # zpotrf, zpotrs, zgemv); everything else is elementwise numpy. numpy
+    # and scipy each bundle their own OpenBLAS, and alternating the two
+    # thread pools band by band made a preset-A WPE run about 3x slower.
+    with one_blas_thread():
+        threads = [threading.Thread(target=solve_range, args=(index,))
+                   for index in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        try:
+            solve_range(0)
+        finally:
+            for thread in threads:
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     prediction /= scale
     return filters, prediction.T
 

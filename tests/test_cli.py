@@ -426,6 +426,36 @@ def test_dereverb_loads_only_the_f2py_modules_of_scipy(tmp_path, scene_dir,
     assert not {"scipy", "scipy.linalg", "numpy.f2py"} & set(modules)
 
 
+@pytest.mark.parametrize("method", [
+    ["--method", "wpe"],
+    ["--method", "pnpwpe", "--denoiser", "wiener"],
+])
+def test_dereverb_output_does_not_depend_on_the_blas_thread_count(
+        tmp_path, scene_dir, method):
+    """Each band is solved at one BLAS thread, so one worker thread and two
+    write the same bytes."""
+    src = os.path.dirname(os.path.dirname(dereverb.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dereverb.cli; "
+            "from dereverb.numerics import blas_threads; "
+            "code = dereverb.cli.main(['dereverb', '--input', sys.argv[2], "
+            "'--out', sys.argv[3], *sys.argv[4:]]); "
+            "print(code, blas_threads())")
+    obs = os.path.join(scene_dir, "observed.wav")
+    written, reported = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}.wav"
+        lines = subprocess.run(
+            [sys.executable, "-c", code, src, obs, str(out), *method],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), check=True,
+            capture_output=True, text=True, timeout=60).stdout.splitlines()
+        code_printed, count = lines[-1].split()
+        assert code_printed == str(EXIT_OK)
+        reported.append(count)
+        written.append(out.read_bytes())
+    assert reported[0] == "1"
+    assert written[0] == written[1], f"BLAS threads {reported}"
+
+
 def test_exit_code_empty_clean_wav(tmp_path):
     empty = tmp_path / "empty.wav"
     write_wav(MultichannelTimeSignal((TimeSignal([], 16000),)), empty)

@@ -1,6 +1,7 @@
 import os
 import struct
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -229,10 +230,10 @@ with open(sys.argv[2], "wb") as fh:
 """
 
 
-def _script_denoiser(tmp_path, body, workdir=None):
+def _script_denoiser(tmp_path, body):
     script = tmp_path / "denoise.py"
     script.write_text(body)
-    return ExternalDenoiser((sys.executable, str(script)), workdir=workdir)
+    return ExternalDenoiser((sys.executable, str(script)))
 
 
 def _kept_dir_named_in(message, work):
@@ -250,43 +251,45 @@ def test_external_copy_matches_identity(tmp_path):
     assert np.array_equal(out.values, spec.values)
 
 
-def test_external_failure_keeps_workdir(tmp_path):
+def test_external_failure_keeps_workdir(tmp_path, monkeypatch):
     spec = _random_spec(np.random.default_rng(9))
     work = tmp_path / "work"
     work.mkdir()
-    denoiser = _script_denoiser(tmp_path, "import sys; sys.exit(1)",
-                                workdir=str(work))
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
+    denoiser = _script_denoiser(tmp_path, "import sys; sys.exit(1)")
     with pytest.raises(DenoiserError) as info:
         denoiser.denoise(spec)
     _kept_dir_named_in(str(info.value), work)
 
 
-def test_external_command_that_cannot_start_keeps_workdir(tmp_path):
+def test_external_command_that_cannot_start_keeps_workdir(tmp_path,
+                                                         monkeypatch):
     spec = _random_spec(np.random.default_rng(13))
     work = tmp_path / "work"
     work.mkdir()
-    denoiser = ExternalDenoiser((str(tmp_path / "no_such_denoiser"),),
-                                workdir=str(work))
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
+    denoiser = ExternalDenoiser((str(tmp_path / "no_such_denoiser"),))
     with pytest.raises(DenoiserError) as info:
         denoiser.denoise(spec)
     _kept_dir_named_in(str(info.value), work)
 
 
-def test_external_missing_output_is_protocol_error(tmp_path):
+def test_external_missing_output_is_protocol_error(tmp_path, monkeypatch):
     spec = _random_spec(np.random.default_rng(10))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with pytest.raises(ProtocolError):
-        _script_denoiser(tmp_path, "import sys",
-                         workdir=str(tmp_path)).denoise(spec)
+        _script_denoiser(tmp_path, "import sys").denoise(spec)
 
 
-def test_external_shape_change_is_protocol_error(tmp_path):
+def test_external_shape_change_is_protocol_error(tmp_path, monkeypatch):
     body = (COPY_SCRIPT + "\nimport struct\n"
             "raw = bytearray(open(sys.argv[2], 'rb').read())\n"
             "raw[8:12] = struct.pack('<I', 1)\n"
             "open(sys.argv[2], 'wb').write(raw[:24 + 5 * 8])\n")
     spec = _random_spec(np.random.default_rng(11))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with pytest.raises(ProtocolError):
-        _script_denoiser(tmp_path, body, workdir=str(tmp_path)).denoise(spec)
+        _script_denoiser(tmp_path, body).denoise(spec)
 
 
 def test_external_soft_threshold_matches_in_process(tmp_path):
@@ -299,7 +302,8 @@ def test_external_soft_threshold_matches_in_process(tmp_path):
     assert np.array_equal(external.values, as_f32)
 
 
-def test_external_non_finite_output_is_protocol_error(tmp_path):
+def test_external_non_finite_output_is_protocol_error(tmp_path,
+                                                      monkeypatch):
     body = (COPY_SCRIPT + "\nimport struct\n"
             "raw = bytearray(open(sys.argv[2], 'rb').read())\n"
             "raw[24:28] = struct.pack('<f', float('nan'))\n"
@@ -307,8 +311,9 @@ def test_external_non_finite_output_is_protocol_error(tmp_path):
     spec = _random_spec(np.random.default_rng(13))
     work = tmp_path / "work"
     work.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
     with pytest.raises(ProtocolError) as info:
-        _script_denoiser(tmp_path, body, workdir=str(work)).denoise(spec)
+        _script_denoiser(tmp_path, body).denoise(spec)
     _kept_dir_named_in(str(info.value), work)
 
 
@@ -318,8 +323,8 @@ def test_external_non_finite_output_is_protocol_error(tmp_path):
     ("raw[16:20] = struct.pack('<I', 8000)",
      "denoiser changed the sample rate"),
 ])
-def test_external_protocol_errors_name_the_kept_workdir(tmp_path, edit,
-                                                        reason):
+def test_external_protocol_errors_name_the_kept_workdir(tmp_path, monkeypatch,
+                                                        edit, reason):
     body = (COPY_SCRIPT + "\nimport struct\n"
             "raw = bytearray(open(sys.argv[2], 'rb').read())\n"
             f"{edit}\n"
@@ -327,8 +332,9 @@ def test_external_protocol_errors_name_the_kept_workdir(tmp_path, edit,
     spec = _random_spec(np.random.default_rng(14))
     work = tmp_path / "work"
     work.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
     with pytest.raises(ProtocolError) as info:
-        _script_denoiser(tmp_path, body, workdir=str(work)).denoise(spec)
+        _script_denoiser(tmp_path, body).denoise(spec)
     assert str(info.value).startswith(reason)
     _kept_dir_named_in(str(info.value), work)
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import dereverb
+from dereverb import numerics
 from dereverb.errors import ArgumentError, SingularBandError
-from dereverb.numerics import solve_hpd
+from dereverb.numerics import herk_lower, scipy_linalg_module, solve_hpd
 from helpers import (NormalEquations, accumulate_batch,
                      accumulate_normal_equations)
 
@@ -167,6 +168,38 @@ def test_hermitian_enforced():
     terms = _random_terms(rng, 50, 6)
     ne = accumulate_normal_equations(terms)
     assert np.max(np.abs(ne.Z - ne.Z.conj().T)) == 0.0
+
+
+def test_herk_lower_is_the_f2py_zherk_with_and_without_scipy_openblas(
+        monkeypatch):
+    rng = np.random.default_rng(30)
+    rows = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
+    expected = scipy_linalg_module("_fblas").zherk(1.0, rows.T, trans=2,
+                                                   lower=1)
+    upper = np.triu_indices(7, 1)
+    for library in (numerics.scipy_openblas(), None):
+        monkeypatch.setattr(numerics, "scipy_openblas",
+                            lambda library=library: library)
+        gram = np.full((7, 7), 5.0 + 0j, order="F")
+        herk_lower(rows, gram)
+        np.testing.assert_allclose(np.tril(gram), np.tril(expected),
+                                   rtol=1e-13)
+        assert np.all(gram[upper] == 5.0)
+        for bad_rows, bad_gram in [(np.asfortranarray(rows), gram),
+                                   (rows, np.ascontiguousarray(gram)),
+                                   (rows, gram[:6, :6]),
+                                   (rows.real.copy(), gram.real.copy("F"))]:
+            with pytest.raises(ArgumentError):
+                herk_lower(bad_rows, bad_gram)
+
+
+def test_one_blas_thread_restores_the_thread_count_when_its_block_raises():
+    before = numerics.blas_threads()
+    with pytest.raises(RuntimeError):
+        with numerics.one_blas_thread():
+            assert numerics.blas_threads() == 1
+            raise RuntimeError("raised inside the block")
+    assert numerics.blas_threads() == before
 
 
 # Run in a fresh interpreter with src/ first on the path (argv[1]): solve()

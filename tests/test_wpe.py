@@ -1,8 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dereverb import numerics, wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.roomsim import EARLY_WINDOW_S
@@ -169,11 +172,85 @@ def test_failing_target_band_reports_its_index():
     assert info.value.band == 3
 
 
-def test_solve_all_bands_works_in_one_band_of_memory():
+# --- worker threads ---------------------------------------------------------
+
+def _band_problem(seed, n_bins, n_ch=2, n_frames=30):
+    """Regressors (D=1, L=2), targets and weights of a random problem."""
+    rng = np.random.default_rng(seed)
+    obs = (rng.standard_normal((n_ch, n_frames, n_bins))
+           + 1j * rng.standard_normal((n_ch, n_frames, n_bins)))
+    weights = rng.uniform(0.5, 2.0, (n_frames, n_bins))
+    return stack_regressors(obs, delay=1, order=2), obs[0], weights
+
+
+@pytest.mark.parametrize("n_bins", [3, 40])
+def test_solve_all_bands_is_bit_identical_for_any_worker_count(monkeypatch,
+                                                               n_bins):
+    # 5 workers on 3 bins: one per bin
+    problem = _band_problem(20, n_bins)
+    solvers = []
+
+    def recording_solve(Z, q):
+        solvers.append(threading.current_thread())
+        return solve_hpd(Z, q)
+
+    monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
+    blas_before = numerics.blas_threads()
+    results = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap as often as they can
+    try:
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(wpe, "blas_threads", lambda: workers)
+            solvers.clear()
+            filters, prediction = solve_all_bands(*problem)
+            assert len(solvers) == n_bins
+            assert len(set(solvers)) == min(workers, n_bins)
+            assert numerics.blas_threads() == blas_before
+            results.add(filters.tobytes() + prediction.tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("failing, named", [
+    ({10}, 10),            # in the last range only
+    ({1, 4, 7, 10}, 1),    # in every range
+])
+def test_failing_band_in_a_worker_range(monkeypatch, failing, named):
+    # 4 workers over 12 bins: bins 0-2, 3-5, 6-8 and 9-11
+    regressors, targets, weights = _band_problem(21, 12)
+    targets = targets.copy()
+    targets[:, sorted(failing)] = 0.0
+    calls = []
+
+    def failing_solve(Z, q):
+        calls.append((threading.current_thread(), numerics.blas_threads()))
+        if not np.any(q):  # only the bands with zero targets
+            raise SingularBandError("made to fail")
+        return solve_hpd(Z, q)
+
+    monkeypatch.setattr(wpe, "solve_hpd", failing_solve)
+    monkeypatch.setattr(wpe, "blas_threads", lambda: 4)
+    blas_before = numerics.blas_threads()
+    running = set(threading.enumerate())
+    with pytest.raises(SingularBandError, match=rf"^band {named}: ") as info:
+        solve_all_bands(regressors, targets, weights)
+    assert info.value.band == named
+    solvers = {thread for thread, _ in calls}
+    assert len(solvers) == 4
+    assert not any(thread.is_alive() for thread in solvers - running)
+    assert set(threading.enumerate()) == running
+    assert numerics.blas_threads() == blas_before
+    assert {threads for _, threads in calls} == {1}
+
+
+def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
     # many bins of short rows: beyond its outputs (filters, prediction and
-    # the (bins, frames) scale), the solver holds one band's scaled rows at
-    # a time, plus numpy's casting buffer of np.getbufsize() complex
-    # elements for the final unscaling
+    # the (bins, frames) scale), each of the two worker threads holds one
+    # band's scaled rows at a time, plus numpy's casting buffer of
+    # np.getbufsize() complex elements for the final unscaling
+    monkeypatch.setattr(wpe, "blas_threads", lambda: 2)
     rng = np.random.default_rng(18)
     config = StftConfig()
     delay, order, n_frames = 2, 2, 200
