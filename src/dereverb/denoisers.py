@@ -57,8 +57,11 @@ class WienerDenoiser:
     def denoise(self, spec):
         power = np.abs(spec.values) ** 2
         floor = np.quantile(power, self.quantile, axis=0)  # per bin
-        gain = np.maximum(1.0 - floor / np.maximum(power, floor),
-                          self.min_gain)
+        level = np.maximum(power, floor)
+        # Where level is 0 the cell is 0, and any gain keeps it 0.
+        ratio = np.divide(floor, level, out=np.zeros_like(level),
+                          where=level > 0)
+        gain = np.maximum(1.0 - ratio, self.min_gain)
         return spec.with_values(spec.values * gain)
 
 

@@ -29,11 +29,11 @@ class MetricReport:
     frames_used: int
 
 
-def _frames(x, frame_len=FRAME_LEN, hop=HOP):
-    """Unwindowed (frames, frame_len) strided view of x at hop intervals."""
-    if len(x) < frame_len:
+def _frames(x):
+    """Unwindowed (frames, FRAME_LEN) strided view of x at HOP intervals."""
+    if len(x) < FRAME_LEN:
         raise MetricError("signal shorter than one metric frame")
-    return sliding_window_view(x, frame_len)[::hop]
+    return sliding_window_view(x, FRAME_LEN)[::HOP]
 
 
 def _vad_mask(ref_frames):
@@ -88,20 +88,20 @@ def _cd(ref_spec, est_spec):
     return float(np.mean(per_frame))
 
 
-def mel_filterbank(num_bands=NUM_BANDS, fft_len=FRAME_LEN, sample_rate=16000):
-    """Triangular mel-spaced bands over 0..sample_rate/2, (bands, bins)."""
+def mel_filterbank(sample_rate=16000):
+    """Triangular mel bands over 0..sample_rate/2, (NUM_BANDS, bins)."""
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
 
     def from_mel(m):
         return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
-    n_bins = fft_len // 2 + 1
+    n_bins = FRAME_LEN // 2 + 1
     edges = from_mel(np.linspace(0.0, to_mel(sample_rate / 2.0),
-                                 num_bands + 2))
-    freqs = np.arange(n_bins) * sample_rate / fft_len
-    bank = np.zeros((num_bands, n_bins))
-    for m in range(num_bands):
+                                 NUM_BANDS + 2))
+    freqs = np.arange(n_bins) * sample_rate / FRAME_LEN
+    bank = np.zeros((NUM_BANDS, n_bins))
+    for m in range(NUM_BANDS):
         lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
         up = (freqs - lo) / max(mid - lo, 1e-12)
         down = (hi - freqs) / max(hi - mid, 1e-12)

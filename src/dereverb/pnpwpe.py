@@ -16,6 +16,8 @@ from .errors import ArgumentError
 from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
                   prepare, relative_change, solve_all_bands)
 
+PLATEAU_THRESHOLD = 0.05  # the change of R plateau_iteration calls settled
+
 
 @dataclass(frozen=True)
 class PnpParams:
@@ -108,12 +110,10 @@ def run_pnpwpe(observed, params):
     wpe_params = params.wpe
     reference, regressors = prepare(observed, wpe_params)
     x_ref = reference.values
-
-    shape = x_ref.shape
-    s_hat = x_ref.copy()
-    r = np.zeros(shape, dtype=np.complex128)
-    v = np.zeros(shape, dtype=np.complex128)
-    p = np.zeros(shape, dtype=np.complex128)
+    s_hat = x_ref
+    r = np.zeros_like(x_ref)
+    v = np.zeros_like(x_ref)
+    p = np.zeros_like(x_ref)
     trace = []
 
     for _ in range(wpe_params.iterations):
@@ -143,11 +143,11 @@ def run_pnpwpe(observed, params):
     return reference.with_values(r), state, trace
 
 
-def plateau_iteration(trace, threshold=0.05):
+def plateau_iteration(trace):
     """First iteration, from the second on, whose change and every later one
-    stay below threshold; None if there is none, as when the last change
-    is not below threshold."""
+    stay below PLATEAU_THRESHOLD; None if there is none, as when the last
+    change is not below it."""
     for i in range(1, len(trace)):
-        if all(record.change < threshold for record in trace[i:]):
+        if all(record.change < PLATEAU_THRESHOLD for record in trace[i:]):
             return i + 1
     return None

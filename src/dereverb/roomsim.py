@@ -13,6 +13,7 @@ from .signals import (MultichannelTimeSignal, TimeSignal, check_noise,
 
 SPEED_OF_SOUND = 343.0
 EARLY_WINDOW_S = 0.050
+T60_FIT_RANGE = (-5.0, -35.0)  # dB levels of the decay curve measure_t60 fits
 MIC_WALL_MARGIN = 0.1
 ARRAY_SPACING = 0.040
 NUM_MICS = 4
@@ -253,16 +254,16 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     return Scene(
         observed=MultichannelTimeSignal.from_array(observed, spec.sample_rate),
         reference=reference,
-        clean=TimeSignal(clean.samples[:length], spec.sample_rate),
+        clean=clean,
         rirs=rirs,
     )
 
 
-def measure_t60(rir, fit_range=(-5.0, -35.0)):
+def measure_t60(rir):
     """Reverberation time from Schroeder backward integration.
 
-    Fits a line to the energy decay curve between fit_range dB levels and
-    extrapolates to -60 dB.
+    Fits a line to the energy decay curve between the T60_FIT_RANGE dB
+    levels and extrapolates to -60 dB.
     """
     energy = rir.samples**2
     total = float(np.sum(energy))
@@ -271,7 +272,7 @@ def measure_t60(rir, fit_range=(-5.0, -35.0)):
     edc = np.cumsum(energy[::-1])[::-1] / total
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(edc, 1e-300))
-    hi, lo = fit_range
+    hi, lo = T60_FIT_RANGE
     start = int(np.argmax(db <= hi))
     ends = np.nonzero(db <= lo)[0]
     if db[start] > hi or ends.size == 0:

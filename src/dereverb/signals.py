@@ -201,7 +201,7 @@ def convolve_each(signal, kernels, length):
     samples, as many as the first `length` outputs read, and their spectra
     are one 2-D rfft shared by every kernel. Each kernel in turn takes one
     rfft, one multiply and one 2-D irfft, in buffers reused from kernel to
-    kernel; its block outputs are added where they overlap, in block order.
+    kernel; its block outputs are added into the row in block order.
     The kernels must share the signal's sample rate; convolve and
     render_scene check it.
     """
@@ -213,6 +213,9 @@ def convolve_each(signal, kernels, length):
     if used == 0:
         return out
     starts = range(0, used, step)
+    # -0.0 is the identity of addition: where one block alone reaches a
+    # sample, the sample keeps that block's bytes, a zero's sign included.
+    out[:, :starts[-1] + nfft] = -0.0
     blocks = np.zeros((len(starts), nfft))
     for block, start in zip(blocks, starts):
         piece = signal.samples[start:start + step]
@@ -225,14 +228,9 @@ def convolve_each(signal, kernels, length):
         np.fft.rfft(kernel.samples, nfft, out=kernel_spectrum)
         np.multiply(block_spectra, kernel_spectrum, out=products)
         np.fft.irfft(products, nfft, out=outputs)
-        # Block b's output starts at b * step and overlaps only block
-        # b - 1's, which ends at `end`: add there, assign past it.
-        end = 0
         for start, output in zip(starts, outputs):
             stop = min(start + nfft, length)
-            row[start:end] += output[:end - start]
-            row[end:stop] = output[end - start:stop - start]
-            end = stop
+            row[start:stop] += output[:stop - start]
     return out
 
 

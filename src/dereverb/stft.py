@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError
 from .signals import TimeSignal
@@ -109,11 +110,8 @@ def analyze(signal, config=StftConfig()):
     if len(x) < config.frame_len:
         raise ArgumentError("signal shorter than one frame")
     padded = np.concatenate([x, np.zeros(config.frame_len)])
-    n_frames = len(x) // config.hop + 1
-    window = hann(config.frame_len)
-    idx = (np.arange(n_frames)[:, None] * config.hop
-           + np.arange(config.frame_len)[None, :])
-    frames = padded[idx] * window[None, :]
+    frames = (sliding_window_view(padded, config.frame_len)[::config.hop]
+              * hann(config.frame_len))
     values = np.fft.rfft(frames, n=config.frame_len, axis=1)
     return Spectrogram(values, config, signal.sample_rate, len(x))
 
@@ -124,25 +122,24 @@ def analyze_multichannel(signal, config=StftConfig()):
 
 
 def synthesize(spec: Spectrogram):
-    """Weighted overlap-add inverse of analyze.
+    """Weighted overlap-add inverse of analyze, signal_length samples long,
+    normalized by the summed squared-window envelope.
 
-    The synthesis window equals the analysis window; the overlap-added
-    frames are normalized by the summed squared-window envelope and the
-    output is trimmed to the original signal length.
+    Block r (hop samples) of frame n lands on output block n + r; adding
+    each r over all frames, last r first, sums each sample in frame order.
     """
     config = spec.config
+    hop = config.hop
+    per_frame = config.frame_len // hop
     window = hann(config.frame_len)
-    frames = np.fft.irfft(spec.values, n=config.frame_len, axis=1)
-    frames = frames * window[None, :]
-    out_len = (spec.num_frames - 1) * config.hop + config.frame_len
-    buf = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    for n in range(spec.num_frames):
-        start = n * config.hop
-        buf[start:start + config.frame_len] += frames[n]
-        wsum[start:start + config.frame_len] += window**2
+    frames = (np.fft.irfft(spec.values, n=config.frame_len, axis=1)
+              * window).reshape(spec.num_frames, per_frame, hop)
+    squares = (window**2).reshape(per_frame, hop)
+    n_blocks = -(-spec.signal_length // hop)
+    buf, wsum = np.zeros((2, n_blocks, hop))
+    for r in reversed(range(per_frame)):
+        n = max(0, min(spec.num_frames, n_blocks - r))
+        buf[r:r + n] += frames[:n, r]
+        wsum[r:r + n] += squares[r]
     out = buf / np.maximum(wsum, 1e-12)
-    target = min(spec.signal_length, out_len)
-    trimmed = np.zeros(spec.signal_length)
-    trimmed[:target] = out[:target]
-    return TimeSignal(trimmed, spec.sample_rate)
+    return TimeSignal(out.ravel()[:spec.signal_length], spec.sample_rate)

@@ -1,7 +1,8 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
-per-frame regressor and prediction oracles, reference accumulators of the
-weighted normal equations, a whole-lattice image-source RIR, a direct-form
-alignment oracle and fuzzing strategies."""
+reference STFT analysis and synthesis, per-frame regressor and prediction
+oracles, reference accumulators of the weighted normal equations, a
+whole-lattice image-source RIR, a direct-form alignment oracle and fuzzing
+strategies."""
 import math
 from dataclasses import dataclass
 
@@ -13,7 +14,7 @@ from dereverb.errors import ArgumentError
 from dereverb.roomsim import (SPEED_OF_SOUND, reflection_coefficient,
                               render_scene, sample_room, white_noise)
 from dereverb.signals import TimeSignal
-from dereverb.stft import Spectrogram, StftConfig
+from dereverb.stft import Spectrogram, StftConfig, hann
 
 
 def speech_like(duration, fs=16000, seed=0):
@@ -70,6 +71,44 @@ def random_spectrogram(n_frames, config=None, seed=0, sample_rate=16000,
                       + 1j * rng.standard_normal(shape))
     length = (n_frames - 1) * config.hop + config.frame_len
     return Spectrogram(values, config, sample_rate, length)
+
+
+def analyze_gather(signal, config):
+    """Reference STFT: the tail zero-padded by one frame, and the N =
+    len // hop + 1 frames gathered through a (frames, frame_len) index
+    array, then windowed and transformed."""
+    x = signal.samples
+    padded = np.concatenate([x, np.zeros(config.frame_len)])
+    n_frames = len(x) // config.hop + 1
+    window = hann(config.frame_len)
+    idx = (np.arange(n_frames)[:, None] * config.hop
+           + np.arange(config.frame_len)[None, :])
+    frames = padded[idx] * window[None, :]
+    values = np.fft.rfft(frames, n=config.frame_len, axis=1)
+    return Spectrogram(values, config, signal.sample_rate, len(x))
+
+
+def synthesize_loop(spec):
+    """Reference weighted overlap-add: one frame at a time in frame order,
+    each frame and its squared window added at its offset, the sum divided
+    by the envelope floored at 1e-12, then cut or zero-padded to
+    signal_length."""
+    config = spec.config
+    window = hann(config.frame_len)
+    frames = np.fft.irfft(spec.values, n=config.frame_len, axis=1)
+    frames = frames * window[None, :]
+    out_len = (spec.num_frames - 1) * config.hop + config.frame_len
+    buf = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    for n in range(spec.num_frames):
+        start = n * config.hop
+        buf[start:start + config.frame_len] += frames[n]
+        wsum[start:start + config.frame_len] += window**2
+    out = buf / np.maximum(wsum, 1e-12)
+    target = min(spec.signal_length, out_len)
+    trimmed = np.zeros(spec.signal_length)
+    trimmed[:target] = out[:target]
+    return TimeSignal(trimmed, spec.sample_rate)
 
 
 def build_regressor(spec, n, k, delay, order):

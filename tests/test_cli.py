@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ def test_dereverb_pnpwpe_with_trace(tmp_path, scene_dir):
     first = lines[1].split(",")
     assert first[0] == "1" and float(first[1]) >= 0.0
     assert first[2] == "inf"  # R starts at zero
+
+
+def test_dereverb_pnpwpe_wiener_takes_leading_digital_silence(tmp_path,
+                                                               scene_dir):
+    """1.5 s of exact zeros before the scene leave bins whose power and
+    quantile floor are both 0; the Wiener gain must not divide 0 by 0."""
+    observed = read_wav(os.path.join(scene_dir, "observed.wav"))
+    silence = np.zeros((observed.num_channels, int(1.5 * 16000)))
+    padded = tmp_path / "silent.wav"
+    write_wav(MultichannelTimeSignal.from_array(
+        np.concatenate([silence, observed.as_array()], axis=1), 16000),
+        padded)
+    out = tmp_path / "pnp.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dereverb", "--input", str(padded), "--out", str(out),
+                     "--method", "pnpwpe", "--denoiser", "wiener",
+                     "--preset", "A"])
+    assert code == EXIT_OK
+    assert np.all(np.isfinite(read_wav(out).as_array()))
 
 
 def test_evaluate_appends_csv(tmp_path, scene_dir, capsys):

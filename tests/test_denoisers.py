@@ -107,6 +107,17 @@ def test_wiener_matches_direct_evaluation():
             assert abs(out.values[n, k] - g * spec.values[n, k]) < 1e-12
 
 
+def test_wiener_all_zero_bin_is_finite_without_a_warning():
+    rng = np.random.default_rng(5)
+    values = _random_spec(rng).values
+    values[:, 2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = WienerDenoiser(0.5, 0.2).denoise(_spec(values))
+    assert np.all(out.values[:, 2] == 0.0)
+    assert np.all(np.isfinite(out.values))
+
+
 @pytest.mark.parametrize("denoiser", [
     SoftThresholdDenoiser(0.4),
     WienerDenoiser(0.3, 0.1),

@@ -207,6 +207,19 @@ def test_convolve_each_kernel_longer_than_signal_matches_direct_form():
     _assert_matches_direct_form(x, *kernels, length=len(x))
 
 
+def test_convolve_each_keeps_a_lone_block_output_byte_for_byte():
+    """A one-tap kernel makes blocks of 2 points that do not overlap, so
+    each output sample is one block's irfft output, its zero's sign
+    included; past the full convolution the output is +0.0."""
+    kernel = TimeSignal([-1.0], 16000)
+    out = convolve_each(TimeSignal(np.zeros(10), 16000), (kernel,), 12)[0]
+    blocks = np.fft.irfft(np.fft.rfft(np.zeros((5, 2)), 2)
+                          * np.fft.rfft([-1.0], 2), 2)
+    assert np.any(np.signbit(blocks))
+    expected = np.concatenate([blocks.ravel(), [0.0, 0.0]])
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_convolve_rejects_empty_operands():
     x = TimeSignal([1.0, 2.0], 16000)
     empty = TimeSignal([], 16000)

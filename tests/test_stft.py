@@ -5,6 +5,11 @@ from dereverb.errors import ArgumentError
 from dereverb.signals import TimeSignal
 from dereverb.stft import (Spectrogram, StftConfig, analyze, hann,
                            synthesize)
+from helpers import analyze_gather, synthesize_loop
+
+# (frame_len, hop): hop a quarter, the whole and a third of an odd frame,
+# and the pipeline default.
+CONFIGS = [(8, 2), (8, 8), (9, 3), (512, 128)]
 
 
 def test_hann_closed_form():
@@ -107,3 +112,41 @@ def test_short_signal_rejected():
 def test_config_invariants():
     with pytest.raises(ArgumentError):
         StftConfig(frame_len=512, hop=100)
+
+
+@pytest.mark.parametrize("frame_len,hop", CONFIGS)
+def test_analyze_matches_gather_reference_byte_for_byte(frame_len, hop):
+    config = StftConfig(frame_len=frame_len, hop=hop)
+    rng = np.random.default_rng(frame_len * 1000 + hop)
+    lengths = [frame_len, frame_len + 1, frame_len + hop, 5 * frame_len - 1,
+               int(rng.integers(frame_len, 40 * frame_len))]
+    for n in lengths:
+        x = rng.standard_normal(n)
+        x[:n // 3] = 0.0
+        signal = TimeSignal(x, 16000)
+        expected = analyze_gather(signal, config)
+        spec = analyze(signal, config)
+        assert spec.values.tobytes() == expected.values.tobytes()
+        assert spec.signal_length == expected.signal_length == n
+
+
+@pytest.mark.parametrize("frame_len,hop", CONFIGS)
+def test_synthesize_matches_loop_reference_byte_for_byte(frame_len, hop):
+    """Random complex entries, which no STFT produces, over signal lengths
+    shorter than, equal to and longer than the frames' span."""
+    config = StftConfig(frame_len=frame_len, hop=hop)
+    rng = np.random.default_rng(frame_len * 1000 + hop)
+    for n_frames in (0, 1, 2, 7):
+        span = (n_frames - 1) * hop + frame_len
+        for length in sorted({0, 1, span // 2, span - hop - 1, span - 1, span,
+                              span + 1, span + 2 * hop + 1}):
+            if length < 0:
+                continue
+            shape = (n_frames, config.num_bins)
+            values = (rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape))
+            spec = Spectrogram(values, config, 16000, length)
+            out = synthesize(spec).samples
+            assert out.tobytes() == synthesize_loop(spec).samples.tobytes()
+            assert len(out) == length
+
