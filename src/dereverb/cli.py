@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import gc
 import itertools
 import os
 import pathlib
@@ -17,17 +18,13 @@ import shlex
 import sys
 import tempfile
 
-from .denoisers import (ExternalDenoiser, IdentityDenoiser,
-                        SoftThresholdDenoiser, WienerDenoiser)
 from .errors import (AlignmentError, ArgumentError, DenoiserError,
                      FormatError, GeometryError, MetricError, ProtocolError,
                      SingularBandError)
-from .metrics import evaluate_pair
-from .pnpwpe import PnpParams, plateau_iteration, run_pnpwpe
-from .roomsim import PRESETS, render_scene, sample_room, white_noise
-from .signals import MultichannelTimeSignal, read_wav, write_wav
-from .stft import StftConfig, analyze_multichannel, synthesize
-from .wpe import WpeParams, run_wpe
+
+# Each cmd_* imports the modules it runs, and main adds the flags of the
+# parsed subcommand only, as their defaults come from those modules; so
+# `import dereverb.cli` loads no numpy and no submodule but errors.
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -37,6 +34,8 @@ EXIT_DENOISER = 5
 
 # Per-preset taps per channel, from a seeded sweep at the default delay and
 # iteration count (CHANGES.md): the lowest mean CD on noise-free scenes.
+# Its keys are the solver flags' --preset choices, so those need no roomsim;
+# a test holds them equal to roomsim.PRESETS.
 PRESET_FILTER_ORDER = {"A": 10, "B": 20}
 
 
@@ -55,18 +54,22 @@ def _atomic_write(path, write):
         raise
 
 
-# Each --denoiser kind and how the denoiser flags build it.
+# Each --denoiser kind and how the denoiser flags build it from the
+# denoisers module.
 DENOISERS = {
-    "identity": lambda args: IdentityDenoiser(),
-    "soft_threshold": lambda args: SoftThresholdDenoiser(args.threshold),
-    "wiener": lambda args: WienerDenoiser(args.quantile, args.min_gain),
-    "external": lambda args: ExternalDenoiser(
+    "identity": lambda d, args: d.IdentityDenoiser(),
+    "soft_threshold": lambda d, args: d.SoftThresholdDenoiser(args.threshold),
+    "wiener": lambda d, args: d.WienerDenoiser(args.quantile, args.min_gain),
+    "external": lambda d, args: d.ExternalDenoiser(
         shlex.split(args.denoiser_command or "")),
 }
 
 
 def _add_solver_flags(parser):
     """The STFT, WPE and PnPWPE flags of dereverb, sweep and convergence."""
+    from .pnpwpe import PnpParams
+    from .stft import StftConfig
+    from .wpe import WpeParams
     parser.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
     parser.add_argument("--hop", type=int, default=StftConfig.hop)
     parser.add_argument("--filter-order", type=int, default=None,
@@ -80,7 +83,8 @@ def _add_solver_flags(parser):
                         default=WpeParams.iterations)
     parser.add_argument("--reference-channel", type=int,
                         default=WpeParams.reference_channel)
-    parser.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    parser.add_argument("--preset", choices=sorted(PRESET_FILTER_ORDER),
+                        default=None)
     parser.add_argument("--rho", type=float, default=PnpParams.rho)
     parser.add_argument("--mu", type=float, default=PnpParams.mu)
     parser.add_argument("--inner-iters", type=int,
@@ -96,6 +100,7 @@ def _add_solver_flags(parser):
 
 
 def _filter_order(args):
+    from .wpe import WpeParams
     if args.filter_order is not None:
         return args.filter_order
     if args.preset is not None:
@@ -104,6 +109,7 @@ def _filter_order(args):
 
 
 def _wpe_params(args):
+    from .wpe import WpeParams
     return WpeParams(
         filter_order=_filter_order(args),
         delay=args.delay,
@@ -118,10 +124,12 @@ def _denoiser(args):
     kinds come here unchecked by argparse."""
     if args.denoiser not in DENOISERS:
         raise ArgumentError(f"unknown denoiser kind: {args.denoiser}")
-    return DENOISERS[args.denoiser](args)
+    from . import denoisers
+    return DENOISERS[args.denoiser](denoisers, args)
 
 
 def _pnp_params(args):
+    from .pnpwpe import PnpParams
     return PnpParams(
         wpe=_wpe_params(args),
         rho=args.rho,
@@ -141,6 +149,8 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_simulate(args):
+    from .roomsim import render_scene, sample_room, white_noise
+    from .signals import MultichannelTimeSignal, read_wav, write_wav
     clean_mc = read_wav(args.clean)
     if clean_mc.sample_rate != 16000:
         raise ArgumentError("clean input must be sampled at 16 kHz")
@@ -180,10 +190,15 @@ def cmd_simulate(args):
 
 
 def _stft_config(args):
+    from .stft import StftConfig
     return StftConfig(frame_len=args.frame_len, hop=args.hop)
 
 
 def cmd_dereverb(args):
+    from .pnpwpe import run_pnpwpe
+    from .signals import MultichannelTimeSignal, read_wav, write_wav
+    from .stft import analyze_multichannel, synthesize
+    from .wpe import run_wpe
     observed = analyze_multichannel(read_wav(args.input), _stft_config(args))
     if args.method == "wpe":
         estimate, _, trace = run_wpe(observed, _wpe_params(args))
@@ -198,6 +213,8 @@ def cmd_dereverb(args):
 
 
 def cmd_evaluate(args):
+    from .metrics import evaluate_pair
+    from .signals import read_wav
     reference = read_wav(args.reference).channels[0]
     estimate = read_wav(args.estimate).channels[0]
     report = evaluate_pair(reference, estimate)
@@ -229,6 +246,10 @@ def _parse_grid(args, name, cast):
 
 
 def cmd_sweep(args):
+    from .metrics import evaluate_pair
+    from .pnpwpe import plateau_iteration, run_pnpwpe
+    from .signals import read_wav
+    from .stft import analyze_multichannel, synthesize
     rhos = _parse_grid(args, "rho_grid", float) or [args.rho]
     mus = _parse_grid(args, "mu_grid", float) or [args.mu]
     orders = (_parse_grid(args, "filter_order_grid", int)
@@ -275,6 +296,9 @@ def cmd_sweep(args):
 
 
 def cmd_convergence(args):
+    from .pnpwpe import plateau_iteration, run_pnpwpe
+    from .signals import read_wav
+    from .stft import analyze_multichannel
     observed = analyze_multichannel(read_wav(args.input), _stft_config(args))
     _, _, trace = run_pnpwpe(observed, _pnp_params(args))
     _write_trace_csv(args.trace_csv, trace)
@@ -283,13 +307,8 @@ def cmd_convergence(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dereverb",
-        description="Multichannel speech dereverberation toolkit")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="render a reverberant scene bundle")
+def _simulate_flags(p):
+    from .roomsim import PRESETS
     p.add_argument("--preset", choices=sorted(PRESETS), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--clean", required=True)
@@ -297,23 +316,23 @@ def build_parser():
                    help="'wgn', 'none', or a WAV path")
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("dereverb", help="dereverberate a multichannel WAV")
+
+def _dereverb_flags(p):
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["wpe", "pnpwpe"], default="pnpwpe")
     p.add_argument("--out", required=True)
     p.add_argument("--trace-csv", default=None)
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_dereverb)
 
-    p = sub.add_parser("evaluate", help="compute CD and F-SNR")
+
+def _evaluate_flags(p):
     p.add_argument("--reference", required=True)
     p.add_argument("--estimate", required=True)
     p.add_argument("--csv", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="grid sweep over scenes")
+
+def _sweep_flags(p):
     p.add_argument("--scenes", nargs="+", required=True,
                    help="scene bundle directories")
     p.add_argument("--rho-grid", default=None)
@@ -322,18 +341,50 @@ def build_parser():
     p.add_argument("--denoiser-grid", default=None)
     p.add_argument("--out", required=True)
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("convergence", help="emit the solver error trace")
+
+def _convergence_flags(p):
     p.add_argument("--input", required=True)
     p.add_argument("--trace-csv", required=True)
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_convergence)
+
+
+# Each subcommand: its help line, the function adding its flags, and the
+# function running it.
+SUBCOMMANDS = {
+    "simulate": ("render a reverberant scene bundle", _simulate_flags,
+                 cmd_simulate),
+    "dereverb": ("dereverberate a multichannel WAV", _dereverb_flags,
+                 cmd_dereverb),
+    "evaluate": ("compute CD and F-SNR", _evaluate_flags, cmd_evaluate),
+    "sweep": ("grid sweep over scenes", _sweep_flags, cmd_sweep),
+    "convergence": ("emit the solver error trace", _convergence_flags,
+                    cmd_convergence),
+}
+
+
+def build_parser(subcommand=None):
+    """The CLI's parser. Every subcommand is listed, but only `subcommand`
+    has its flags, as its flag defaults import the modules it runs; all
+    have them when it is None."""
+    parser = argparse.ArgumentParser(
+        prog="dereverb",
+        description="Multichannel speech dereverberation toolkit")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_flags, func) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if subcommand in (None, name):
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the subcommand named exactly by argv[0]; any other argv
+    # gets the full parser, so its help and errors name every flag.
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS
+                          else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -355,5 +406,18 @@ def main(argv=None):
         return EXIT_NUMERIC
 
 
+def run():
+    """The CLI process: main() on sys.argv, then exit with its code.
+
+    Every object left is frozen first. The interpreter's last garbage
+    collections would otherwise walk them all, numpy's included, for about
+    20 ms, only for the process to end. Cyclic garbage is left to the
+    operating system unfinalized; main has closed every file it wrote.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,8 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, ArgumentError, MetricError
-from .signals import TimeSignal, fft_length
-from .stft import hann
+from .signals import TimeSignal, fft_length, hann
 
 FRAME_LEN = 512
 HOP = 128

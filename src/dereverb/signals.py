@@ -165,6 +165,14 @@ def write_wav(signal: MultichannelTimeSignal, path):
         fh.write(b"data" + struct.pack("<I", len(payload)) + payload)
 
 
+def hann(frame_len):
+    """Periodic Hann window: w[t] = 0.5*(1 - cos(2*pi*t/frame_len))."""
+    if frame_len < 2:
+        raise ArgumentError("frame_len must be >= 2")
+    t = np.arange(frame_len)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * t / frame_len))
+
+
 def fft_length(n):
     """The power of two at or above n: the block length of convolve_each
     (capped at fft_length(2 * taps)) and the correlation length of

@@ -12,15 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError
-from .signals import TimeSignal
-
-
-def hann(frame_len):
-    """Periodic Hann window: w[t] = 0.5*(1 - cos(2*pi*t/frame_len))."""
-    if frame_len < 2:
-        raise ArgumentError("frame_len must be >= 2")
-    t = np.arange(frame_len)
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * t / frame_len))
+from .signals import TimeSignal, hann
 
 
 @dataclass(frozen=True)

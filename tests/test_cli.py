@@ -407,6 +407,31 @@ def test_cli_import_and_evaluate_load_no_scipy(tmp_path, scene_dir):
     assert lines[-1] == f"{EXIT_OK} False"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["evaluate", "--reference", "{ref}", "--estimate", "{obs}",
+      "--csv", "{csv}"], EXIT_OK),
+    (["nonsense"], EXIT_ARGS),
+])
+def test_cli_process_exits_with_the_code_of_main_and_its_objects_frozen(
+        tmp_path, scene_dir, argv, expected):
+    """`python -m dereverb.cli` exits through run(), which freezes every
+    object first, so the interpreter's last collections walk none."""
+    src = os.path.dirname(os.path.dirname(dereverb.__file__))
+    code = ("import atexit, gc, runpy, sys\n"
+            "sys.path.insert(0, sys.argv.pop(1))\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('dereverb.cli', run_name='__main__')\n")
+    paths = {"ref": os.path.join(scene_dir, "reference.wav"),
+             "obs": os.path.join(scene_dir, "observed.wav"),
+             "csv": str(tmp_path / "m.csv")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, src,
+         *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == expected
+    assert done.stdout.splitlines()[-1] == "True"
+
+
 def test_simulate_loads_no_scipy(tmp_path, clean_wav):
     """simulate's FFTs are numpy's: scipy.fft or scipy.signal would add
     about 0.3 s of imports to every scene."""

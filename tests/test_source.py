@@ -15,10 +15,12 @@ ROOT = SRC.parents[1]
 
 
 def _definitions(tree):
-    """Top-level functions, classes and constants of a module."""
+    """Top-level functions, classes and constants of a module; dunders,
+    such as `__all__` and a module's `__getattr__`, are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+            if not node.name.startswith("__"):
+                yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])

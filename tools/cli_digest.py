@@ -43,10 +43,10 @@ def run(argv):
         raise SystemExit(f"{' '.join(argv)}: exited {code}")
 
 
-def digests(workdir):
-    """Run every step in workdir; return the (sha256, path) of each file."""
-    os.chdir(workdir)
-    # One WGN workload a preset gives its duration and simulate argv.
+def simulate_scenes():
+    """Write the seeded surrogate to PRESET/input.wav and simulate it into
+    PRESET/scene, for presets A and B under the current directory; return
+    preset -> the WGN workload that gave its duration and simulate argv."""
     scenes = {w.preset: w for w in WORKLOADS.values() if w.noise == "wgn"}
     for preset, workload in sorted(scenes.items()):
         os.makedirs(preset)
@@ -54,6 +54,13 @@ def digests(workdir):
         samples = speech_like(workload.duration_s, seed=SPEECH_SEED)
         write_wav(MultichannelTimeSignal((TimeSignal(samples, FS),)), clean)
         run(simulate_argv(workload, clean, os.path.join(preset, "scene")))
+    return scenes
+
+
+def digests(workdir):
+    """Run every step in workdir; return the (sha256, path) of each file."""
+    os.chdir(workdir)
+    scenes = simulate_scenes()
     csv_path = "evaluate.csv"
     for preset in sorted(scenes):
         scene = os.path.join(preset, "scene")
