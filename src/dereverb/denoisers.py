@@ -29,8 +29,8 @@ class SoftThresholdDenoiser:
     """Magnitude shrinkage by a fraction of the median magnitude."""
 
     def __init__(self, threshold):
-        if threshold < 0:
-            raise ArgumentError("threshold must be >= 0")
+        if not 0 <= threshold < np.inf:
+            raise ArgumentError("threshold must be finite and >= 0")
         self.threshold = threshold
 
     def denoise(self, spec):

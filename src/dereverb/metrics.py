@@ -179,8 +179,6 @@ def align(reference, estimate, max_shift=1024):
     else:
         ref_al, est_al = ref[-shift:], est
     n = min(len(ref_al), len(est_al))
-    if n == 0:
-        raise AlignmentError("empty overlap after alignment")
     return (TimeSignal(ref_al[:n], reference.sample_rate),
             TimeSignal(est_al[:n], estimate.sample_rate))
 

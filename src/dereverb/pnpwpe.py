@@ -1,9 +1,7 @@
-"""ADMM dereverberation with a denoising prior and explicit noise variable.
-
-Each outer iteration reweights the per-band linear-prediction solve with
-lambda = 2*sigma/(2 + rho*sigma) and shifted targets, then alternates a
-denoiser-driven fixed-point update of the speech iterate R, a closed-form
-noise update V, and the scaled dual update P.
+"""PnPWPE: WPE's reweighted per-band linear prediction with a denoising
+prior, in the form of an ADMM iteration over a speech iterate R, a noise
+iterate V and a scaled dual P. run_pnpwpe states the iteration as it
+runs: V and P do no work in it yet, so R does not reach the filters.
 """
 from __future__ import annotations
 
@@ -29,14 +27,14 @@ class PnpParams:
     stop_tol: float = 1e-4
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ArgumentError("rho must be > 0")
+        if not 0 < self.rho < np.inf:
+            raise ArgumentError("rho must be finite and > 0")
         if not 0 < self.mu <= 1:
             raise ArgumentError("mu must be in (0, 1]")
         if self.inner_iters < 1:
             raise ArgumentError("inner_iters must be >= 1")
-        if self.stop_tol < 0:
-            raise ArgumentError("stop_tol must be >= 0")
+        if not 0 <= self.stop_tol < np.inf:
+            raise ArgumentError("stop_tol must be finite and >= 0")
 
 
 @dataclass
@@ -46,22 +44,6 @@ class AdmmState:
     r: np.ndarray
     v: np.ndarray
     p: np.ndarray
-
-
-def compute_lambda(sigma, rho):
-    """2*sigma/(2 + rho*sigma); in (0, min(sigma, 2/rho)) for sigma > 0
-    (estimate_psd floors it at epsilon) and rho > 0 (PnpParams checks it)."""
-    return 2.0 * sigma / (2.0 + rho * sigma)
-
-
-def compute_xtilde(x_ref, r, v, p, lam, rho):
-    """Shifted targets: X_ref - (rho/2)*lambda*(R + V - P)."""
-    return x_ref - 0.5 * rho * lam * (r + v - p)
-
-
-def compute_rtilde(s_hat, v, p):
-    """Denoiser input: S_hat - V + P."""
-    return s_hat - v + p
 
 
 def update_r(r_tilde, denoiser, mu, inner_iters=1):
@@ -86,24 +68,23 @@ def update_r(r_tilde, denoiser, mu, inner_iters=1):
     return r
 
 
-def update_v(s_hat, r, p):
-    """Closed-form noise update: V = S_hat - R + P."""
-    return s_hat - r + p
-
-
-def update_p(p, s_hat, v, r):
-    """Scaled dual update: P = P + S_hat - V - R."""
-    return p + s_hat - v - r
-
-
-def constraint_error(r, s_hat, v):
-    """Mean-square consensus error: mean |R - S_hat - V|^2."""
-    return float(np.mean(np.abs(r - s_hat - v) ** 2))
-
-
 def run_pnpwpe(observed, params):
     """Full solver loop; returns (speech estimate R, AdmmState,
     IterationRecord list of the consensus error and the change of R).
+
+    Ŝ starts at the reference channel X_ref, and R, V and P at 0. Each
+    iteration, elementwise, with sigma = max(|Ŝ|², epsilon) of the last Ŝ:
+        lambda = 2*sigma/(2 + rho*sigma)
+        X~ = X_ref - (rho/2)*lambda*(R + V - P)
+        Ŝ = X_ref - the prediction of the bands solved for X~ and lambda
+        R~ = Ŝ - V + P, and R = update_r(R~)
+        V = Ŝ - R + P
+        P += Ŝ - V - R
+        error = mean|R - Ŝ - V|²
+    lambda lies in (0, min(sigma, 2/rho)) and tends to sigma as rho -> 0.
+    As written, P returns to 0 up to rounding and V takes all of Ŝ - R,
+    so the error is 4*mean|R - Ŝ|², and X~ is X_ref - (rho/2)*lambda*Ŝ of
+    the iteration before (X_ref in the first): R never reaches the filters.
 
     From the second iteration on, the run stops once the relative change
     of the error and the change of R are both below stop_tol."""
@@ -118,18 +99,17 @@ def run_pnpwpe(observed, params):
 
     for _ in range(wpe_params.iterations):
         sigma = estimate_psd(s_hat, wpe_params.epsilon)
-        lam = compute_lambda(sigma, params.rho)
-        xtilde = compute_xtilde(x_ref, r, v, p, lam, params.rho)
+        lam = 2.0 * sigma / (2.0 + params.rho * sigma)
+        xtilde = x_ref - 0.5 * params.rho * lam * (r + v - p)
         weights, prediction = solve_all_bands(regressors, xtilde, lam)
         s_hat = x_ref - prediction
-        r_tilde = compute_rtilde(s_hat, v, p)
-        r_prev, r = r, update_r(reference.with_values(r_tilde),
+        r_prev, r = r, update_r(reference.with_values(s_hat - v + p),
                                 params.denoiser, params.mu,
                                 params.inner_iters).values
-        v = update_v(s_hat, r, p)
-        p = update_p(p, s_hat, v, r)
+        v = s_hat - r + p
+        p = p + s_hat - v - r
 
-        error = constraint_error(r, s_hat, v)
+        error = float(np.mean(np.abs(r - s_hat - v) ** 2))
         trace.append(IterationRecord(error, relative_change(r, r_prev)))
         # The error alone cannot end the run: with the identity denoiser
         # it is 0 in every iteration while R still moves.

@@ -66,12 +66,10 @@ class MultichannelTimeSignal:
 
     @classmethod
     def from_array(cls, array, sample_rate):
-        """Build from a (channels, samples) array; 1-D arrays become mono."""
+        """Build from a (channels, samples) array."""
         array = np.asarray(array, dtype=np.float64)
-        if array.ndim == 1:
-            array = array[None, :]
         if array.ndim != 2:
-            raise ArgumentError("expected a 1-D or 2-D array")
+            raise ArgumentError("expected a 2-D array")
         return cls(tuple(TimeSignal(row, sample_rate) for row in array))
 
     @property

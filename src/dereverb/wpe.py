@@ -33,8 +33,8 @@ class WpeParams:
             raise ArgumentError("filter_order must be >= 1")
         if self.delay < 1:
             raise ArgumentError("delay must be >= 1")
-        if not self.epsilon > 0:
-            raise ArgumentError("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ArgumentError("epsilon must be finite and > 0")
         if self.iterations < 1:
             raise ArgumentError("iterations must be >= 1")
         if self.reference_channel < 0:

@@ -1,8 +1,8 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
 reference STFT analysis and synthesis, per-frame regressor and prediction
 oracles, reference accumulators of the weighted normal equations, a
-whole-lattice image-source RIR, a direct-form alignment oracle and fuzzing
-strategies."""
+reference PnPWPE loop, a whole-lattice image-source RIR, a direct-form
+alignment oracle and fuzzing strategies."""
 import math
 from dataclasses import dataclass
 
@@ -11,10 +11,13 @@ import scipy.signal
 from hypothesis import HealthCheck, strategies as st
 
 from dereverb.errors import ArgumentError
+from dereverb.pnpwpe import AdmmState, update_r
 from dereverb.roomsim import (SPEED_OF_SOUND, reflection_coefficient,
                               render_scene, sample_room, white_noise)
 from dereverb.signals import TimeSignal
 from dereverb.stft import Spectrogram, StftConfig, hann
+from dereverb.wpe import (FilterBank, IterationRecord, estimate_psd, prepare,
+                          relative_change, solve_all_bands)
 
 
 def speech_like(duration, fs=16000, seed=0):
@@ -212,6 +215,40 @@ def accumulate_batch(vectors, targets, weights):
     Z = 0.5 * (Z + Z.conj().T)
     q = scaled.T @ targets.conj()
     return NormalEquations(Z, q)
+
+
+def pnpwpe_loop(observed, params):
+    """Reference of pnpwpe.run_pnpwpe, written from the equations and the
+    stop rule of its docstring with each expression's operands in the same
+    order, so the two agree byte for byte. Returns (estimate, AdmmState,
+    IterationRecord list); S stands for S_hat."""
+    wpe = params.wpe
+    reference, regressors = prepare(observed, wpe)
+    x_ref = reference.values
+    s = x_ref
+    r = v = p = np.zeros_like(x_ref)
+    trace = []
+    for _ in range(wpe.iterations):
+        sigma = estimate_psd(s, wpe.epsilon)
+        lam = 2.0 * sigma / (2.0 + params.rho * sigma)
+        targets = x_ref - 0.5 * params.rho * lam * (r + v - p)
+        weights, prediction = solve_all_bands(regressors, targets, lam)
+        s = x_ref - prediction
+        r_tilde = reference.with_values(s - v + p)
+        r_old = r
+        r = update_r(r_tilde, params.denoiser, params.mu,
+                     params.inner_iters).values
+        v = s - r + p
+        p = p + s - v - r
+        error = float(np.mean(np.abs(r - s - v) ** 2))
+        trace.append(IterationRecord(error, relative_change(r, r_old)))
+        if len(trace) >= 2:
+            prev = trace[-2].error
+            if (abs(error - prev) / max(prev, 1e-300) < params.stop_tol
+                    and trace[-1].change < params.stop_tol):
+                break
+    state = AdmmState(filters=FilterBank(weights), s_hat=s, r=r, v=v, p=p)
+    return reference.with_values(r), state, trace
 
 
 def image_source_rir_grid(spec, mic_index):

@@ -356,6 +356,25 @@ def test_exit_code_invalid_solver_params(tmp_path, scene_dir):
                  "--out", str(out), "--rho", "0"] + FAST) == EXIT_ARGS
 
 
+@pytest.mark.parametrize("flags, setting", [
+    (["--rho", "inf"], "rho"),
+    (["--epsilon", "inf"], "epsilon"),
+    (["--stop-tol", "nan"], "stop_tol"),
+    (["--denoiser", "soft_threshold", "--threshold", "nan"], "threshold"),
+])
+def test_exit_code_non_finite_solver_setting(tmp_path, scene_dir, capsys,
+                                             flags, setting):
+    out = tmp_path / "o.wav"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["dereverb", "--input",
+                     os.path.join(scene_dir, "observed.wav"),
+                     "--out", str(out)] + FAST + flags)
+    assert code == EXIT_ARGS
+    assert capsys.readouterr().err.startswith(f"error: {setting} must be")
+    assert not caught and not out.exists()
+
+
 def test_exit_code_external_denoiser(tmp_path, scene_dir, capsys):
     out = tmp_path / "o.wav"
     obs = os.path.join(scene_dir, "observed.wav")

@@ -37,8 +37,9 @@ def _random_spec(rng, n_frames=6, float32_exact=False) -> Spectrogram:
 # --- constructor validation ----------------------------------------------
 
 def test_denoiser_spec_validation():
-    with pytest.raises(ArgumentError):
-        SoftThresholdDenoiser(threshold=-0.1)
+    for threshold in (-0.1, np.inf, np.nan):
+        with pytest.raises(ArgumentError):
+            SoftThresholdDenoiser(threshold=threshold)
     with pytest.raises(ArgumentError):
         WienerDenoiser(quantile=0.0, min_gain=0.1)
     with pytest.raises(ArgumentError):

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from dereverb import pnpwpe, wpe
 from dereverb.denoisers import (IdentityDenoiser, SoftThresholdDenoiser,
                                 WienerDenoiser)
 from dereverb.errors import ArgumentError
-from dereverb.pnpwpe import (AdmmState, PnpParams, compute_lambda,
-                             compute_rtilde, compute_xtilde,
-                             constraint_error, plateau_iteration, run_pnpwpe,
-                             update_p, update_r, update_v)
+from dereverb.pnpwpe import PnpParams, plateau_iteration, run_pnpwpe, update_r
 from dereverb.signals import MultichannelTimeSignal
 from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
                            analyze_multichannel, synthesize)
-from dereverb.wpe import (FilterBank, IterationRecord, WpeParams, prepare,
-                          run_wpe, solve_all_bands, stack_regressors)
+from dereverb.wpe import (IterationRecord, WpeParams, prepare, run_wpe,
+                          solve_all_bands, stack_regressors)
+from helpers import pnpwpe_loop
 
 SMALL = StftConfig(frame_len=8, hop=2)
 
@@ -45,117 +44,173 @@ def _random_matrix(rng, n=4):
 # --- parameters -------------------------------------------------------------
 
 def test_params_validation():
-    with pytest.raises(ArgumentError):
-        PnpParams(rho=0.0)
+    for rho in (0.0, np.inf, np.nan):
+        with pytest.raises(ArgumentError):
+            PnpParams(rho=rho)
     with pytest.raises(ArgumentError):
         PnpParams(mu=0.0)
     with pytest.raises(ArgumentError):
         PnpParams(mu=1.5)
     with pytest.raises(ArgumentError):
         PnpParams(inner_iters=0)
-    with pytest.raises(ArgumentError):
-        PnpParams(stop_tol=-1.0)
+    for stop_tol in (-1.0, np.inf, np.nan):
+        with pytest.raises(ArgumentError):
+            PnpParams(stop_tol=stop_tol)
 
 
-# --- elementwise updates ----------------------------------------------------
+# --- the iteration ----------------------------------------------------------
 
-def test_lambda_closed_form():
-    assert abs(compute_lambda(1.0, 0.1) - 2.0 / 2.1) < 1e-12
+def _recorded_run(monkeypatch, observed, params):
+    """run_pnpwpe with the sigma of each iteration and the targets and
+    weights of each band solve recorded: (its output, sigmas, solves)."""
+    sigmas, solves = [], []
+
+    def psd(s_hat, epsilon):
+        sigmas.append(wpe.estimate_psd(s_hat, epsilon))
+        return sigmas[-1]
+
+    def solve(regressors, targets, weights):
+        solves.append((targets, weights))
+        return wpe.solve_all_bands(regressors, targets, weights)
+
+    monkeypatch.setattr(pnpwpe, "estimate_psd", psd)
+    monkeypatch.setattr(pnpwpe, "solve_all_bands", solve)
+    return run_pnpwpe(observed, params), sigmas, solves
 
 
-def test_lambda_small_rho_limit():
-    sigma = np.array([0.5, 1.0, 7.0])
-    lam = compute_lambda(sigma, 1e-12)
-    assert np.all(np.abs(lam - sigma) < 1e-9 * sigma)
+class _Recording:
+    """A denoiser that records each input of an inner one it calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.inputs = []
+
+    def denoise(self, spec):
+        self.inputs.append(spec.values)
+        return self.inner.denoise(spec)
 
 
-def test_lambda_large_sigma_limit():
-    lam = compute_lambda(1e12, 0.1)
-    assert abs(lam - 20.0) / 20.0 < 1e-9
+@pytest.mark.parametrize("denoiser, iterations, inner_iters, stop_tol", [
+    (WienerDenoiser(0.3, 0.1), 5, 2, 0.0),
+    (SoftThresholdDenoiser(0.5), 5, 2, 0.0),
+    (WienerDenoiser(0.3, 0.1), 40, 1, 0.05),
+], ids=["wiener", "soft_threshold", "wiener_stops"])
+def test_run_pnpwpe_matches_the_reference_loop_byte_for_byte(
+        denoiser, iterations, inner_iters, stop_tol):
+    spec = _random_mc(np.random.default_rng(14))
+    params = _params(iterations=iterations, inner_iters=inner_iters,
+                     stop_tol=stop_tol, rho=0.7, denoiser=denoiser)
+    estimate, state, trace = run_pnpwpe(spec, params)
+    ref_estimate, ref_state, ref_trace = pnpwpe_loop(spec, params)
+    if stop_tol:
+        assert len(trace) < iterations  # the stop rule fired
+    assert estimate.values.tobytes() == ref_estimate.values.tobytes()
+    for name in ("s_hat", "r", "v", "p"):
+        assert getattr(state, name).tobytes() == \
+            getattr(ref_state, name).tobytes(), name
+    assert (state.filters.weights.tobytes()
+            == ref_state.filters.weights.tobytes())
+    records = [[record.error, record.change] for record in trace]
+    ref_records = [[record.error, record.change] for record in ref_trace]
+    assert np.array(records).tobytes() == np.array(ref_records).tobytes()
 
 
-def test_lambda_bounds():
-    rng = np.random.default_rng(0)
-    sigma = rng.uniform(1e-4, 1e4, 1000)
+def test_lambda_closed_form(monkeypatch):
+    spec = _random_mc(np.random.default_rng(0))
+    params = _params(iterations=3, stop_tol=0.0, rho=0.3,
+                     denoiser=WienerDenoiser(0.3, 0.1))
+    _, sigmas, solves = _recorded_run(monkeypatch, spec, params)
+    assert len(sigmas) == len(solves) == 3
+    for sigma, (_, lam) in zip(sigmas, solves):
+        assert np.array_equal(lam, 2.0 * sigma / (2.0 + 0.3 * sigma))
+
+
+def test_lambda_small_rho_limit(monkeypatch):
+    spec = _random_mc(np.random.default_rng(1))
+    _, sigmas, solves = _recorded_run(monkeypatch, spec, _params(
+        iterations=3, stop_tol=0.0, rho=1e-12))
+    for sigma, (_, lam) in zip(sigmas, solves):
+        assert np.all(np.abs(lam - sigma) < 1e-9 * sigma)
+
+
+def test_lambda_large_sigma_limit(monkeypatch):
+    spec = _random_mc(np.random.default_rng(2))
+    loud = _mc_spec(1e7 * spec.as_array())
+    _, sigmas, solves = _recorded_run(monkeypatch, loud, _params(rho=0.1))
+    sigma, (_, lam) = sigmas[0], solves[0]
+    large = sigma > 1e12
+    assert np.count_nonzero(large) > large.size // 2
+    assert np.all(np.abs(lam[large] - 20.0) < 1e-9 * 20.0)
+
+
+def test_lambda_bounds(monkeypatch):
+    spec = _random_mc(np.random.default_rng(3))
     for rho in (0.01, 0.1, 1.0):
-        lam = compute_lambda(sigma, rho)
-        assert np.all(lam > 0)
-        assert np.all(lam < np.minimum(sigma, 2.0 / rho))
+        _, sigmas, solves = _recorded_run(monkeypatch, spec, _params(
+            iterations=3, stop_tol=0.0, rho=rho,
+            denoiser=WienerDenoiser(0.3, 0.1)))
+        for sigma, (_, lam) in zip(sigmas, solves):
+            assert np.all(lam > 0)
+            assert np.all(lam < np.minimum(sigma, 2.0 / rho))
 
 
-def test_xtilde_identity_when_state_zero():
-    rng = np.random.default_rng(1)
-    x = _random_matrix(rng)
-    z = np.zeros_like(x)
-    lam = np.abs(_random_matrix(rng)) + 0.1
-    assert np.array_equal(compute_xtilde(x, z, z, z, lam, 0.1), x)
+def test_xtilde_identity_when_state_zero(monkeypatch):
+    spec = _random_mc(np.random.default_rng(4))
+    params = _params(iterations=2, stop_tol=0.0,
+                     denoiser=WienerDenoiser(0.3, 0.1))
+    _, _, solves = _recorded_run(monkeypatch, spec, params)
+    x_ref = prepare(spec, params.wpe)[0].values
+    assert np.array_equal(solves[0][0], x_ref)
+    assert not np.array_equal(solves[1][0], x_ref)
 
 
-def test_xtilde_cancellation():
-    rng = np.random.default_rng(2)
-    x = _random_matrix(rng)
-    rho = 0.5
-    lam = np.full(x.shape, 2.0 / rho)
-    out = compute_xtilde(x, x, np.zeros_like(x), np.zeros_like(x), lam, rho)
-    assert np.max(np.abs(out)) < 1e-12 * np.max(np.abs(x))
+def _consecutive_states(monkeypatch):
+    """X_ref and the AdmmState `before` of a two-iteration Wiener run, in
+    which P is no longer exactly 0; then, of the same run to three
+    iterations, the AdmmState `after`, the trace, and the third
+    iteration's (targets, weights) and denoiser input."""
+    spec = _random_mc(np.random.default_rng(5))
+    kw = {"stop_tol": 0.0, "rho": 0.7}
+    _, before, _ = run_pnpwpe(spec, _params(
+        iterations=2, denoiser=WienerDenoiser(0.3, 0.1), **kw))
+    assert np.any(before.p)
+    recording = _Recording(WienerDenoiser(0.3, 0.1))
+    params = _params(iterations=3, denoiser=recording, **kw)
+    (_, after, trace), _, solves = _recorded_run(monkeypatch, spec, params)
+    x_ref = prepare(spec, params.wpe)[0].values
+    return x_ref, before, after, trace, solves[2], recording.inputs[2]
 
 
-def test_xtilde_scalar_oracle():
-    rng = np.random.default_rng(3)
-    x, r, v, p = (_random_matrix(rng) for _ in range(4))
-    lam = np.abs(_random_matrix(rng)) + 0.1
-    rho = 0.3
-    out = compute_xtilde(x, r, v, p, lam, rho)
-    for (i, j), _ in np.ndenumerate(x):
-        expected = x[i, j] - 0.5 * rho * lam[i, j] * (
+def test_xtilde_scalar_oracle(monkeypatch):
+    x_ref, before, _, _, (targets, lam), _ = _consecutive_states(monkeypatch)
+    r, v, p = before.r, before.v, before.p
+    for (i, j), _ in np.ndenumerate(x_ref):
+        expected = x_ref[i, j] - 0.5 * 0.7 * lam[i, j] * (
             r[i, j] + v[i, j] - p[i, j])
-        assert abs(out[i, j] - expected) < 1e-12
+        assert abs(targets[i, j] - expected) < 1e-12
 
 
-def test_rtilde_cases():
-    rng = np.random.default_rng(4)
-    s = _random_matrix(rng)
-    z = np.zeros_like(s)
-    assert np.array_equal(compute_rtilde(s, z, z), s)
-    assert np.max(np.abs(compute_rtilde(s, s, z))) == 0.0
-    v, p = _random_matrix(rng), _random_matrix(rng)
-    assert np.allclose(compute_rtilde(s, v, p), s - v + p, atol=1e-15)
+def test_rtilde_cases(monkeypatch):
+    _, before, after, _, _, r_tilde = _consecutive_states(monkeypatch)
+    assert np.array_equal(r_tilde, after.s_hat - before.v + before.p)
 
 
-def test_update_v_cases():
-    rng = np.random.default_rng(5)
-    s = _random_matrix(rng)
-    z = np.zeros_like(s)
-    assert np.max(np.abs(update_v(s, s, z))) == 0.0
-    p = _random_matrix(rng)
-    assert np.array_equal(update_v(z, z, p), p)
-    r = _random_matrix(rng)
-    assert np.allclose(update_v(s, r, p), s - r + p, atol=1e-15)
+def test_update_v_cases(monkeypatch):
+    _, before, after, _, _, _ = _consecutive_states(monkeypatch)
+    assert np.array_equal(after.v, after.s_hat - after.r + before.p)
 
 
-def test_update_p_cases():
-    rng = np.random.default_rng(6)
-    p = _random_matrix(rng)
-    r = _random_matrix(rng)
-    v = _random_matrix(rng)
-    s = v + r  # constraint satisfied
-    assert np.allclose(update_p(p, s, v, r), p, atol=1e-12)
-    z = np.zeros_like(p)
-    assert np.array_equal(update_p(z, s, z, z), s)
-    s2 = _random_matrix(rng)
-    assert np.allclose(update_p(p, s2, v, r), p + s2 - v - r, atol=1e-15)
+def test_update_p_cases(monkeypatch):
+    _, before, after, _, _, _ = _consecutive_states(monkeypatch)
+    assert np.array_equal(after.p,
+                          before.p + after.s_hat - after.v - after.r)
 
 
-def test_constraint_error_cases():
-    rng = np.random.default_rng(7)
-    s = _random_matrix(rng)
-    v = _random_matrix(rng)
-    assert constraint_error(s + v, s, v) < 1e-28  # exact up to cancellation
-    z = np.zeros_like(s)
-    assert constraint_error(z, z, z) == 0.0
-    r = _random_matrix(rng)
-    expected = float(np.mean(np.abs(r - s - v) ** 2))
-    assert abs(constraint_error(r, s, v) - expected) < 1e-14
+def test_constraint_error_cases(monkeypatch):
+    _, before, after, trace, _, _ = _consecutive_states(monkeypatch)
+    for k, state in enumerate((before, after), 1):
+        assert trace[k].error == float(
+            np.mean(np.abs(state.r - state.s_hat - state.v) ** 2))
 
 
 # --- fixed-point denoising step ----------------------------------------------
@@ -216,21 +271,17 @@ def _params(**kw):
     return PnpParams(wpe=WpeParams(**wpe_kw), **kw)
 
 
-def update_filters(observed, r, v, p, sigma, params):
-    """One reweighted per-band solve from the current iterates, as one outer
-    iteration of run_pnpwpe makes it."""
-    reference, regressors = prepare(observed, params.wpe)
-    lam = compute_lambda(sigma, params.rho)
-    xtilde = compute_xtilde(reference.values, r, v, p, lam, params.rho)
-    weights, _ = solve_all_bands(regressors, xtilde, lam)
-    return FilterBank(weights)
+def update_filters(observed, params):
+    """The filters of run_pnpwpe's first iteration: solved from R = V = P
+    = 0, so for the targets X_ref and the weights of sigma = max(|X_ref|²,
+    epsilon)."""
+    _, state, _ = run_pnpwpe(observed, params)
+    return state.filters
 
 
 def test_update_filters_zero_observed():
     spec = _mc_spec(np.zeros((2, 10, SMALL.num_bins), dtype=np.complex128))
-    z = np.zeros((10, SMALL.num_bins), dtype=np.complex128)
-    sigma = np.full(z.shape, 1e-4)
-    filters = update_filters(spec, z, z, z, sigma, _params())
+    filters = update_filters(spec, _params())
     assert np.all(filters.weights == 0)
 
 
@@ -241,12 +292,9 @@ def test_update_filters_toy_scalar_system():
     arr[0, 0, 0] = x0
     arr[0, 1, 0] = x1
     spec = _mc_spec(arr)
-    z = np.zeros((2, SMALL.num_bins), dtype=np.complex128)
-    sigma = np.full(z.shape, 2.0)
-    params = _params(filter_order=1, delay=1, rho=0.4)
-    filters = update_filters(spec, z, z, z, sigma, params)
-    # lambda = 2*2/(2 + 0.4*2) = 10/7; xtilde = x; only frame 1 has a
-    # nonzero regressor so w = (x0 x1*/lam)* / (|x0|^2/lam) = (x1/x0)*
+    filters = update_filters(spec, _params(filter_order=1, delay=1, rho=0.4))
+    # xtilde = x; only frame 1 has a nonzero regressor, so its lambda
+    # cancels: w = (x0 x1*/lam)* / (|x0|^2/lam) = (x1/x0)*
     expected = np.conj(x1 / x0)
     assert abs(filters.weights[0, 0] - expected) < 1e-9
     assert np.max(np.abs(filters.weights[1:])) == 0.0
@@ -258,9 +306,7 @@ def test_update_filters_reduces_to_wpe_at_small_rho():
     obs = spec.as_array()
     ref = obs[0]
     sigma = np.maximum(np.abs(ref) ** 2, 1e-4)
-    z = np.zeros_like(ref)
-    params = _params(rho=1e-12)
-    filters = update_filters(spec, z, z, z, sigma, params)
+    filters = update_filters(spec, _params(rho=1e-12))
     taps = stack_regressors(obs, 2, 2)
     expected, _ = solve_all_bands(taps, ref, sigma)
     scale = np.max(np.abs(expected))
@@ -389,7 +435,8 @@ def test_run_pnpwpe_records_error_and_change_of_r():
     # R starts at zero, so the first change has no finite relative size
     assert trace[0].change == np.inf
     assert all(np.isfinite(record.change) for record in trace[1:])
-    assert trace[-1].error == constraint_error(state.r, state.s_hat, state.v)
+    assert trace[-1].error == float(
+        np.mean(np.abs(state.r - state.s_hat - state.v) ** 2))
 
 
 class _CountingPassThrough:

@@ -409,7 +409,8 @@ def test_wpe_params_invariants():
         WpeParams(filter_order=0)
     with pytest.raises(ArgumentError):
         WpeParams(delay=0)
-    with pytest.raises(ArgumentError):
-        WpeParams(epsilon=0.0)
+    for epsilon in (0.0, np.inf, np.nan):
+        with pytest.raises(ArgumentError):
+            WpeParams(epsilon=epsilon)
     with pytest.raises(ArgumentError):
         WpeParams(iterations=0)

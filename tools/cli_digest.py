@@ -6,7 +6,8 @@ Runs the CLI of the checkout this script sits in, in-process:
 - `simulate` for presets A and B (room seed 4, 10 dB WGN) on the bench's
   seeded speech surrogate;
 - `dereverb` with the argv of each bench workload that runs it, on the
-  scene of that workload's preset;
+  scene of that workload's preset, with a trace CSV;
+- `convergence` on the preset-A scene: Wiener, 5 iterations, `--stop-tol 0`;
 - `evaluate` of each scene's observed signal and of each estimate against
   the scene's reference, into one CSV.
 
@@ -72,9 +73,12 @@ def digests(workdir):
         scene = os.path.join(workload.preset, "scene")
         out = f"{name}.wav"
         run(dereverb_argv(workload, os.path.join(scene, "observed.wav"),
-                          out))
+                          out) + ["--trace-csv", f"{name}.trace.csv"])
         run(evaluate_argv(os.path.join(scene, "reference.wav"), out,
                           csv_path))
+    run(["convergence", "--input", os.path.join("A", "scene", "observed.wav"),
+         "--trace-csv", "convergence.csv", "--preset", "A",
+         "--denoiser", "wiener", "--iterations", "5", "--stop-tol", "0"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
