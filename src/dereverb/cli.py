@@ -151,10 +151,7 @@ def _write_trace_csv(path, trace):
 def cmd_simulate(args):
     from .roomsim import render_scene, sample_room, white_noise
     from .signals import MultichannelTimeSignal, read_wav, write_wav
-    clean_mc = read_wav(args.clean)
-    if clean_mc.sample_rate != 16000:
-        raise ArgumentError("clean input must be sampled at 16 kHz")
-    clean = clean_mc.channels[0]
+    clean = read_wav(args.clean).channels[0]
     spec = sample_room(args.preset, args.seed)
     noise = None
     if args.noise == "wgn":

@@ -19,6 +19,7 @@ NUM_BANDS = 23
 BAND_WEIGHT_EXP = 0.2
 VAD_RANGE_DB = 40.0
 LOG_FLOOR = 1e-10
+MAX_SHIFT = 1024
 
 
 @dataclass(frozen=True)
@@ -139,18 +140,18 @@ def _fwsegsnr(ref_spec, est_spec, sample_rate):
     return float(np.mean(per_frame))
 
 
-def align(reference, estimate, max_shift=1024):
-    """Time-align by the cross-correlation peak within +/- max_shift.
+def align(reference, estimate):
+    """Time-align by the cross-correlation peak within +/- MAX_SHIFT.
 
     The cross-correlation c[lag] = sum_n est[n + lag] ref[n] of every lag
     in the window is read off one circular correlation,
     irfft(rfft(est) * conj(rfft(ref))). Its length is the power of two at
     or above max(len) plus the largest admissible |lag|, so no lag in the
-    window wraps around; for 8 s at 16 kHz and the default window that is
-    131072 points, half a full linear correlation. It agrees with the
-    direct form to rounding; the first maximum over ascending lags wins. A
-    window whose correlation is zero to rounding raises AlignmentError.
-    Returns both signals trimmed to their overlap.
+    window wraps around; for 8 s at 16 kHz that is 131072 points, half a
+    full linear correlation. It agrees with the direct form to rounding;
+    the first maximum over ascending lags wins. A window whose correlation
+    is zero to rounding raises AlignmentError. Returns both signals
+    trimmed to their overlap.
     """
     if reference.sample_rate != estimate.sample_rate:
         raise ArgumentError("sample_rate mismatch")
@@ -158,8 +159,8 @@ def align(reference, estimate, max_shift=1024):
     est = estimate.samples
     if not np.any(ref) or not np.any(est):
         raise AlignmentError("cannot align silent signals")
-    before = min(max_shift, len(ref) - 1)
-    after = min(max_shift, len(est) - 1)
+    before = min(MAX_SHIFT, len(ref) - 1)
+    after = min(MAX_SHIFT, len(est) - 1)
     lags = np.arange(-before, after + 1)
     if lags.size == 0:
         raise AlignmentError("no admissible lags")

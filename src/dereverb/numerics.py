@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, SingularBandError
 
-DEFAULT_LOADING = 1e-10
+LOADING = 1e-10  # diagonal loading of solve_hpd, relative to trace/size
 # CBLAS enum values: CblasColMajor, CblasLower, CblasConjTrans.
 _COL_MAJOR, _LOWER, _CONJ_TRANS = 102, 122, 113
 
@@ -147,17 +147,16 @@ def herk_lower(rows, gram):
                               gram.__array_interface__["data"][0], n)
 
 
-def solve_hpd(Z, q, loading=DEFAULT_LOADING):
-    """Solve (Z + loading*delta*I) w = q by Cholesky factorization.
+def solve_hpd(Z, q):
+    """Solve (Z + LOADING*delta*I) w = q by Cholesky factorization.
 
     Only the lower triangle of the Hermitian matrix Z is read; the strict
     upper triangle may hold anything, NaN included. delta = trace(Z)/size
-    gives relative diagonal loading. An all-zero system returns the zero
-    vector; a zero trace with a nonzero q, a failed factorization or a
-    non-finite solution raises SingularBandError. Z and q are not modified.
+    makes the diagonal loading LOADING relative. An all-zero system returns
+    the zero vector; a zero trace with a nonzero q, a failed factorization
+    or a non-finite solution raises SingularBandError. Z and q are not
+    modified.
     """
-    if loading < 0:
-        raise ArgumentError("loading must be >= 0")
     size = q.shape[0]
     trace = float(np.trace(Z).real)
     if trace == 0.0:
@@ -169,7 +168,7 @@ def solve_hpd(Z, q, loading=DEFAULT_LOADING):
     # The same LAPACK calls as scipy.linalg.cho_factor/cho_solve, without
     # their per-call wrapping; potrf factors the F-ordered copy in place.
     A = np.array(Z, dtype=np.complex128, order="F")
-    A[np.diag_indices(size)] += loading * trace / size
+    A[np.diag_indices(size)] += LOADING * trace / size
     factor, info = lapack.zpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         w, info = lapack.zpotrs(factor, q, lower=1)

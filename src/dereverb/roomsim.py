@@ -70,12 +70,12 @@ def default_rir_length(t60, sample_rate):
     return int(math.ceil(1.25 * t60 * sample_rate))
 
 
-def sample_room(preset, seed, sample_rate=16000):
+def sample_room(preset, seed):
     """Rejection-sample a room layout within the preset's ranges.
 
     Linear 4-mic array with 40 mm spacing at random position/orientation in
     the horizontal plane; all mics >= 0.1 m from walls; source respects the
-    preset's wall and array distances.
+    preset's wall and array distances. The rate is RoomSpec's, 16 kHz.
     """
     if preset not in PRESETS:
         raise ArgumentError(f"unknown preset: {preset}")
@@ -114,7 +114,6 @@ def sample_room(preset, seed, sample_rate=16000):
             t60=t60,
             source=tuple(source),
             mics=tuple(tuple(m) for m in mics),
-            sample_rate=sample_rate,
         )
     raise GeometryError(f"could not satisfy preset {preset} constraints")
 
@@ -134,19 +133,18 @@ def reflection_coefficient(spec):
     return min(math.sqrt(1.0 - absorption), 0.999)
 
 
-def image_source_rir(spec, mic_index, reflection=None):
+def image_source_rir(spec, mic_index):
     """Shoebox image-source impulse response for one microphone.
 
     Each image within reach, (rir_length - 1) / fs seconds of travel,
-    contributes amplitude reflection^order / (4*pi*distance) at the nearest
-    sample round(distance/c * fs). Only images within reach are built: two
-    runs of z images for each (x, y) column of the image lattice, about a
-    third of the lattice's bounding box in a preset-B room.
+    contributes amplitude r^order / (4*pi*distance) at the nearest sample
+    round(distance/c * fs), where r = reflection_coefficient(spec) and c =
+    SPEED_OF_SOUND. Only images within reach are built: two runs of z
+    images for each (x, y) column of the image lattice, about a third of
+    the lattice's bounding box in a preset-B room.
     """
     if not 0 <= mic_index < spec.num_mics:
         raise ArgumentError("mic_index out of range")
-    if reflection is None:
-        reflection = reflection_coefficient(spec)
     fs = spec.sample_rate
     mic = np.asarray(spec.mics[mic_index])
     src = np.asarray(spec.source)
@@ -187,7 +185,7 @@ def image_source_rir(spec, mic_index, reflection=None):
     inside = dist <= reach
     dist = dist[inside]
     order = (xy_order[column] + orders[2][k])[inside]
-    gain = float(reflection) ** np.arange(order.max(initial=0) + 1)
+    gain = reflection_coefficient(spec) ** np.arange(order.max(initial=0) + 1)
     amp = gain[order] / (4.0 * np.pi * np.maximum(dist, 1e-9))
     taps = np.rint(dist / SPEED_OF_SOUND * fs).astype(np.int64)
     # bincount adds the weights in input order, as np.add.at would.
@@ -223,16 +221,18 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     (4096 points for a preset-B room). Noise is scaled against microphone
     0's reverberant signal, and the same scaled segment is added in place
     to every channel. All signals are trimmed to the clean length. The
-    sample rates, an empty clean signal, snr_db and the noise length are
-    checked before any RIR is built.
+    sample rates, an empty clean signal, a finite snr_db and the noise
+    length are checked before any RIR is built.
     """
     if clean.sample_rate != spec.sample_rate:
-        raise ArgumentError("clean signal sample rate must match the room")
+        raise ArgumentError(
+            f"clean signal is sampled at {clean.sample_rate} Hz, the room at "
+            f"{spec.sample_rate} Hz")
     if len(clean) == 0:
         raise ArgumentError("clean signal is empty")
     if noise is not None:
-        if snr_db is None:
-            raise ArgumentError("snr_db required when noise is given")
+        if snr_db is None or not math.isfinite(snr_db):
+            raise ArgumentError("a finite snr_db is required with noise")
         check_noise(clean, noise)
     rirs = tuple(image_source_rir(spec, q) for q in range(spec.num_mics))
     length = len(clean)

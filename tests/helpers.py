@@ -54,12 +54,13 @@ def speech_like(duration, fs=16000, seed=0):
 
 
 def make_scene(preset="A", seed=0, noise_kind="none", snr_db=10.0,
-               duration=4.0, fs=16000):
-    spec = sample_room(preset, seed, fs)
-    clean = speech_like(duration, fs, seed=seed + 1000)
+               duration=4.0):
+    spec = sample_room(preset, seed)
+    clean = speech_like(duration, spec.sample_rate, seed=seed + 1000)
     noise = None
     if noise_kind == "wgn":
-        noise = white_noise(len(clean) + fs, seed + 2000, fs)
+        noise = white_noise(len(clean) + spec.sample_rate, seed + 2000,
+                            spec.sample_rate)
     return render_scene(spec, clean, noise,
                         snr_db if noise is not None else None,
                         noise_seed=seed + 3000)

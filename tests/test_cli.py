@@ -537,7 +537,18 @@ def test_exit_code_clean_wav_not_16khz(tmp_path, capsys):
     out = tmp_path / "scene"
     assert main(["simulate", "--preset", "A", "--seed", "4",
                  "--clean", str(clean), "--out-dir", str(out)]) == EXIT_ARGS
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "8000 Hz" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "inf"])
+def test_exit_code_non_finite_snr_db(tmp_path, clean_wav, capsys, snr_db):
+    out = tmp_path / "scene"
+    assert main(["simulate", "--preset", "A", "--seed", "4",
+                 "--clean", clean_wav, "--noise", "wgn", "--snr-db", snr_db,
+                 "--out-dir", str(out)]) == EXIT_ARGS
+    assert re.match(r"error: .*snr_db", capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dereverb import metrics
 from dereverb.errors import AlignmentError, ArgumentError, MetricError
 from dereverb.metrics import (FRAME_LEN, HOP, LOG_FLOOR, MetricReport,
                               _fwsegsnr, align, cepstral_distance,
@@ -210,9 +211,9 @@ def test_align_rejects_silence():
         align(silent, x)
 
 
-def _assert_align_matches_oracle(x, y, max_shift=1024):
-    ref_al, est_al = align(TimeSignal(x, FS), TimeSignal(y, FS), max_shift)
-    shift, ref_expected, est_expected = align_direct(x, y, max_shift)
+def _assert_align_matches_oracle(x, y):
+    ref_al, est_al = align(TimeSignal(x, FS), TimeSignal(y, FS))
+    shift, ref_expected, est_expected = align_direct(x, y, metrics.MAX_SHIFT)
     assert np.array_equal(ref_al.samples, ref_expected)
     assert np.array_equal(est_al.samples, est_expected)
     return shift
@@ -245,11 +246,13 @@ def test_align_matches_direct_oracle_below_max_shift():
 
 @pytest.mark.parametrize("longer", ["reference", "estimate"])
 @pytest.mark.parametrize("reach", [4095, 4096, 4097])
-def test_align_matches_direct_oracle_around_a_power_of_two(reach, longer):
-    """max(len) + max_shift just below, at and just above 4096, where align's
+def test_align_matches_direct_oracle_around_a_power_of_two(reach, longer,
+                                                           monkeypatch):
+    """max(len) + MAX_SHIFT just below, at and just above 4096, where align's
     FFT length steps from 4096 to 8192; true shifts include both edges of
-    the +/- max_shift window."""
+    the +/- MAX_SHIFT window."""
     max_shift = 100
+    monkeypatch.setattr(metrics, "MAX_SHIFT", max_shift)
     n_long = reach - max_shift
     n_short = n_long - 150
     rng = np.random.default_rng(reach)
@@ -260,19 +263,20 @@ def test_align_matches_direct_oracle_around_a_power_of_two(reach, longer):
         short_part = (base[start:start + n_short]
                       + 0.1 * rng.standard_normal(n_short))
         if longer == "reference":
-            assert _assert_align_matches_oracle(
-                long_part, short_part, max_shift) == -shift
+            assert _assert_align_matches_oracle(long_part,
+                                                short_part) == -shift
         else:
-            assert _assert_align_matches_oracle(
-                short_part, long_part, max_shift) == shift
+            assert _assert_align_matches_oracle(short_part,
+                                                long_part) == shift
 
 
 @pytest.mark.parametrize("n", [3997, 4076, 4096])
-def test_align_window_never_sees_a_wrapped_lag(n):
+def test_align_window_never_sees_a_wrapped_lag(n, monkeypatch):
     """The only correlation sits at lag -/+(4096 - 100), which a circular
     correlation of 4096 points would fold onto the window's edge, lag
     +/-100. With n + 100 above 4096, align's FFT must be long enough to
     keep it out."""
+    monkeypatch.setattr(metrics, "MAX_SHIFT", 100)
     width = n + 100 - 4096
     pattern = np.random.default_rng(n).standard_normal(width)
     early = np.zeros(n)
@@ -281,10 +285,11 @@ def test_align_window_never_sees_a_wrapped_lag(n):
     late[-width:] = pattern
     for ref, est in ((late, early), (early, late)):
         with pytest.raises(AlignmentError):
-            align(TimeSignal(ref, FS), TimeSignal(est, FS), max_shift=100)
+            align(TimeSignal(ref, FS), TimeSignal(est, FS))
 
 
-def test_align_rejects_correlation_outside_window_at_any_length():
+def test_align_rejects_correlation_outside_window_at_any_length(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_SHIFT", 100)
     rng = np.random.default_rng(21)
     for n in (300, 3000, 30000):
         x = np.zeros(n)
@@ -292,7 +297,7 @@ def test_align_rejects_correlation_outside_window_at_any_length():
         x[:50] = rng.standard_normal(50)
         y[-50:] = rng.standard_normal(50)
         with pytest.raises(AlignmentError):
-            align(TimeSignal(x, FS), TimeSignal(y, FS), max_shift=100)
+            align(TimeSignal(x, FS), TimeSignal(y, FS))
 
 
 def test_evaluate_pair_equals_the_metrics_of_the_aligned_pair():

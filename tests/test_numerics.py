@@ -88,25 +88,28 @@ def test_zero_weight_rejected():
         accumulate_normal_equations([(np.array([1.0]), 1.0, -1.0)])
 
 
-def test_solve_identity_system():
+def test_solve_identity_system(monkeypatch):
+    monkeypatch.setattr(numerics, "LOADING", 0.0)
     ne = NormalEquations(np.eye(2), np.array([3.0, 4j]))
-    w = solve_hpd(ne.Z, ne.q, loading=0.0)
+    w = solve_hpd(ne.Z, ne.q)
     assert np.allclose(w, [3.0, 4j])
 
 
-def test_solve_diagonal_system():
+def test_solve_diagonal_system(monkeypatch):
+    monkeypatch.setattr(numerics, "LOADING", 0.0)
     ne = NormalEquations(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    w = solve_hpd(ne.Z, ne.q, loading=0.0)
+    w = solve_hpd(ne.Z, ne.q)
     assert np.allclose(w, [1.0, 1.0])
 
 
-def test_solve_random_hpd_vs_elimination_oracle():
+def test_solve_random_hpd_vs_elimination_oracle(monkeypatch):
+    monkeypatch.setattr(numerics, "LOADING", 0.0)
     rng = np.random.default_rng(2)
     A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     Z = A @ A.conj().T + 8 * np.eye(8)
     Z = 0.5 * (Z + Z.conj().T)
     q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    w = solve_hpd(Z, q, loading=0.0)
+    w = solve_hpd(Z, q)
     assert np.linalg.norm(Z @ w - q) / np.linalg.norm(q) < 1e-10
     oracle = _gaussian_elimination(Z, q)
     assert np.allclose(w, oracle, rtol=1e-8, atol=1e-10)
@@ -137,11 +140,12 @@ def test_indefinite_matrix_raises():
         solve_hpd(np.diag([2.0, -1.0]).astype(complex), np.ones(2, complex))
 
 
-def test_minimizer_property():
+def test_minimizer_property(monkeypatch):
+    monkeypatch.setattr(numerics, "LOADING", 0.0)
     rng = np.random.default_rng(3)
     terms = _random_terms(rng, 40, 3)
     ne = accumulate_normal_equations(terms)
-    w_star = solve_hpd(ne.Z, ne.q, loading=0.0)
+    w_star = solve_hpd(ne.Z, ne.q)
 
     def cost(w):
         return sum(abs(t - np.vdot(w, v)) ** 2 / lam for v, t, lam in terms)

@@ -101,9 +101,10 @@ def _small_spec(**kw):
     return RoomSpec(**defaults)
 
 
-def test_free_field_single_tap():
+def test_free_field_single_tap(monkeypatch):
+    monkeypatch.setattr(roomsim, "reflection_coefficient", lambda spec: 0.0)
     spec = _small_spec()
-    rir = image_source_rir(spec, 0, reflection=0.0)
+    rir = image_source_rir(spec, 0)
     d = np.linalg.norm(np.array(spec.source) - np.array(spec.mics[0]))
     tap = int(round(d / SPEED_OF_SOUND * spec.sample_rate))
     nonzero = np.nonzero(rir.samples)[0]
@@ -111,10 +112,11 @@ def test_free_field_single_tap():
     assert abs(rir.samples[tap] - 1.0 / (4 * np.pi * d)) < 1e-12
 
 
-def test_rir_matches_brute_force_image_oracle():
+def test_rir_matches_brute_force_image_oracle(monkeypatch):
     spec = _small_spec()
     r = 0.6
-    rir = image_source_rir(spec, 0, reflection=r).samples
+    monkeypatch.setattr(roomsim, "reflection_coefficient", lambda spec: r)
+    rir = image_source_rir(spec, 0).samples
     fs = spec.sample_rate
     d_max = (spec.rir_length - 1) / fs * SPEED_OF_SOUND
     src, mic = np.array(spec.source), np.array(spec.mics[0])
@@ -351,6 +353,8 @@ def test_render_scene_checks_the_noise_before_building_any_rir(monkeypatch):
     clean = TimeSignal(np.ones(100), 16000)
     for noise, snr_db in ((white_noise(200, 0, sample_rate=8000), 10.0),
                           (white_noise(200, 0), None),
+                          (white_noise(200, 0), float("nan")),
+                          (white_noise(200, 0), float("inf")),
                           (white_noise(99, 0), 10.0)):
         with pytest.raises(ArgumentError):
             render_scene(spec, clean, noise, snr_db)

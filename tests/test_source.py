@@ -306,3 +306,64 @@ def test_solver_subcommands_share_one_flag_set():
             default = (None if field.name == "filter_order"
                        else getattr(cls, field.name))
             assert field.name in shared and defaults[0][field.name] == default
+
+
+# Parameters with a default that src/ never passes, as their callers are
+# outside it: the console entry point reads sys.argv, and the benchmark
+# gives the external denoiser its work directory.
+DEFAULTS_PASSED_OUTSIDE_SRC = {"main(argv)", "ExternalDenoiser(workdir)"}
+
+
+def _defaulted_params(tree):
+    """(call name, parameter, position) of every parameter with a default
+    of a top-level function or method of a module. The call name of
+    __init__ is its class; position counts the arguments a call passes, so
+    a method's `self` is left out, and is None for a keyword-only one."""
+    functions = [(node, None) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    functions += [(item, node.name) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, ast.FunctionDef)]
+    for function, owner in functions:
+        name = owner if function.name == "__init__" else function.name
+        args = function.args
+        positional = [*args.posonlyargs, *args.args]
+        skip = 0 if owner is None else 1
+        for index in range(len(positional) - len(args.defaults),
+                           len(positional)):
+            yield name, positional[index].arg, index - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _passed(call, position, param):
+    """Whether a call passes a parameter, by keyword or at its position;
+    a *args or **kwargs in the call counts as passing it."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1]):
+        return True
+    return len(call.args) > position
+
+
+def test_every_parameter_default_in_src_is_overridden_in_src():
+    """A parameter whose default src/ never overrides has one value in use;
+    it belongs in a constant, however many tests pass another."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    calls = collections.defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                calls[name].append(node)
+    unpassed = sorted(
+        f"{name}({param})" for tree in trees
+        for name, param, position in _defaulted_params(tree)
+        if not any(_passed(call, position, param) for call in calls[name])
+        and f"{name}({param})" not in DEFAULTS_PASSED_OUTSIDE_SRC)
+    assert unpassed == [], ("parameters whose default no call in src/ "
+                            "overrides: " + ", ".join(unpassed))

@@ -4,10 +4,13 @@ Usage: python3 tools/cli_digest.py
 
 Runs the CLI of the checkout this script sits in, in-process:
 - `simulate` for presets A and B (room seed 4, 10 dB WGN) on the bench's
-  seeded speech surrogate;
+  seeded speech surrogate, and once more for preset A with that surrogate
+  as the `--noise` WAV;
 - `dereverb` with the argv of each bench workload that runs it, on the
   scene of that workload's preset, with a trace CSV;
 - `convergence` on the preset-A scene: Wiener, 5 iterations, `--stop-tol 0`;
+- `sweep` over the preset-A scene: `--rho-grid 0.1,1 --iterations 2`, which
+  scores each grid point in-process with `metrics.evaluate_pair`;
 - `evaluate` of each scene's observed signal and of each estimate against
   the scene's reference, into one CSV.
 
@@ -46,7 +49,8 @@ def run(argv):
 
 def simulate_scenes():
     """Write the seeded surrogate to PRESET/input.wav and simulate it into
-    PRESET/scene, for presets A and B under the current directory; return
+    PRESET/scene, for presets A and B under the current directory, and into
+    A/wav-noise-scene with A/input.wav as the noise file too; return
     preset -> the WGN workload that gave its duration and simulate argv."""
     scenes = {w.preset: w for w in WORKLOADS.values() if w.noise == "wgn"}
     for preset, workload in sorted(scenes.items()):
@@ -55,6 +59,10 @@ def simulate_scenes():
         samples = speech_like(workload.duration_s, seed=SPEECH_SEED)
         write_wav(MultichannelTimeSignal((TimeSignal(samples, FS),)), clean)
         run(simulate_argv(workload, clean, os.path.join(preset, "scene")))
+    # The later --noise overrides the workload's.
+    run(simulate_argv(scenes["A"], os.path.join("A", "input.wav"),
+                      os.path.join("A", "wav-noise-scene"))
+        + ["--noise", os.path.join("A", "input.wav")])
     return scenes
 
 
@@ -79,6 +87,8 @@ def digests(workdir):
     run(["convergence", "--input", os.path.join("A", "scene", "observed.wav"),
          "--trace-csv", "convergence.csv", "--preset", "A",
          "--denoiser", "wiener", "--iterations", "5", "--stop-tol", "0"])
+    run(["sweep", "--scenes", os.path.join("A", "scene"),
+         "--rho-grid", "0.1,1", "--iterations", "2", "--out", "sweep.csv"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
