@@ -54,14 +54,20 @@ def _atomic_write(path, write):
         raise
 
 
+def _denoiser_command(args):
+    try:
+        return shlex.split(args.denoiser_command or "")
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise ArgumentError(f"--denoiser-command: {exc}") from None
+
+
 # Each --denoiser kind and how the denoiser flags build it from the
 # denoisers module.
 DENOISERS = {
     "identity": lambda d, args: d.IdentityDenoiser(),
     "soft_threshold": lambda d, args: d.SoftThresholdDenoiser(args.threshold),
     "wiener": lambda d, args: d.WienerDenoiser(args.quantile, args.min_gain),
-    "external": lambda d, args: d.ExternalDenoiser(
-        shlex.split(args.denoiser_command or "")),
+    "external": lambda d, args: d.ExternalDenoiser(_denoiser_command(args)),
 }
 
 
@@ -186,22 +192,30 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _stft_config(args):
-    from .stft import StftConfig
-    return StftConfig(frame_len=args.frame_len, hop=args.hop)
+def _analyze(path, args):
+    from .signals import read_wav
+    from .stft import StftConfig, analyze_multichannel
+    return analyze_multichannel(
+        read_wav(path), StftConfig(frame_len=args.frame_len, hop=args.hop))
 
 
-def cmd_dereverb(args):
+def _estimate(observed, args):
+    """(out, trace) of --method, out synthesized and rounded through
+    float32 as write_wav stores it, so that sweep scores dereverb's file."""
     from .pnpwpe import run_pnpwpe
-    from .signals import MultichannelTimeSignal, read_wav, write_wav
-    from .stft import analyze_multichannel, synthesize
+    from .stft import synthesize
     from .wpe import run_wpe
-    observed = analyze_multichannel(read_wav(args.input), _stft_config(args))
     if args.method == "wpe":
         estimate, _, trace = run_wpe(observed, _wpe_params(args))
     else:
         estimate, _, trace = run_pnpwpe(observed, _pnp_params(args))
     out = synthesize(estimate)
+    return dataclasses.replace(out, samples=out.samples.astype("<f4")), trace
+
+
+def cmd_dereverb(args):
+    from .signals import MultichannelTimeSignal, write_wav
+    out, trace = _estimate(_analyze(args.input, args), args)
     _atomic_write(args.out, functools.partial(
         write_wav, MultichannelTimeSignal((out,))))
     if args.trace_csv:
@@ -217,10 +231,10 @@ def cmd_evaluate(args):
     report = evaluate_pair(reference, estimate)
     row = [args.estimate, f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
            str(report.frames_used)]
-    new_file = not os.path.exists(args.csv)
     with open(args.csv, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        # Append mode opens at the end: position 0 is an empty file.
+        if fh.tell() == 0:
             writer.writerow(["file", "cd", "fwsegsnr", "frames_used"])
         writer.writerow(row)
     sys.stdout.write(",".join(row) + "\n")
@@ -244,21 +258,20 @@ def _parse_grid(args, name, cast):
 
 def cmd_sweep(args):
     from .metrics import evaluate_pair
-    from .pnpwpe import plateau_iteration, run_pnpwpe
+    from .pnpwpe import plateau_iteration
     from .signals import read_wav
-    from .stft import analyze_multichannel, synthesize
+    from .stft import StftConfig
     rhos = _parse_grid(args, "rho_grid", float) or [args.rho]
     mus = _parse_grid(args, "mu_grid", float) or [args.mu]
     orders = (_parse_grid(args, "filter_order_grid", int)
               or [_filter_order(args)])
     kinds = _parse_grid(args, "denoiser_grid", str) or [args.denoiser]
-    config = _stft_config(args)
+    StftConfig(frame_len=args.frame_len, hop=args.hop)  # exit 2, no error rows
     grid = list(itertools.product(rhos, mus, orders, kinds))
     rows = []
     for scene_dir in args.scenes:
         try:
-            observed = analyze_multichannel(
-                read_wav(os.path.join(scene_dir, "observed.wav")), config)
+            observed = _analyze(os.path.join(scene_dir, "observed.wav"), args)
             reference = read_wav(
                 os.path.join(scene_dir, "reference.wav")).channels[0]
         except Exception as exc:
@@ -268,14 +281,9 @@ def cmd_sweep(args):
         for rho, mu, order, kind in grid:
             point = argparse.Namespace(**(vars(args) | {
                 "rho": rho, "mu": mu, "filter_order": order,
-                "denoiser": kind}))
+                "denoiser": kind, "method": "pnpwpe"}))
             try:
-                estimate, _, trace = run_pnpwpe(observed, _pnp_params(point))
-                out = synthesize(estimate)
-                # Scored as dereverb writes it, through float32 samples, so
-                # that dereverb + evaluate reproduce the row.
-                out = dataclasses.replace(
-                    out, samples=out.samples.astype("<f4"))
+                out, trace = _estimate(observed, point)
                 report = evaluate_pair(reference, out)
                 rows.append([scene_dir, rho, mu, order, kind,
                              f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
@@ -294,10 +302,7 @@ def cmd_sweep(args):
 
 def cmd_convergence(args):
     from .pnpwpe import plateau_iteration, run_pnpwpe
-    from .signals import read_wav
-    from .stft import analyze_multichannel
-    observed = analyze_multichannel(read_wav(args.input), _stft_config(args))
-    _, _, trace = run_pnpwpe(observed, _pnp_params(args))
+    _, _, trace = run_pnpwpe(_analyze(args.input, args), _pnp_params(args))
     _write_trace_csv(args.trace_csv, trace)
     sys.stdout.write(f"iterations={len(trace)} "
                      f"plateau_iter={plateau_iteration(trace) or 'none'}\n")

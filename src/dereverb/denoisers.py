@@ -124,7 +124,8 @@ class ExternalDenoiser:
             write_pnpspec(spec, in_path)
             try:
                 result = subprocess.run([*self.command, in_path, out_path],
-                                        capture_output=True, text=True)
+                                        capture_output=True, text=True,
+                                        errors="replace")
             except OSError as exc:
                 raise DenoiserError(f"denoiser command could not run: {exc}")
             if result.returncode != 0:

@@ -162,8 +162,6 @@ def align(reference, estimate):
     before = min(MAX_SHIFT, len(ref) - 1)
     after = min(MAX_SHIFT, len(est) - 1)
     lags = np.arange(-before, after + 1)
-    if lags.size == 0:
-        raise AlignmentError("no admissible lags")
     nfft = fft_length(max(len(ref), len(est)) + max(before, after))
     spectrum = np.fft.rfft(est, nfft)
     spectrum *= np.fft.rfft(ref, nfft).conj()

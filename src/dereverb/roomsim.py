@@ -79,6 +79,8 @@ def sample_room(preset, seed):
     """
     if preset not in PRESETS:
         raise ArgumentError(f"unknown preset: {preset}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be non-negative, got {seed}")
     cfg = PRESETS[preset]
     rng = np.random.default_rng(seed)
     offsets = (np.arange(NUM_MICS) - (NUM_MICS - 1) / 2.0) * ARRAY_SPACING

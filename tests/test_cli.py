@@ -1,9 +1,11 @@
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -161,6 +163,17 @@ def test_evaluate_appends_csv(tmp_path, scene_dir, capsys):
     assert "35.0" in out
 
 
+def test_evaluate_writes_the_header_into_an_existing_empty_csv(tmp_path,
+                                                               scene_dir):
+    csv_path = tmp_path / "metrics.csv"
+    csv_path.write_text("")
+    ref = os.path.join(scene_dir, "reference.wav")
+    assert main(["evaluate", "--reference", ref, "--estimate", ref,
+                 "--csv", str(csv_path)]) == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "file,cd,fwsegsnr,frames_used" and len(lines) == 2
+
+
 def test_sweep_over_one_scene(tmp_path, scene_dir):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenes", scene_dir, "--rho-grid", "0.1,1",
@@ -240,6 +253,15 @@ def test_sweep_malformed_grid_is_a_bad_argument(tmp_path, scene_dir, capsys,
                  "--out", str(out)]) == EXIT_ARGS
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err and repr(token) in err
+    assert not out.exists()
+
+
+def test_sweep_bad_stft_flags_are_a_bad_argument(tmp_path, scene_dir,
+                                                 capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", scene_dir, "--hop", "100",
+                 "--out", str(out)] + FAST) == EXIT_ARGS
+    assert capsys.readouterr().err == "error: hop must divide frame_len\n"
     assert not out.exists()
 
 
@@ -400,6 +422,63 @@ def test_exit_code_missing_external_denoiser(tmp_path, scene_dir, capsys):
     shutil.rmtree(kept[1])
 
 
+@pytest.mark.parametrize("subcommand, out_flag", [
+    ("dereverb", "--out"), ("convergence", "--trace-csv")])
+def test_exit_code_malformed_denoiser_command(tmp_path, scene_dir, capsys,
+                                              subcommand, out_flag):
+    out = tmp_path / "out"
+    assert main([subcommand, "--input",
+                 os.path.join(scene_dir, "observed.wav"), out_flag, str(out),
+                 "--denoiser", "external", "--denoiser-command", 'foo "bar']
+                + FAST) == EXIT_ARGS
+    err = capsys.readouterr().err
+    assert err == "error: --denoiser-command: No closing quotation\n"
+    assert not out.exists()
+
+
+COPY_INPUT = "import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])"
+NON_UTF8_STDERR = "; sys.stderr.buffer.write(b'\\xff'); sys.stderr.flush()"
+
+
+def _external_dereverb(tmp_path, scene_dir, name, code):
+    """Run dereverb with `python -c code` as the external denoiser; return
+    its exit code and output path."""
+    out = tmp_path / f"{name}.wav"
+    command = shlex.join([sys.executable, "-c", code])
+    return main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--out", str(out),
+                 "--denoiser", "external", "--denoiser-command", command]
+                + FAST), out
+
+
+def test_external_denoiser_non_utf8_stderr_is_not_an_error(
+        tmp_path, scene_dir, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(work))
+    code, out = _external_dereverb(tmp_path, scene_dir, "noisy",
+                                   COPY_INPUT + NON_UTF8_STDERR)
+    assert code == EXIT_OK
+    assert not os.listdir(work)  # each pnpspec_* directory removed
+    code, copied = _external_dereverb(tmp_path, scene_dir, "quiet",
+                                      COPY_INPUT)
+    assert code == EXIT_OK
+    # The copy is the identity denoiser over the wire.
+    assert out.read_bytes() == copied.read_bytes()
+
+
+def test_external_denoiser_non_utf8_stderr_on_failure(tmp_path, scene_dir,
+                                                      capsys, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    code, out = _external_dereverb(tmp_path, scene_dir, "failed",
+                                   COPY_INPUT + NON_UTF8_STDERR
+                                   + "; sys.exit(3)")
+    assert code == EXIT_DENOISER and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("denoiser error: denoiser command exited 3; "
+                          "stderr: \ufffd")
+
+
 def test_cli_import_defers_scipy_signal_and_ndimage():
     src = os.path.dirname(os.path.dirname(dereverb.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import dereverb.cli; "
@@ -527,6 +606,14 @@ def test_exit_code_empty_clean_wav(tmp_path):
     out = tmp_path / "scene"
     assert main(["simulate", "--preset", "A", "--seed", "4",
                  "--clean", str(empty), "--out-dir", str(out)]) == EXIT_ARGS
+    assert not out.exists()
+
+
+def test_exit_code_negative_seed(tmp_path, clean_wav, capsys):
+    out = tmp_path / "scene"
+    assert main(["simulate", "--preset", "A", "--seed", "-1",
+                 "--clean", clean_wav, "--out-dir", str(out)]) == EXIT_ARGS
+    assert re.match(r"error: .*seed", capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -9,8 +9,9 @@ Runs the CLI of the checkout this script sits in, in-process:
 - `dereverb` with the argv of each bench workload that runs it, on the
   scene of that workload's preset, with a trace CSV;
 - `convergence` on the preset-A scene: Wiener, 5 iterations, `--stop-tol 0`;
-- `sweep` over the preset-A scene: `--rho-grid 0.1,1 --iterations 2`, which
-  scores each grid point in-process with `metrics.evaluate_pair`;
+- `sweep` over the preset-A scene: `--rho-grid 0.1,1 --denoiser-grid
+  identity,wiener --iterations 2`, which scores each grid point's estimate,
+  as `dereverb` would write it, in-process with `metrics.evaluate_pair`;
 - `evaluate` of each scene's observed signal and of each estimate against
   the scene's reference, into one CSV.
 
@@ -88,7 +89,8 @@ def digests(workdir):
          "--trace-csv", "convergence.csv", "--preset", "A",
          "--denoiser", "wiener", "--iterations", "5", "--stop-tol", "0"])
     run(["sweep", "--scenes", os.path.join("A", "scene"),
-         "--rho-grid", "0.1,1", "--iterations", "2", "--out", "sweep.csv"])
+         "--rho-grid", "0.1,1", "--denoiser-grid", "identity,wiener",
+         "--iterations", "2", "--out", "sweep.csv"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
