@@ -16,7 +16,6 @@ import os
 import pathlib
 import shlex
 import sys
-import tempfile
 
 from .errors import (AlignmentError, ArgumentError, DenoiserError,
                      FormatError, GeometryError, MetricError, ProtocolError,
@@ -41,10 +40,12 @@ PRESET_FILTER_ORDER = {"A": 10, "B": 20}
 
 def _atomic_write(path, write):
     """Call write(tmp) on a new temp file beside path, then rename it over
-    path; on any failure the temp file is removed and path is untouched."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    path; on any failure the temp file is removed and path is untouched.
+    The temp file gets the mode open(path, "w") gives a new file, 0o666
+    less the umask, where tempfile.mkstemp's would be 0o600."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f"tmp{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write(tmp)
         os.replace(tmp, path)
@@ -292,11 +293,16 @@ def cmd_sweep(args):
             except Exception as exc:
                 rows.append([scene_dir, rho, mu, order, kind,
                              "", "", "", "", f"error:{exc}"])
-    lines = ["scene,rho,mu,L,denoiser,cd,fwsegsnr,final_error,plateau_iter,"
-             "status"]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    _atomic_write(args.out, lambda tmp: pathlib.Path(tmp).write_text(text))
+    header = ["scene", "rho", "mu", "L", "denoiser", "cd", "fwsegsnr",
+              "final_error", "plateau_iter", "status"]
+
+    def write(tmp):
+        # csv quotes the fields that hold a comma, a quote or a newline,
+        # such as an error message.
+        with open(tmp, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+    _atomic_write(args.out, write)
     return EXIT_OK
 
 

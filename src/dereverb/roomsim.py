@@ -21,7 +21,6 @@ NUM_MICS = 4
 
 @dataclass(frozen=True)
 class RoomPreset:
-    name: str
     length_range: tuple
     height_range: tuple
     t60_range: tuple
@@ -30,8 +29,8 @@ class RoomPreset:
 
 
 PRESETS = {
-    "A": RoomPreset("A", (8.0, 13.0), (2.8, 3.8), (0.4, 0.8), 0.5, 0.8),
-    "B": RoomPreset("B", (15.0, 20.0), (3.0, 4.0), (0.8, 1.2), 0.8, 1.3),
+    "A": RoomPreset((8.0, 13.0), (2.8, 3.8), (0.4, 0.8), 0.5, 0.8),
+    "B": RoomPreset((15.0, 20.0), (3.0, 4.0), (0.8, 1.2), 0.8, 1.3),
 }
 
 
@@ -41,8 +40,7 @@ class RoomSpec:
     t60: float
     source: tuple
     mics: tuple
-    sample_rate: int = 16000
-    rir_length: int = 0
+    sample_rate = 16000
 
     def __post_init__(self):
         if len(self.dimensions) != 3 or any(d <= 0 for d in self.dimensions):
@@ -54,11 +52,10 @@ class RoomSpec:
                 raise ArgumentError("positions must be 3-D")
             if not all(0 < point[i] < self.dimensions[i] for i in range(3)):
                 raise ArgumentError("positions must be strictly inside the room")
-        if self.rir_length == 0:
-            object.__setattr__(self, "rir_length",
-                               default_rir_length(self.t60, self.sample_rate))
-        if self.rir_length < 1:
-            raise ArgumentError("rir_length must be >= 1")
+
+    @property
+    def rir_length(self):
+        return default_rir_length(self.t60, self.sample_rate)
 
     @property
     def num_mics(self):

@@ -1,7 +1,9 @@
+import csv
 import os
 import re
 import shlex
 import shutil
+import stat
 import struct
 import subprocess
 import sys
@@ -240,6 +242,44 @@ def test_sweep_denoiser_grid_skips_empty_kinds(tmp_path, scene_dir):
     statuses = [line.split(",")[-1]
                 for line in out.read_text().splitlines()[1:]]
     assert statuses == ["ok", "error:unknown denoiser kind: fancy"]
+
+
+def _sweep_rows(out):
+    """The rows of a sweep CSV, each checked to hold the header's fields."""
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) == 10 for row in rows)
+    return rows
+
+
+def test_sweep_quotes_a_read_error_with_a_comma(tmp_path):
+    pcm24 = tmp_path / "pcm24"
+    pcm24.mkdir()
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 48000, 3, 24)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 192) + bytes(192))
+    (pcm24 / "observed.wav").write_bytes(
+        b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    out = tmp_path / "pcm24.csv"
+    assert main(["sweep", "--scenes", str(pcm24), "--rho-grid", "0.1,1",
+                 "--out", str(out)] + FAST) == EXIT_OK
+    assert [row[-1] for row in _sweep_rows(out)] == [
+        "error:unsupported WAV encoding (format=1, bits=24)"] * 2
+
+
+def test_sweep_quotes_a_denoiser_error_with_a_newline(tmp_path, scene_dir,
+                                                      monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    failing = ("import sys; sys.stderr.write('bad input, giving up\\n"
+               "see log'); sys.exit(3)")
+    out = tmp_path / "external.csv"
+    assert main(["sweep", "--scenes", scene_dir, "--denoiser-grid",
+                 "external", "--denoiser-command",
+                 shlex.join([sys.executable, "-c", failing]),
+                 "--out", str(out)] + FAST) == EXIT_OK
+    [row] = _sweep_rows(out)
+    assert row[-1].startswith("error:denoiser command exited 3; stderr: "
+                              "bad input, giving up\nsee log (inputs kept")
 
 
 @pytest.mark.parametrize("flag, value, token", [
@@ -663,6 +703,29 @@ def test_atomic_write_failure_leaves_target_untouched(tmp_path):
         _atomic_write(str(target), failing)
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)],
+                         ids=["umask022", "umask002"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, clean_wav,
+                                                     umask, mode):
+    """Each file simulate and dereverb write, a trace CSV included, has
+    the mode open(path, "w") would give it: 0o666 less the umask."""
+    scene = tmp_path / "scene"
+    old = os.umask(umask)
+    try:
+        assert main(["simulate", "--preset", "A", "--seed", "4", "--clean",
+                     clean_wav, "--out-dir", str(scene)]) == EXIT_OK
+        assert main(["dereverb", "--input", str(scene / "observed.wav"),
+                     "--method", "wpe", "--out", str(tmp_path / "out.wav"),
+                     "--trace-csv", str(tmp_path / "trace.csv")]
+                    + FAST) == EXIT_OK
+    finally:
+        os.umask(old)
+    written = [*scene.iterdir(), tmp_path / "out.wav", tmp_path / "trace.csv"]
+    assert len(written) == 7
+    assert {path.name: stat.S_IMODE(path.stat().st_mode)
+            for path in written} == {path.name: mode for path in written}
 
 
 def test_exit_code_metric_error(tmp_path, scene_dir):

@@ -1,8 +1,8 @@
-"""What each CLI process imports, and the lazy package that allows it.
+"""What each CLI process imports.
 
-`dereverb/__init__.py` resolves its public names on first access, and the
-CLI imports the modules of the subcommand it runs only; the subprocess
-tests below run in fresh interpreters, where sys.modules shows that.
+`dereverb/__init__.py` runs no code, and the CLI imports the modules of
+the subcommand it runs only; the subprocess tests below run in fresh
+interpreters, where sys.modules shows that.
 """
 import os
 import subprocess
@@ -86,27 +86,6 @@ def test_dereverb_loads_neither_roomsim_nor_metrics(scene, tmp_path):
                          str(tmp_path / "o.wav"))
     assert {"pnpwpe", "wpe", "stft", "denoisers"} <= modules
     assert not {"roomsim", "metrics"} & modules
-
-
-def test_every_public_name_is_the_object_of_its_home_module():
-    for name in dereverb.__all__:
-        value = getattr(dereverb, name)
-        home = sys.modules[value.__module__]
-        assert value.__module__.startswith("dereverb.")
-        assert getattr(home, name) is value, name
-
-
-def test_star_import_binds_all_public_names():
-    namespace = {}
-    exec("from dereverb import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(dereverb.__all__)
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        dereverb.no_such_name
-    with pytest.raises(ImportError):
-        exec("from dereverb import no_such_name", {})
 
 
 @pytest.mark.parametrize("argv", [["--help"]]

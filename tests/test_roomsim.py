@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,7 +68,13 @@ def test_room_spec_validation():
 
 
 def test_default_rir_length():
+    """RoomSpec derives its rate and RIR length; neither is a field."""
     assert default_rir_length(0.5, 16000) == 10000
+    spec = RoomSpec(dimensions=(4, 5, 3), t60=0.5, source=(1, 1, 1),
+                    mics=((2, 2, 1),))
+    assert [field.name for field in dataclasses.fields(RoomSpec)] == [
+        "dimensions", "t60", "source", "mics"]
+    assert spec.rir_length == 10000 and spec.sample_rate == 16000
 
 
 # --- reflection coefficient ---------------------------------------------------
@@ -95,13 +102,18 @@ def test_reflection_coefficient_clamps():
 
 def _small_spec(**kw):
     defaults = dict(dimensions=(4.0, 5.0, 3.0), t60=0.3,
-                    source=(1.0, 1.2, 1.5), mics=((2.5, 3.0, 1.4),),
-                    rir_length=300)
+                    source=(1.0, 1.2, 1.5), mics=((2.5, 3.0, 1.4),))
     defaults.update(kw)
     return RoomSpec(**defaults)
 
 
-def test_free_field_single_tap(monkeypatch):
+@pytest.fixture
+def short_rirs(monkeypatch):
+    """300-tap RIRs, few enough images for the brute-force oracles."""
+    monkeypatch.setattr(roomsim, "default_rir_length", lambda t60, fs: 300)
+
+
+def test_free_field_single_tap(monkeypatch, short_rirs):
     monkeypatch.setattr(roomsim, "reflection_coefficient", lambda spec: 0.0)
     spec = _small_spec()
     rir = image_source_rir(spec, 0)
@@ -112,7 +124,7 @@ def test_free_field_single_tap(monkeypatch):
     assert abs(rir.samples[tap] - 1.0 / (4 * np.pi * d)) < 1e-12
 
 
-def test_rir_matches_brute_force_image_oracle(monkeypatch):
+def test_rir_matches_brute_force_image_oracle(monkeypatch, short_rirs):
     spec = _small_spec()
     r = 0.6
     monkeypatch.setattr(roomsim, "reflection_coefficient", lambda spec: r)
@@ -233,7 +245,7 @@ def _clean(rng, n=8000, fs=16000):
 def test_free_field_scene_reference_equals_observed():
     rng = np.random.default_rng(0)
     # t60 small enough that the Sabine absorption saturates: reflection 0
-    spec = _small_spec(t60=0.05, rir_length=0)
+    spec = _small_spec(t60=0.05)
     assert reflection_coefficient(spec) == 0.0
     scene = render_scene(spec, _clean(rng))
     obs = scene.observed.channels[0].samples
@@ -247,7 +259,7 @@ def test_free_field_scene_reference_equals_observed():
 
 def test_scene_noise_power_at_zero_db():
     rng = np.random.default_rng(1)
-    spec = _small_spec(rir_length=0)
+    spec = _small_spec()
     clean = _clean(rng)
     noise = white_noise(len(clean) + 16000, seed=7)
     noiseless = render_scene(spec, clean)

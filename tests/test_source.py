@@ -15,8 +15,8 @@ ROOT = SRC.parents[1]
 
 
 def _definitions(tree):
-    """Top-level functions, classes and constants of a module; dunders,
-    such as `__all__` and a module's `__getattr__`, are left out."""
+    """Top-level functions, classes and constants of a module; dunders
+    are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not node.name.startswith("__"):
@@ -156,17 +156,22 @@ def _attribute_reads(node, scope, classes, returns, owner=None):
 
 
 def test_every_top_level_name_in_src_is_used():
+    """A name counts as used where src/ reads it or the acceptance gate
+    imports it; a name only unit tests reach is not."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     read = set()
     for tree in trees.values():
         read.update(_reads(tree))
+    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    read.update(alias.asname or alias.name for node in ast.walk(gate)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names)
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
-                    for name in _definitions(tree)
-                    if name not in read and name not in dereverb.__all__)
+                    for name in _definitions(tree) if name not in read)
     assert unused == [], (
-        "defined in src/ but neither read there nor exported: "
-        + ", ".join(unused))
+        "defined in src/ but neither read there nor imported by "
+        "tests/test_acceptance.py: " + ", ".join(unused))
 
 
 def test_every_class_member_in_src_is_read():
@@ -209,8 +214,6 @@ def _imported_names(tree):
 def test_every_module_level_import_in_src_is_read():
     unread = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         loaded = {node.id for node in ast.walk(tree)
                   if isinstance(node, ast.Name)
@@ -258,21 +261,6 @@ def test_src_imports_scipy_only_through_scipy_linalg_module():
                       for module in modules
                       if module.split(".")[0] == "scipy"]
     assert found == [], "scipy imported in src/: " + ", ".join(found)
-
-
-def test_every_public_name_is_used_in_src_or_by_the_acceptance_gate():
-    """dereverb.__all__ holds no name that only unit tests reach."""
-    read = set()
-    for path in SRC.glob("*.py"):
-        if path.name != "__init__.py":
-            read.update(_reads(ast.parse(path.read_text())))
-    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    read.update(alias.asname or alias.name for node in ast.walk(gate)
-                if isinstance(node, ast.ImportFrom)
-                for alias in node.names)
-    unused = sorted(set(dereverb.__all__) - read)
-    assert unused == [], ("exported but neither read in src/ nor imported "
-                          "by tests/test_acceptance.py: " + ", ".join(unused))
 
 
 # The required flags of each solver subcommand, and the flags that only it
