@@ -87,10 +87,6 @@ class MultichannelSpectrogram:
     def num_frames(self):
         return self.channels[0].num_frames
 
-    def as_array(self):
-        """(channels, frames, bins) complex array."""
-        return np.stack([ch.values for ch in self.channels])
-
 
 def analyze(signal, config=StftConfig()):
     """STFT of a signal: Hann-windowed frames at hop intervals.

@@ -12,8 +12,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import (blas_threads, herk_lower, one_blas_thread,
-                       scipy_linalg_module, solve_hpd)
+from .numerics import (band_prediction, blas_threads, herk_lower,
+                       one_blas_thread, solve_hpd)
 from .stft import MultichannelSpectrogram
 
 
@@ -63,45 +63,37 @@ class FilterBank:
 
     weights: np.ndarray
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.complex128)
-        if weights.ndim != 2:
-            raise ArgumentError("filter bank must be 2-D")
-        if not np.all(np.isfinite(weights)):
-            raise ArgumentError("filter weights must be finite")
-        object.__setattr__(self, "weights", weights)
-
 
 class Regressors:
     """Delayed regressors of every bin, read one band at a time.
 
     Stands for the (bins, L*Q, frames) tensor whose entry [k, q*L + l, n]
     is X_q(n-D-l, k), zero for negative frames, without holding it: only a
-    zero-padded, bin-major copy of the observation is kept (`nbytes` is
-    its size). `windows` is a (bins, Q, L, frames) strided window view of
-    that copy whose entry [k, q, l, n] is X_q(n-D-l, k), so windows[k]
-    reads band k (the construction of NARA-WPE's build_y_tilde, Drude et
-    al. 2018).
+    zero-padded, bin-major copy of the Q channels, any sequence of
+    (frames, bins) arrays, is kept (`nbytes` is its size). `windows` is a
+    (bins, Q, L, frames) strided window view of that copy whose entry
+    [k, q, l, n] is X_q(n-D-l, k), so windows[k] reads band k (the
+    construction of NARA-WPE's build_y_tilde, Drude et al. 2018).
     """
 
-    def __init__(self, obs, delay, order):
-        n_ch, n_frames, n_bins = obs.shape
-        self.shape = (n_bins, order * n_ch, n_frames)
+    def __init__(self, channels, delay, order):
+        n_frames, n_bins = channels[0].shape
+        self.shape = (n_bins, order * len(channels), n_frames)
         # padded[k, q, m] = X_q(m - D - L + 1, k): window n of length L
         # holds the frames n-D-L+1 .. n-D, oldest first.
-        padded = np.zeros((n_bins, n_ch, n_frames + order - 1),
+        padded = np.zeros((n_bins, len(channels), n_frames + order - 1),
                           dtype=np.complex128)
         kept = max(n_frames - delay, 0)
-        padded[:, :, n_frames + order - 1 - kept:] = (
-            obs[:, :kept, :].transpose(2, 0, 1))
+        for q, values in enumerate(channels):
+            padded[:, q, n_frames + order - 1 - kept:] = values[:kept].T
         self.nbytes = padded.nbytes
         windows = sliding_window_view(padded, order, axis=2)
         self.windows = windows[..., ::-1].transpose(0, 1, 3, 2)
 
 
-def stack_regressors(obs, delay, order):
-    """Regressors of a (Q, frames, bins) observation; see Regressors."""
-    return Regressors(obs, delay, order)
+def stack_regressors(channels, delay, order):
+    """Regressors of Q channels, (frames, bins) arrays; see Regressors."""
+    return Regressors(channels, delay, order)
 
 
 def estimate_psd(s_hat, epsilon):
@@ -130,9 +122,6 @@ def solve_all_bands(regressors, targets, weights):
     count. A failing band raises SingularBandError naming the lowest
     failing band, after every thread has finished.
     """
-    # Loaded on the first solve, so simulate and evaluate never load it.
-    zgemv = scipy_linalg_module("_fblas").zgemv
-
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
     filters = np.empty((n_bins, n_taps), dtype=np.complex128)
@@ -158,16 +147,10 @@ def solve_all_bands(regressors, targets, weights):
                 except SingularBandError as exc:
                     raise SingularBandError(f"band {k}: {exc}",
                                             band=k) from exc
-                # band[:n_taps].T is Fortran-ordered: f2py does not copy it.
-                prediction[k] = zgemv(1.0, band[:n_taps].T,
-                                      filters[k].conj())
+                prediction[k] = band_prediction(band[:n_taps], filters[k])
         except Exception as exc:  # raised by the calling thread, below
             errors[index] = exc
 
-    # Per-band BLAS and LAPACK calls all go to scipy's OpenBLAS (zherk,
-    # zpotrf, zpotrs, zgemv); everything else is elementwise numpy. numpy
-    # and scipy each bundle their own OpenBLAS, and alternating the two
-    # thread pools band by band made a preset-A WPE run about 3x slower.
     with one_blas_thread():
         threads = [threading.Thread(target=solve_range, args=(index,))
                    for index in range(1, workers)]
@@ -197,8 +180,8 @@ def prepare(observed: MultichannelSpectrogram, params: WpeParams):
     if observed.num_frames <= params.delay:
         raise ArgumentError("need more frames than the prediction delay")
     reference = observed.channels[params.reference_channel]
-    regressors = stack_regressors(observed.as_array(), params.delay,
-                                  params.filter_order)
+    regressors = stack_regressors([ch.values for ch in observed.channels],
+                                  params.delay, params.filter_order)
     return reference, regressors
 
 

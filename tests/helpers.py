@@ -1,8 +1,8 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
-reference STFT analysis and synthesis, per-frame regressor and prediction
-oracles, reference accumulators of the weighted normal equations, a
-reference PnPWPE loop, a whole-lattice image-source RIR, a direct-form
-alignment oracle and fuzzing strategies."""
+reference STFT analysis and synthesis, a channel stack, per-frame
+regressor and prediction oracles, reference accumulators of the weighted
+normal equations, a reference PnPWPE loop, a whole-lattice image-source
+RIR, a direct-form alignment oracle and fuzzing strategies."""
 import math
 from dataclasses import dataclass
 
@@ -115,13 +115,19 @@ def synthesize_loop(spec):
     return TimeSignal(trimmed, spec.sample_rate)
 
 
+def stack_channels(spec):
+    """The channels of a MultichannelSpectrogram as one (Q, frames, bins)
+    complex array."""
+    return np.stack([ch.values for ch in spec.channels])
+
+
 def build_regressor(spec, n, k, delay, order):
     """Channel-major delayed regressor of length L*Q for frame n, bin k.
 
     Channel q contributes (X_q(n-D,k), ..., X_q(n-D-L+1,k)); frames with
     negative index contribute zeros.
     """
-    obs = spec.as_array()
+    obs = stack_channels(spec)
     out = np.zeros(order * spec.num_channels, dtype=np.complex128)
     for q in range(spec.num_channels):
         for l in range(order):

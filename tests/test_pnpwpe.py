@@ -11,7 +11,7 @@ from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
                            analyze_multichannel, synthesize)
 from dereverb.wpe import (IterationRecord, WpeParams, prepare, run_wpe,
                           solve_all_bands, stack_regressors)
-from helpers import pnpwpe_loop
+from helpers import pnpwpe_loop, stack_channels
 
 SMALL = StftConfig(frame_len=8, hop=2)
 
@@ -135,7 +135,7 @@ def test_lambda_small_rho_limit(monkeypatch):
 
 def test_lambda_large_sigma_limit(monkeypatch):
     spec = _random_mc(np.random.default_rng(2))
-    loud = _mc_spec(1e7 * spec.as_array())
+    loud = _mc_spec(1e7 * stack_channels(spec))
     _, sigmas, solves = _recorded_run(monkeypatch, loud, _params(rho=0.1))
     sigma, (_, lam) = sigmas[0], solves[0]
     large = sigma > 1e12
@@ -303,7 +303,7 @@ def test_update_filters_toy_scalar_system():
 def test_update_filters_reduces_to_wpe_at_small_rho():
     rng = np.random.default_rng(11)
     spec = _random_mc(rng)
-    obs = spec.as_array()
+    obs = stack_channels(spec)
     ref = obs[0]
     sigma = np.maximum(np.abs(ref) ** 2, 1e-4)
     filters = update_filters(spec, _params(rho=1e-12))
@@ -394,7 +394,7 @@ def test_scaling_equivariance_at_small_rho():
     # binds; a binding floor is not scale-equivariant
     params = _params(rho=1e-12, epsilon=1e-20, iterations=1, stop_tol=0.0)
     est1, state1, _ = run_pnpwpe(spec, params)
-    est2, state2, _ = run_pnpwpe(_mc_spec(alpha * spec.as_array()), params)
+    est2, state2, _ = run_pnpwpe(_mc_spec(alpha * stack_channels(spec)), params)
     scale = np.max(np.abs(est1.values))
     assert np.max(np.abs(est2.values - alpha * est1.values)) < 1e-8 * alpha * scale
     wscale = max(np.max(np.abs(state1.filters.weights)), 1e-30)
@@ -404,7 +404,7 @@ def test_scaling_equivariance_at_small_rho():
     # rounding at near-null residual entries, so only a looser bound holds
     params3 = _params(rho=1e-12, epsilon=1e-20, iterations=3, stop_tol=0.0)
     est1, _, _ = run_pnpwpe(spec, params3)
-    est2, _, _ = run_pnpwpe(_mc_spec(alpha * spec.as_array()), params3)
+    est2, _, _ = run_pnpwpe(_mc_spec(alpha * stack_channels(spec)), params3)
     scale = np.max(np.abs(est1.values))
     assert np.max(np.abs(est2.values - alpha * est1.values)) < 1e-5 * alpha * scale
 

@@ -263,6 +263,31 @@ def test_src_imports_scipy_only_through_scipy_linalg_module():
     assert found == [], "scipy imported in src/: " + ", ".join(found)
 
 
+def test_only_numerics_reaches_scipy():
+    """numerics is the one module that calls BLAS and LAPACK: no other
+    module in src/ imports from scipy or names scipy_linalg_module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name
+                                               for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "scipy"
+                      or name == "scipy_linalg_module"]
+    assert found == [], "scipy reached outside numerics: " + ", ".join(found)
+
+
 # The required flags of each solver subcommand, and the flags that only it
 # has; every other flag is a solver flag, shared by all three.
 SOLVER_SUBCOMMANDS = {

@@ -9,12 +9,13 @@ from dereverb import numerics, wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.roomsim import EARLY_WINDOW_S
-from dereverb.stft import MultichannelSpectrogram, Spectrogram, StftConfig
-from dereverb.wpe import (IterationRecord, WpeParams, estimate_psd,
+from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
+                           analyze, analyze_multichannel, synthesize)
+from dereverb.wpe import (IterationRecord, WpeParams, estimate_psd, prepare,
                           relative_change, run_wpe, solve_all_bands,
                           stack_regressors)
-from helpers import (accumulate_batch, build_regressor, predict,
-                     regressor_block)
+from helpers import (accumulate_batch, build_regressor, make_scene, predict,
+                     regressor_block, stack_channels)
 
 SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
 
@@ -39,7 +40,7 @@ def _random_mc(rng, n_ch, n_frames,
 def test_build_regressor_direct_read():
     rng = np.random.default_rng(0)
     spec = _random_mc(rng, 2, 6)
-    obs = spec.as_array()
+    obs = stack_channels(spec)
     d = 3
     v = build_regressor(spec, d, 2, delay=d, order=1)
     assert v.tolist() == [obs[0, 0, 2], obs[1, 0, 2]]
@@ -55,7 +56,7 @@ def test_build_regressor_boundary_zero_fill():
 def test_build_regressor_index_arithmetic():
     rng = np.random.default_rng(2)
     spec = _random_mc(rng, 1, 8)
-    obs = spec.as_array()
+    obs = stack_channels(spec)
     v = build_regressor(spec, 5, 0, delay=2, order=3)
     assert v.tolist() == [obs[0, 3, 0], obs[0, 2, 0], obs[0, 1, 0]]
 
@@ -63,7 +64,7 @@ def test_build_regressor_index_arithmetic():
 def test_stack_matches_per_frame_loop():
     rng = np.random.default_rng(3)
     spec = _random_mc(rng, 2, 12)
-    obs = spec.as_array()
+    obs = stack_channels(spec)
     delay, order = 2, 3
     taps = stack_regressors(obs, delay, order)
     assert taps.shape == (SMALL.num_bins, order * 2, spec.num_frames)
@@ -82,6 +83,19 @@ def test_stack_holds_only_the_padded_observation():
 
 # --- PSD estimate -----------------------------------------------------------
 
+def test_prepare_holds_one_copy_of_the_observation():
+    # the regressors' zero-padded copy is read from the channels in place,
+    # with no stacked (Q, frames, bins) copy beside it
+    spec = _random_mc(np.random.default_rng(19), 4, 501, StftConfig())
+    tracemalloc.start()
+    try:
+        _, regressors = prepare(spec, WpeParams(filter_order=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * regressors.nbytes
+
+
 def test_estimate_psd_floor_and_passthrough():
     values = np.array([[0.0, np.sqrt(0.5), 3 + 4j]])
     psd = estimate_psd(values, epsilon=1e-4)
@@ -96,7 +110,7 @@ def test_solve_all_bands_matches_per_band_oracle():
     rng = np.random.default_rng(4)
     n_frames = 50
     spec = _random_mc(rng, 3, n_frames)
-    taps = stack_regressors(spec.as_array(), delay=2, order=1)
+    taps = stack_regressors(stack_channels(spec), delay=2, order=1)
     targets = (rng.standard_normal((n_frames, SMALL.num_bins))
                + 1j * rng.standard_normal((n_frames, SMALL.num_bins)))
     weights = rng.uniform(0.5, 2.0, (n_frames, SMALL.num_bins))
@@ -112,7 +126,7 @@ def test_solve_all_bands_matches_per_frame_oracle():
     rng = np.random.default_rng(14)
     delay, order, n_frames = 2, 3, 40
     spec = _random_mc(rng, 3, n_frames)
-    taps = stack_regressors(spec.as_array(), delay, order)
+    taps = stack_regressors(stack_channels(spec), delay, order)
     targets = spec.channels[0].values
     weights = rng.uniform(0.5, 2.0, (n_frames, SMALL.num_bins))
     filters, prediction = solve_all_bands(taps, targets, weights)
@@ -152,7 +166,7 @@ def test_fused_prediction_matches_unscaled_predict():
     rng = np.random.default_rng(17)
     delay, order, n_frames = 2, 3, 40
     spec = _random_mc(rng, 3, n_frames)
-    taps = stack_regressors(spec.as_array(), delay, order)
+    taps = stack_regressors(stack_channels(spec), delay, order)
     targets = spec.channels[0].values
     weights = 10.0 ** rng.uniform(-4, 4, (n_frames, SMALL.num_bins))
     filters, prediction = solve_all_bands(taps, targets, weights)
@@ -164,7 +178,7 @@ def test_fused_prediction_matches_unscaled_predict():
 def test_failing_target_band_reports_its_index():
     rng = np.random.default_rng(15)
     spec = _random_mc(rng, 2, 12)
-    taps = stack_regressors(spec.as_array(), delay=1, order=1)
+    taps = stack_regressors(stack_channels(spec), delay=1, order=1)
     targets = spec.channels[0].values.copy()
     targets[:, 3] = np.nan
     with pytest.raises(SingularBandError) as info:
@@ -255,7 +269,7 @@ def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
     config = StftConfig()
     delay, order, n_frames = 2, 2, 200
     spec = _random_mc(rng, 2, n_frames, config)
-    taps = stack_regressors(spec.as_array(), delay, order)
+    taps = stack_regressors(stack_channels(spec), delay, order)
     targets = spec.channels[0].values
     weights = rng.uniform(0.5, 2.0, (n_frames, config.num_bins))
     solve_all_bands(taps, targets, weights)  # loads the BLAS module
@@ -362,7 +376,7 @@ def test_run_wpe_objective_does_not_increase():
     # only lower the weighted residual cost relative to the zero filter
     rng = np.random.default_rng(12)
     spec = _random_mc(rng, 2, 40)
-    obs = spec.as_array()
+    obs = stack_channels(spec)
     ref = obs[0]
     params = WpeParams(filter_order=2, delay=2, epsilon=1e-4, iterations=1)
     sigma = np.maximum(np.abs(ref) ** 2, params.epsilon)
@@ -389,6 +403,30 @@ def test_run_wpe_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < full / 8
+
+
+def _si_sdr(reference, estimate):
+    target = reference * (np.dot(estimate, reference)
+                          / np.dot(reference, reference))
+    return 10 * np.log10(np.sum(target ** 2)
+                         / np.sum((estimate - target) ** 2))
+
+
+def test_oracle_weights_beat_run_wpe_by_3_db():
+    """The weights path keeps its headroom: one solve with the oracle
+    weights max(|S_ref|^2, epsilon) of the clean reference beats run_wpe on
+    SI-SDR (17.4 against 11.7 dB on this scene)."""
+    scene = make_scene("A", seed=0, noise_kind="none")
+    params = WpeParams(filter_order=10, delay=6, iterations=3)
+    observed = analyze_multichannel(scene.observed)
+    weights = estimate_psd(analyze(scene.reference).values, params.epsilon)
+    reference, regressors = prepare(observed, params)
+    _, prediction = solve_all_bands(regressors, reference.values, weights)
+    oracle = synthesize(reference.with_values(reference.values - prediction))
+    estimate = synthesize(run_wpe(observed, params)[0])
+    clean = scene.reference.samples[512:]
+    assert (_si_sdr(clean, oracle.samples[512:])
+            >= _si_sdr(clean, estimate.samples[512:]) + 3.0)
 
 
 def test_run_wpe_validates_inputs():
