@@ -238,7 +238,7 @@ def cmd_evaluate(args):
         if fh.tell() == 0:
             writer.writerow(["file", "cd", "fwsegsnr", "frames_used"])
         writer.writerow(row)
-    sys.stdout.write(",".join(row) + "\n")
+    csv.writer(sys.stdout, lineterminator="\n").writerow(row)
     return EXIT_OK
 
 

@@ -138,9 +138,7 @@ def image_source_rir(spec, mic_index):
     Each image within reach, (rir_length - 1) / fs seconds of travel,
     contributes amplitude r^order / (4*pi*distance) at the nearest sample
     round(distance/c * fs), where r = reflection_coefficient(spec) and c =
-    SPEED_OF_SOUND. Only images within reach are built: two runs of z
-    images for each (x, y) column of the image lattice, about a third of
-    the lattice's bounding box in a preset-B room.
+    SPEED_OF_SOUND.
     """
     if not 0 <= mic_index < spec.num_mics:
         raise ArgumentError("mic_index out of range")
@@ -160,30 +158,12 @@ def image_source_rir(spec, mic_index):
         coords.append(np.concatenate([plus, minus]) - mic[axis])
         orders.append(np.concatenate([2 * np.abs(m), np.abs(2 * m - 1)]))
 
-    # Each half of the z images (plus, minus) is sorted, so the images
-    # within reach of one (x, y) column are two runs of z indices. The runs
-    # are found with a bound loosened by 1e-9 of reach**2; the exact test
-    # then keeps the images a test of the whole (x, y, z) grid would keep,
-    # in the grid's order, so the taps sum in the same order.
-    reach = d_max + 1e-9
-    xy2 = (coords[0][:, None] ** 2 + coords[1][None, :] ** 2).ravel()
-    xy_order = (orders[0][:, None] + orders[1][None, :]).ravel()
-    z = coords[2]
-    half = len(z) // 2
-    z_reach = np.sqrt(np.maximum(reach**2 - xy2, 0.0) + 1e-9 * reach**2)
-    starts, stops = (
-        np.stack([np.searchsorted(z[:half], edge, side),
-                  half + np.searchsorted(z[half:], edge, side)],
-                 axis=1).ravel()
-        for edge, side in ((-z_reach, "left"), (z_reach, "right")))
-    runs = stops - starts
-    column = np.repeat(np.arange(len(xy2)), runs[0::2] + runs[1::2])
-    first = np.cumsum(runs) - runs
-    k = np.arange(runs.sum()) + np.repeat(starts - first, runs)
-    dist = np.sqrt(xy2[column] + z[k] ** 2)
-    inside = dist <= reach
+    dist = np.sqrt((coords[0][:, None] ** 2 + coords[1][None, :] ** 2)
+                   [:, :, None] + coords[2] ** 2).ravel()
+    inside = dist <= d_max + 1e-9
     dist = dist[inside]
-    order = (xy_order[column] + orders[2][k])[inside]
+    order = (orders[0][:, None, None] + orders[1][None, :, None]
+             + orders[2]).ravel()[inside]
     gain = reflection_coefficient(spec) ** np.arange(order.max(initial=0) + 1)
     amp = gain[order] / (4.0 * np.pi * np.maximum(dist, 1e-9))
     taps = np.rint(dist / SPEED_OF_SOUND * fs).astype(np.int64)

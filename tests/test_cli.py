@@ -176,6 +176,20 @@ def test_evaluate_writes_the_header_into_an_existing_empty_csv(tmp_path,
     assert lines[0] == "file,cd,fwsegsnr,frames_used" and len(lines) == 2
 
 
+def test_evaluate_prints_the_row_it_appends(tmp_path, scene_dir, capsys):
+    estimate = tmp_path / "a,b.wav"
+    shutil.copy(os.path.join(scene_dir, "observed.wav"), estimate)
+    csv_path = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--reference",
+                 os.path.join(scene_dir, "reference.wav"), "--estimate",
+                 str(estimate), "--csv", str(csv_path)]) == EXIT_OK
+    with open(csv_path, newline="") as fh:
+        *_, appended = csv.reader(fh)
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert appended[0] == str(estimate)
+    assert next(csv.reader([printed])) == appended
+
+
 def test_sweep_over_one_scene(tmp_path, scene_dir):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenes", scene_dir, "--rho-grid", "0.1,1",

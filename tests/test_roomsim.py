@@ -164,14 +164,33 @@ def test_rir_matches_brute_force_image_oracle(monkeypatch, short_rirs):
 
 
 @pytest.mark.parametrize("preset", ["A", "B"])
-def test_rir_equals_the_whole_lattice_reference_byte_for_byte(preset):
-    """Building only the images within reach keeps the whole lattice's
-    images, in its order, so every tap sums to the same bits."""
+def test_rir_equals_the_whole_lattice_reference_byte_for_byte(monkeypatch,
+                                                             preset):
+    """Both sides enumerate the whole image lattice in the same order; the
+    reference differs by summing with np.add.at, a per-image gain and a
+    mask of the taps past the end, so every tap must sum to the same bits.
+    Besides the preset's rooms, seeded random rooms in its ranges get short
+    RIRs, the first one tap long, where no image is within reach."""
     for seed in range(3):
         spec = sample_room(preset, seed)
         for q in range(spec.num_mics):
             rir = image_source_rir(spec, q).samples
             assert rir.tobytes() == image_source_rir_grid(spec, q).tobytes()
+    cfg = PRESETS[preset]
+    rng = np.random.default_rng(ord(preset))
+    for length in [1, *rng.integers(2, 3001, size=5)]:
+        monkeypatch.setattr(roomsim, "default_rir_length",
+                            lambda t60, fs, n=int(length): n)
+        dims = (*rng.uniform(*cfg.length_range, size=2),
+                rng.uniform(*cfg.height_range))
+        source, mic = (tuple(rng.uniform(0.05, 0.95, size=3) * dims)
+                       for _ in range(2))
+        spec = RoomSpec(dimensions=dims, t60=rng.uniform(*cfg.t60_range),
+                        source=source, mics=(mic,))
+        rir = image_source_rir(spec, 0).samples
+        assert rir.tobytes() == image_source_rir_grid(spec, 0).tobytes()
+        if length == 1:
+            assert rir.tolist() == [0.0]
 
 
 def test_first_tap_is_direct_path():

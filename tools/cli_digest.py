@@ -6,6 +6,8 @@ Runs the CLI of the checkout this script sits in, in-process:
 - `simulate` for presets A and B (room seed 4, 10 dB WGN) on the bench's
   seeded speech surrogate, and once more for preset A with that surrogate
   as the `--noise` WAV;
+- noise-free `simulate` for presets A and B at room seeds 0 and 7, whose
+  `rirs.wav` hold four more rooms' image-source RIRs;
 - `dereverb` with the argv of each bench workload that runs it, on the
   scene of that workload's preset, with a trace CSV;
 - `convergence` on the preset-A scene: Wiener, 5 iterations, `--stop-tol 0`;
@@ -39,6 +41,7 @@ from workloads import (FS, WORKLOADS, dereverb_argv,  # noqa: E402
                        evaluate_argv, simulate_argv, speech_like)
 
 SPEECH_SEED = 0
+NOISE_FREE_ROOM_SEEDS = (0, 7)
 
 
 def run(argv):
@@ -51,8 +54,10 @@ def run(argv):
 def simulate_scenes():
     """Write the seeded surrogate to PRESET/input.wav and simulate it into
     PRESET/scene, for presets A and B under the current directory, and into
-    A/wav-noise-scene with A/input.wav as the noise file too; return
-    preset -> the WGN workload that gave its duration and simulate argv."""
+    A/wav-noise-scene with A/input.wav as the noise file too; simulate it
+    without noise into PRESET/room-SEED for each NOISE_FREE_ROOM_SEEDS;
+    return preset -> the WGN workload that gave its duration and simulate
+    argv."""
     scenes = {w.preset: w for w in WORKLOADS.values() if w.noise == "wgn"}
     for preset, workload in sorted(scenes.items()):
         os.makedirs(preset)
@@ -60,6 +65,10 @@ def simulate_scenes():
         samples = speech_like(workload.duration_s, seed=SPEECH_SEED)
         write_wav(MultichannelTimeSignal((TimeSignal(samples, FS),)), clean)
         run(simulate_argv(workload, clean, os.path.join(preset, "scene")))
+        for seed in NOISE_FREE_ROOM_SEEDS:
+            run(["simulate", "--preset", preset, "--seed", str(seed),
+                 "--clean", clean,
+                 "--out-dir", os.path.join(preset, f"room-{seed}")])
     # The later --noise overrides the workload's.
     run(simulate_argv(scenes["A"], os.path.join("A", "input.wav"),
                       os.path.join("A", "wav-noise-scene"))
