@@ -10,6 +10,8 @@ Runs the CLI of the checkout this script sits in, in-process:
   `rirs.wav` hold four more rooms' image-source RIRs;
 - `dereverb` with the argv of each bench workload that runs it, on the
   scene of that workload's preset, with a trace CSV;
+- `dereverb` on the preset-A scene with every solver flag set away from
+  its default: PnPWPE, soft threshold, with a trace CSV;
 - `convergence` on the preset-A scene: Wiener, 5 iterations, `--stop-tol 0`;
 - `sweep` over the preset-A scene: `--rho-grid 0.1,1 --denoiser-grid
   identity,wiener --iterations 2`, which scores each grid point's estimate,
@@ -94,6 +96,13 @@ def digests(workdir):
                           out) + ["--trace-csv", f"{name}.trace.csv"])
         run(evaluate_argv(os.path.join(scene, "reference.wav"), out,
                           csv_path))
+    run(["dereverb", "--input", os.path.join("A", "scene", "observed.wav"),
+         "--out", "all-flags.wav", "--trace-csv", "all-flags.trace.csv",
+         "--method", "pnpwpe", "--frame-len", "256", "--hop", "64",
+         "--filter-order", "6", "--delay", "4", "--epsilon", "1e-3",
+         "--iterations", "2", "--reference-channel", "1", "--rho", "0.5",
+         "--mu", "0.7", "--inner-iters", "2", "--stop-tol", "0",
+         "--denoiser", "soft_threshold", "--threshold", "0.3"])
     run(["convergence", "--input", os.path.join("A", "scene", "observed.wav"),
          "--trace-csv", "convergence.csv", "--preset", "A",
          "--denoiser", "wiener", "--iterations", "5", "--stop-tol", "0"])
