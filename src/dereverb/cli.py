@@ -45,7 +45,10 @@ def _atomic_write(path, write):
     less the umask, where tempfile.mkstemp's would be 0o600."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         write(tmp)
         os.replace(tmp, path)
@@ -73,30 +76,25 @@ DENOISERS = {
 
 
 def _add_solver_flags(parser):
-    """The STFT, WPE and PnPWPE flags of dereverb, sweep and convergence."""
+    """The STFT, WPE and PnPWPE flags of dereverb, sweep and convergence:
+    --FIELD-NAME at its default for each field of the three configs."""
     from .pnpwpe import PnpParams
     from .stft import StftConfig
     from .wpe import WpeParams
-    parser.add_argument("--frame-len", type=int, default=StftConfig.frame_len)
-    parser.add_argument("--hop", type=int, default=StftConfig.hop)
-    parser.add_argument("--filter-order", type=int, default=None,
-                        help=f"taps per channel (default "
-                             f"{WpeParams.filter_order}; "
-                             f"{PRESET_FILTER_ORDER['A']} for preset A, "
-                             f"{PRESET_FILTER_ORDER['B']} for preset B)")
-    parser.add_argument("--delay", type=int, default=WpeParams.delay)
-    parser.add_argument("--epsilon", type=float, default=WpeParams.epsilon)
-    parser.add_argument("--iterations", type=int,
-                        default=WpeParams.iterations)
-    parser.add_argument("--reference-channel", type=int,
-                        default=WpeParams.reference_channel)
+    for cls in (StftConfig, WpeParams, PnpParams):
+        for field in dataclasses.fields(cls):
+            if field.name in ("wpe", "denoiser"):  # other flags build them
+                continue
+            order = field.name == "filter_order"  # None: --preset picks it
+            parser.add_argument(
+                "--" + field.name.replace("_", "-"), type=type(field.default),
+                default=None if order else field.default,
+                help=(f"taps per channel (default {field.default}; "
+                      f"{PRESET_FILTER_ORDER['A']} for preset A, "
+                      f"{PRESET_FILTER_ORDER['B']} for preset B)")
+                if order else None)
     parser.add_argument("--preset", choices=sorted(PRESET_FILTER_ORDER),
                         default=None)
-    parser.add_argument("--rho", type=float, default=PnpParams.rho)
-    parser.add_argument("--mu", type=float, default=PnpParams.mu)
-    parser.add_argument("--inner-iters", type=int,
-                        default=PnpParams.inner_iters)
-    parser.add_argument("--stop-tol", type=float, default=PnpParams.stop_tol)
     parser.add_argument("--denoiser", default="identity",
                         choices=list(DENOISERS))
     parser.add_argument("--threshold", type=float, default=0.5)
@@ -106,24 +104,23 @@ def _add_solver_flags(parser):
                         help="command line for the external denoiser")
 
 
+def _config(cls, args, **derived):
+    """cls from its fields' solver flags in args, but for those in derived."""
+    return cls(**{field.name: getattr(args, field.name)
+                  for field in dataclasses.fields(cls)
+                  if field.name not in derived}, **derived)
+
+
 def _filter_order(args):
     from .wpe import WpeParams
     if args.filter_order is not None:
         return args.filter_order
-    if args.preset is not None:
-        return PRESET_FILTER_ORDER[args.preset]
-    return WpeParams.filter_order
+    return PRESET_FILTER_ORDER.get(args.preset, WpeParams.filter_order)
 
 
 def _wpe_params(args):
     from .wpe import WpeParams
-    return WpeParams(
-        filter_order=_filter_order(args),
-        delay=args.delay,
-        epsilon=args.epsilon,
-        iterations=args.iterations,
-        reference_channel=args.reference_channel,
-    )
+    return _config(WpeParams, args, filter_order=_filter_order(args))
 
 
 def _denoiser(args):
@@ -137,14 +134,8 @@ def _denoiser(args):
 
 def _pnp_params(args):
     from .pnpwpe import PnpParams
-    return PnpParams(
-        wpe=_wpe_params(args),
-        rho=args.rho,
-        mu=args.mu,
-        inner_iters=args.inner_iters,
-        denoiser=_denoiser(args),
-        stop_tol=args.stop_tol,
-    )
+    return _config(PnpParams, args, wpe=_wpe_params(args),
+                   denoiser=_denoiser(args))
 
 
 def _write_trace_csv(path, trace):
@@ -196,8 +187,7 @@ def cmd_simulate(args):
 def _analyze(path, args):
     from .signals import read_wav
     from .stft import StftConfig, analyze_multichannel
-    return analyze_multichannel(
-        read_wav(path), StftConfig(frame_len=args.frame_len, hop=args.hop))
+    return analyze_multichannel(read_wav(path), _config(StftConfig, args))
 
 
 def _estimate(observed, args):
@@ -267,7 +257,7 @@ def cmd_sweep(args):
     orders = (_parse_grid(args, "filter_order_grid", int)
               or [_filter_order(args)])
     kinds = _parse_grid(args, "denoiser_grid", str) or [args.denoiser]
-    StftConfig(frame_len=args.frame_len, hop=args.hop)  # exit 2, no error rows
+    _config(StftConfig, args)  # exit 2, no error rows
     grid = list(itertools.product(rhos, mus, orders, kinds))
     rows = []
     for scene_dir in args.scenes:
@@ -405,7 +395,7 @@ def main(argv=None):
     except (DenoiserError, ProtocolError) as exc:
         sys.stderr.write(f"denoiser error: {exc}\n")
         return EXIT_DENOISER
-    except (FileNotFoundError, OSError, FormatError) as exc:
+    except (OSError, FormatError) as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
     except (SingularBandError, GeometryError, MetricError,

@@ -17,7 +17,13 @@ _PCM16_SCALE = 32768.0
 
 @dataclass(frozen=True)
 class TimeSignal:
-    """A single channel of sampled audio."""
+    """A single channel of sampled audio.
+
+    samples is a read-only float64 view of the array given, not a copy
+    (a cast copies only another dtype; read_wav's rows are strided views),
+    so a caller must not write to that array while the signal is in use,
+    and none in the package does.
+    """
 
     samples: np.ndarray
     sample_rate: int
@@ -30,7 +36,8 @@ class TimeSignal:
             raise ArgumentError("samples must be finite")
         if self.sample_rate <= 0:
             raise ArgumentError("sample_rate must be positive")
-        samples = samples.copy()
+        # A new view, so that the caller's array object stays writable.
+        samples = samples.view()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 

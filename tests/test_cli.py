@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 import shlex
@@ -15,13 +16,15 @@ import pytest
 
 import dereverb
 from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
-                          EXIT_NUMERIC, EXIT_OK, _atomic_write, _denoiser,
-                          _filter_order, build_parser, main)
+                          EXIT_NUMERIC, EXIT_OK, _atomic_write, _config,
+                          _denoiser, _filter_order, _pnp_params, _wpe_params,
+                          build_parser, main)
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
 from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import plateau_iteration
 from dereverb.roomsim import white_noise
+from dereverb.stft import StftConfig
 from dereverb.wpe import IterationRecord
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
                               write_wav)
@@ -374,6 +377,31 @@ def test_preset_sets_filter_order():
     assert _filter_order(args) == 28
 
 
+def test_every_solver_flag_reaches_its_field():
+    """Each StftConfig, WpeParams and PnpParams field but wpe and denoiser,
+    set by its flag away from its default, holds that value in the configs
+    the solver subcommands build."""
+    args = build_parser().parse_args([
+        "dereverb", "--input", "x", "--out", "y", "--preset", "B",
+        "--frame-len", "256", "--hop", "64", "--filter-order", "6",
+        "--delay", "4", "--epsilon", "1e-3", "--iterations", "2",
+        "--reference-channel", "1", "--rho", "0.5", "--mu", "0.7",
+        "--inner-iters", "2", "--stop-tol", "0"])
+    expected = {"frame_len": 256, "hop": 64, "filter_order": 6, "delay": 4,
+                "epsilon": 1e-3, "iterations": 2, "reference_channel": 1,
+                "rho": 0.5, "mu": 0.7, "inner_iters": 2, "stop_tol": 0.0}
+    pnp = _pnp_params(args)
+    assert _wpe_params(args) == pnp.wpe
+    built, defaults = {}, {}
+    for config in (_config(StftConfig, args), pnp.wpe, pnp):
+        for field in dataclasses.fields(config):
+            if field.name not in ("wpe", "denoiser"):
+                built[field.name] = getattr(config, field.name)
+                defaults[field.name] = field.default
+    assert built == expected
+    assert all(defaults[name] != value for name, value in expected.items())
+
+
 def test_every_denoiser_choice_builds_its_class():
     classes = {"identity": IdentityDenoiser,
                "soft_threshold": SoftThresholdDenoiser,
@@ -717,6 +745,18 @@ def test_atomic_write_failure_leaves_target_untouched(tmp_path):
         _atomic_write(str(target), failing)
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_write_into_a_missing_directory_names_the_target(tmp_path, scene_dir,
+                                                        capsys):
+    target = tmp_path / "missing" / "o.wav"
+    assert main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--method", "wpe",
+                 "--out", str(target)] + FAST) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: [Errno 2]")
+    assert repr(str(target)) in err and ".tmp" not in err
+    assert list(tmp_path.rglob("*")) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)],

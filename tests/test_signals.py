@@ -299,6 +299,18 @@ def test_signal_invariants():
                                 TimeSignal([0.0], 16000)))
 
 
+def test_time_signal_views_a_float64_array_read_only():
+    given = np.linspace(-1.0, 1.0, 64)
+    signal = TimeSignal(given, 16000)
+    assert np.shares_memory(signal.samples, given)
+    assert not signal.samples.flags.writeable
+    assert given.flags.writeable
+    cast = TimeSignal(given.astype(np.float32), 16000).samples
+    assert cast.dtype == np.float64 and not cast.flags.writeable
+    with pytest.raises(ArgumentError, match="one-dimensional"):
+        TimeSignal(0.5, 16000)
+
+
 # --- fuzzing the reader -----------------------------------------------------
 
 U16 = st.integers(0, 0xFFFF)
