@@ -1,5 +1,5 @@
-"""Batch command-line front end: scene simulation, dereverberation,
-evaluation, parameter sweeps and convergence traces.
+"""Batch command-line front end: scene simulation, dereverberation (with
+its convergence trace), evaluation and parameter sweeps.
 
 Exit codes: 0 success, 2 bad arguments, 3 I/O errors, 4 numeric/metric
 errors, 5 external denoiser failures.
@@ -51,7 +51,10 @@ def _atomic_write(path, write):
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         write(tmp)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the file asked for alone
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -76,8 +79,8 @@ DENOISERS = {
 
 
 def _add_solver_flags(parser):
-    """The STFT, WPE and PnPWPE flags of dereverb, sweep and convergence:
-    --FIELD-NAME at its default for each field of the three configs."""
+    """The STFT, WPE and PnPWPE flags of dereverb and sweep: --FIELD-NAME
+    at its default for each field of the three configs."""
     from .pnpwpe import PnpParams
     from .stft import StftConfig
     from .wpe import WpeParams
@@ -123,19 +126,19 @@ def _wpe_params(args):
     return _config(WpeParams, args, filter_order=_filter_order(args))
 
 
-def _denoiser(args):
-    """The --denoiser kind, built from the denoiser flags; sweep's grid
+def _denoiser(kind, args):
+    """The denoiser of kind, built from the denoiser flags; sweep's grid
     kinds come here unchecked by argparse."""
-    if args.denoiser not in DENOISERS:
-        raise ArgumentError(f"unknown denoiser kind: {args.denoiser}")
+    if kind not in DENOISERS:
+        raise ArgumentError(f"unknown denoiser kind: {kind}")
     from . import denoisers
-    return DENOISERS[args.denoiser](denoisers, args)
+    return DENOISERS[kind](denoisers, args)
 
 
 def _pnp_params(args):
     from .pnpwpe import PnpParams
     return _config(PnpParams, args, wpe=_wpe_params(args),
-                   denoiser=_denoiser(args))
+                   denoiser=_denoiser(args.denoiser, args))
 
 
 def _write_trace_csv(path, trace):
@@ -190,27 +193,18 @@ def _analyze(path, args):
     return analyze_multichannel(read_wav(path), _config(StftConfig, args))
 
 
-def _estimate(observed, args):
-    """(out, trace) of --method, out synthesized and rounded through
-    float32 as write_wav stores it, so that sweep scores dereverb's file."""
-    from .pnpwpe import run_pnpwpe
-    from .stft import synthesize
-    from .wpe import run_wpe
-    if args.method == "wpe":
-        estimate, _, trace = run_wpe(observed, _wpe_params(args))
-    else:
-        estimate, _, trace = run_pnpwpe(observed, _pnp_params(args))
-    out = synthesize(estimate)
-    return dataclasses.replace(out, samples=out.samples.astype("<f4")), trace
-
-
 def cmd_dereverb(args):
+    from .pnpwpe import estimate, plateau_iteration
     from .signals import MultichannelTimeSignal, write_wav
-    out, trace = _estimate(_analyze(args.input, args), args)
+    observed = _analyze(args.input, args)
+    params = _wpe_params(args) if args.method == "wpe" else _pnp_params(args)
+    out, trace = estimate(observed, params)
     _atomic_write(args.out, functools.partial(
         write_wav, MultichannelTimeSignal((out,))))
     if args.trace_csv:
         _write_trace_csv(args.trace_csv, trace)
+        plateau = plateau_iteration(trace) or "none"
+        sys.stdout.write(f"iterations={len(trace)} plateau_iter={plateau}\n")
     return EXIT_OK
 
 
@@ -249,9 +243,10 @@ def _parse_grid(args, name, cast):
 
 def cmd_sweep(args):
     from .metrics import evaluate_pair
-    from .pnpwpe import plateau_iteration
+    from .pnpwpe import PnpParams, estimate, plateau_iteration
     from .signals import read_wav
     from .stft import StftConfig
+    from .wpe import WpeParams
     rhos = _parse_grid(args, "rho_grid", float) or [args.rho]
     mus = _parse_grid(args, "mu_grid", float) or [args.mu]
     orders = (_parse_grid(args, "filter_order_grid", int)
@@ -270,11 +265,12 @@ def cmd_sweep(args):
                      for point in grid]
             continue
         for rho, mu, order, kind in grid:
-            point = argparse.Namespace(**(vars(args) | {
-                "rho": rho, "mu": mu, "filter_order": order,
-                "denoiser": kind, "method": "pnpwpe"}))
             try:
-                out, trace = _estimate(observed, point)
+                params = _config(
+                    PnpParams, args, rho=rho, mu=mu,
+                    wpe=_config(WpeParams, args, filter_order=order),
+                    denoiser=_denoiser(kind, args))
+                out, trace = estimate(observed, params)
                 report = evaluate_pair(reference, out)
                 rows.append([scene_dir, rho, mu, order, kind,
                              f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
@@ -293,15 +289,6 @@ def cmd_sweep(args):
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
     _atomic_write(args.out, write)
-    return EXIT_OK
-
-
-def cmd_convergence(args):
-    from .pnpwpe import plateau_iteration, run_pnpwpe
-    _, _, trace = run_pnpwpe(_analyze(args.input, args), _pnp_params(args))
-    _write_trace_csv(args.trace_csv, trace)
-    sys.stdout.write(f"iterations={len(trace)} "
-                     f"plateau_iter={plateau_iteration(trace) or 'none'}\n")
     return EXIT_OK
 
 
@@ -341,12 +328,6 @@ def _sweep_flags(p):
     _add_solver_flags(p)
 
 
-def _convergence_flags(p):
-    p.add_argument("--input", required=True)
-    p.add_argument("--trace-csv", required=True)
-    _add_solver_flags(p)
-
-
 # Each subcommand: its help line, the function adding its flags, and the
 # function running it.
 SUBCOMMANDS = {
@@ -356,8 +337,6 @@ SUBCOMMANDS = {
                  cmd_dereverb),
     "evaluate": ("compute CD and F-SNR", _evaluate_flags, cmd_evaluate),
     "sweep": ("grid sweep over scenes", _sweep_flags, cmd_sweep),
-    "convergence": ("emit the solver error trace", _convergence_flags,
-                    cmd_convergence),
 }
 
 

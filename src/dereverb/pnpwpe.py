@@ -2,17 +2,19 @@
 prior, in the form of an ADMM iteration over a speech iterate R, a noise
 iterate V and a scaled dual P. run_pnpwpe states the iteration as it
 runs: V and P do no work in it yet, so R does not reach the filters.
+estimate runs WPE or PnPWPE and synthesizes, as the CLI writes its output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .denoisers import IdentityDenoiser
 from .errors import ArgumentError
+from .stft import synthesize
 from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
-                  prepare, relative_change, solve_all_bands)
+                  prepare, relative_change, run_wpe, solve_all_bands)
 
 PLATEAU_THRESHOLD = 0.05  # the change of R plateau_iteration calls settled
 
@@ -131,3 +133,13 @@ def plateau_iteration(trace):
         if all(record.change < PLATEAU_THRESHOLD for record in trace[i:]):
             return i + 1
     return None
+
+
+def estimate(observed, params):
+    """(out, trace) of run_pnpwpe for a PnpParams or of run_wpe for a
+    WpeParams; out is synthesized and rounded through float32 as write_wav
+    stores it, so that what is scored is the file dereverb writes."""
+    run = run_pnpwpe if isinstance(params, PnpParams) else run_wpe
+    spec, _, trace = run(observed, params)
+    out = synthesize(spec)
+    return replace(out, samples=out.samples.astype("<f4")), trace

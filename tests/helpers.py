@@ -15,7 +15,7 @@ from dereverb.pnpwpe import AdmmState, update_r
 from dereverb.roomsim import (SPEED_OF_SOUND, reflection_coefficient,
                               render_scene, sample_room, white_noise)
 from dereverb.signals import TimeSignal
-from dereverb.stft import Spectrogram, StftConfig, hann
+from dereverb.stft import Spectrogram, hann
 from dereverb.wpe import (FilterBank, IterationRecord, estimate_psd, prepare,
                           relative_change, solve_all_bands)
 
@@ -64,17 +64,6 @@ def make_scene(preset="A", seed=0, noise_kind="none", snr_db=10.0,
     return render_scene(spec, clean, noise,
                         snr_db if noise is not None else None,
                         noise_seed=seed + 3000)
-
-
-def random_spectrogram(n_frames, config=None, seed=0, sample_rate=16000,
-                       scale=1.0):
-    config = config or StftConfig()
-    rng = np.random.default_rng(seed)
-    shape = (n_frames, config.num_bins)
-    values = scale * (rng.standard_normal(shape)
-                      + 1j * rng.standard_normal(shape))
-    length = (n_frames - 1) * config.hop + config.frame_len
-    return Spectrogram(values, config, sample_rate, length)
 
 
 def analyze_gather(signal, config):

@@ -22,10 +22,10 @@ from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
 from dereverb.errors import ArgumentError
-from dereverb.pnpwpe import plateau_iteration
+from dereverb.pnpwpe import PnpParams, estimate, plateau_iteration
 from dereverb.roomsim import white_noise
-from dereverb.stft import StftConfig
-from dereverb.wpe import IterationRecord
+from dereverb.stft import StftConfig, analyze_multichannel
+from dereverb.wpe import IterationRecord, WpeParams
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
                               write_wav)
 
@@ -87,19 +87,20 @@ def test_simulate_with_noise(tmp_path, clean_wav):
     assert meta["noise"] == "wgn"
 
 
-def test_dereverb_wpe(tmp_path, scene_dir):
+def test_dereverb_wpe(tmp_path, scene_dir, capsys):
     out = tmp_path / "wpe.wav"
     code = main(["dereverb", "--input",
                  os.path.join(scene_dir, "observed.wav"),
                  "--method", "wpe", "--out", str(out)] + FAST)
     assert code == EXIT_OK
+    assert capsys.readouterr().out == ""  # no --trace-csv, no trace line
     estimate = read_wav(out)
     observed = read_wav(os.path.join(scene_dir, "observed.wav"))
     assert estimate.num_channels == 1
     assert len(estimate) == len(observed)
 
 
-def test_dereverb_wpe_with_trace(tmp_path, scene_dir):
+def test_dereverb_wpe_with_trace(tmp_path, scene_dir, capsys):
     trace = tmp_path / "trace.csv"
     code = main(["dereverb", "--input",
                  os.path.join(scene_dir, "observed.wav"), "--method", "wpe",
@@ -112,6 +113,10 @@ def test_dereverb_wpe_with_trace(tmp_path, scene_dir):
     assert [row[0] for row in rows] == ["1", "2"]  # FAST runs 2 iterations
     assert all(float(row[1]) > 0.0 and 0.0 < float(row[2]) < np.inf
                for row in rows)
+    plateau = plateau_iteration([IterationRecord(float(error), float(change))
+                                 for _, error, change in rows])
+    assert capsys.readouterr().out.split() == [
+        "iterations=2", f"plateau_iter={plateau or 'none'}"]
 
 
 def test_dereverb_pnpwpe_with_trace(tmp_path, scene_dir):
@@ -324,8 +329,9 @@ def test_sweep_bad_stft_flags_are_a_bad_argument(tmp_path, scene_dir,
 
 def test_convergence_trace(tmp_path, scene_dir, capsys):
     trace = tmp_path / "conv.csv"
-    code = main(["convergence", "--input",
+    code = main(["dereverb", "--input",
                  os.path.join(scene_dir, "observed.wav"),
+                 "--out", str(tmp_path / "est.wav"),
                  "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
     assert trace.read_text().startswith("iteration,error,change")
@@ -335,8 +341,9 @@ def test_convergence_trace(tmp_path, scene_dir, capsys):
 
 def test_convergence_plateau_matches_its_csv(tmp_path, scene_dir, capsys):
     trace = tmp_path / "conv.csv"
-    code = main(["convergence", "--input",
+    code = main(["dereverb", "--input",
                  os.path.join(scene_dir, "observed.wav"),
+                 "--out", str(tmp_path / "est.wav"),
                  "--trace-csv", str(trace), "--denoiser", "wiener",
                  "--filter-order", "4", "--iterations", "8",
                  "--stop-tol", "0"])
@@ -353,8 +360,9 @@ def test_convergence_plateau_matches_its_csv(tmp_path, scene_dir, capsys):
 def test_convergence_plateau_none_when_the_last_change_is_large(
         tmp_path, scene_dir, capsys):
     trace = tmp_path / "conv.csv"
-    code = main(["convergence", "--input",
+    code = main(["dereverb", "--input",
                  os.path.join(scene_dir, "observed.wav"),
+                 "--out", str(tmp_path / "est.wav"),
                  "--trace-csv", str(trace), "--denoiser", "wiener",
                  "--filter-order", "4", "--delay", "2", "--iterations", "5",
                  "--stop-tol", "0"])
@@ -363,6 +371,27 @@ def test_convergence_plateau_none_when_the_last_change_is_large(
     assert last_change >= 0.05  # the change has not settled by the end
     assert capsys.readouterr().out.split() == ["iterations=5",
                                                "plateau_iter=none"]
+
+
+@pytest.mark.parametrize("method, params", [
+    ("wpe", WpeParams(filter_order=4, iterations=2)),
+    ("pnpwpe", PnpParams(WpeParams(filter_order=4, iterations=2),
+                         denoiser=WienerDenoiser(0.3, 0.1))),
+], ids=["wpe", "pnpwpe"])
+def test_estimate_is_the_file_dereverb_writes(tmp_path, scene_dir, method,
+                                              params):
+    """pnpwpe.estimate on params built by hand gives the samples dereverb
+    writes with the same flags, and the trace its CSV holds."""
+    observed = os.path.join(scene_dir, "observed.wav")
+    out, trace_csv = tmp_path / "o.wav", tmp_path / "t.csv"
+    assert main(["dereverb", "--input", observed, "--method", method,
+                 "--denoiser", "wiener", "--out", str(out),
+                 "--trace-csv", str(trace_csv)] + FAST) == EXIT_OK
+    estimated, trace = estimate(
+        analyze_multichannel(read_wav(observed), StftConfig()), params)
+    written = read_wav(out).channels[0].samples
+    assert estimated.samples.tobytes() == written.tobytes()
+    assert len(trace) == len(trace_csv.read_text().splitlines()) - 1
 
 
 def test_preset_sets_filter_order():
@@ -412,12 +441,11 @@ def test_every_denoiser_choice_builds_its_class():
         args = parser.parse_args(["dereverb", "--input", "x", "--out", "y",
                                   "--denoiser", kind, "--quantile", "0.4",
                                   "--denoiser-command", "true"])
-        assert type(_denoiser(args)) is cls
-    args.denoiser = "wiener"
-    assert _denoiser(args).quantile == 0.4
-    args.denoiser = "fancy"  # a sweep grid kind, unchecked by argparse
+        assert type(_denoiser(args.denoiser, args)) is cls
+    assert _denoiser("wiener", args).quantile == 0.4
+    # a sweep grid kind, unchecked by argparse
     with pytest.raises(ArgumentError, match="unknown denoiser kind: fancy"):
-        _denoiser(args)
+        _denoiser("fancy", args)
     assert main(["dereverb", "--input", "x", "--out", "y",
                  "--denoiser", "fancy"]) == EXIT_ARGS
 
@@ -504,18 +532,19 @@ def test_exit_code_missing_external_denoiser(tmp_path, scene_dir, capsys):
     shutil.rmtree(kept[1])
 
 
-@pytest.mark.parametrize("subcommand, out_flag", [
-    ("dereverb", "--out"), ("convergence", "--trace-csv")])
+@pytest.mark.parametrize("with_trace", [False, True],
+                         ids=["dereverb---out", "dereverb---trace-csv"])
 def test_exit_code_malformed_denoiser_command(tmp_path, scene_dir, capsys,
-                                              subcommand, out_flag):
-    out = tmp_path / "out"
-    assert main([subcommand, "--input",
-                 os.path.join(scene_dir, "observed.wav"), out_flag, str(out),
+                                              with_trace):
+    out, trace = tmp_path / "out", tmp_path / "trace.csv"
+    assert main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--out", str(out),
+                 *(["--trace-csv", str(trace)] if with_trace else []),
                  "--denoiser", "external", "--denoiser-command", 'foo "bar']
                 + FAST) == EXIT_ARGS
     err = capsys.readouterr().err
     assert err == "error: --denoiser-command: No closing quotation\n"
-    assert not out.exists()
+    assert not out.exists() and not trace.exists()
 
 
 COPY_INPUT = "import shutil, sys; shutil.copy(sys.argv[1], sys.argv[2])"
@@ -757,6 +786,18 @@ def test_write_into_a_missing_directory_names_the_target(tmp_path, scene_dir,
     assert err.startswith("i/o error: [Errno 2]")
     assert repr(str(target)) in err and ".tmp" not in err
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_failed_rename_names_the_target(tmp_path, scene_dir, capsys):
+    target = tmp_path / "D" / "o.wav"
+    target.mkdir(parents=True)  # os.replace of a file onto it fails
+    assert main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--method", "wpe",
+                 "--out", str(target)] + FAST) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "o.wav" in err and ".tmp" not in err
+    assert list(target.parent.iterdir()) == [target]  # no temp file left
+    assert list(target.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)],

@@ -12,7 +12,8 @@ Runs the CLI of the checkout this script sits in, in-process:
   scene of that workload's preset, with a trace CSV;
 - `dereverb` on the preset-A scene with every solver flag set away from
   its default: PnPWPE, soft threshold, with a trace CSV;
-- `convergence` on the preset-A scene: Wiener, 5 iterations, `--stop-tol 0`;
+- `dereverb` on the preset-A scene as a convergence study: PnPWPE,
+  Wiener, 5 iterations, `--stop-tol 0`, with a trace CSV;
 - `sweep` over the preset-A scene: `--rho-grid 0.1,1 --denoiser-grid
   identity,wiener --iterations 2`, which scores each grid point's estimate,
   as `dereverb` would write it, in-process with `metrics.evaluate_pair`;
@@ -103,9 +104,10 @@ def digests(workdir):
          "--iterations", "2", "--reference-channel", "1", "--rho", "0.5",
          "--mu", "0.7", "--inner-iters", "2", "--stop-tol", "0",
          "--denoiser", "soft_threshold", "--threshold", "0.3"])
-    run(["convergence", "--input", os.path.join("A", "scene", "observed.wav"),
-         "--trace-csv", "convergence.csv", "--preset", "A",
-         "--denoiser", "wiener", "--iterations", "5", "--stop-tol", "0"])
+    run(["dereverb", "--input", os.path.join("A", "scene", "observed.wav"),
+         "--out", "convergence.wav", "--trace-csv", "convergence.csv",
+         "--preset", "A", "--denoiser", "wiener", "--iterations", "5",
+         "--stop-tol", "0"])
     run(["sweep", "--scenes", os.path.join("A", "scene"),
          "--rho-grid", "0.1,1", "--denoiser-grid", "identity,wiener",
          "--iterations", "2", "--out", "sweep.csv"])

@@ -83,9 +83,6 @@ def steps(scenes):
             found[f"dereverb {name}"] = dereverb_argv(
                 workload, os.path.join(workload.preset, "scene",
                                        "observed.wav"), f"out/{name}.wav")
-    found["convergence A"] = [
-        "convergence", "--input", os.path.join("A", "scene", "observed.wav"),
-        "--preset", "A", "--trace-csv", "out/trace.csv"]
     found["sweep A"] = ["sweep", "--scenes", os.path.join("A", "scene"),
                         "--preset", "A", "--out", "out/sweep.csv"]
     return found
