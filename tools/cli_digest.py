@@ -1,4 +1,5 @@
-"""Print one SHA-256 digest per file that a fixed run of the CLI writes.
+"""Print one SHA-256 digest per file that a fixed run of the CLI writes,
+and one per step's stdout.
 
 Usage: python3 tools/cli_digest.py
 
@@ -21,8 +22,10 @@ Runs the CLI of the checkout this script sits in, in-process:
   the scene's reference, into one CSV.
 
 The steps run in a temporary directory, removed afterwards, and name their
-files relative to it, so the printout names no checkout. Two checkouts
-whose printouts are equal wrote the same bytes.
+files relative to it, so the printout names no checkout. Each file's line
+names its path; each step's stdout line follows them, in the order the
+steps ran, as "stdout NN SUBCOMMAND". Two checkouts whose printouts are
+equal wrote and printed the same bytes.
 """
 from __future__ import annotations
 
@@ -47,11 +50,16 @@ SPEECH_SEED = 0
 NOISE_FREE_ROOM_SEEDS = (0, 7)
 
 
+STDOUTS = []  # (sha256, label) of each step's stdout, in run order
+
+
 def run(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)}: exited {code}")
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    STDOUTS.append((digest, f"stdout {len(STDOUTS) + 1:02d} {argv[0]}"))
 
 
 def simulate_scenes():
@@ -80,7 +88,8 @@ def simulate_scenes():
 
 
 def digests(workdir):
-    """Run every step in workdir; return the (sha256, path) of each file."""
+    """Run every step in workdir; return the (sha256, path) of each file,
+    then the (sha256, label) of each step's stdout."""
     os.chdir(workdir)
     scenes = simulate_scenes()
     csv_path = "evaluate.csv"
@@ -118,7 +127,7 @@ def digests(workdir):
             path = os.path.relpath(os.path.join(top, file))
             with open(path, "rb") as fh:
                 found.append((hashlib.sha256(fh.read()).hexdigest(), path))
-    return found
+    return found + STDOUTS
 
 
 if __name__ == "__main__":
