@@ -141,12 +141,14 @@ def _pnp_params(args):
                    denoiser=_denoiser(args.denoiser, args))
 
 
-def _write_trace_csv(path, trace):
-    lines = ["iteration,error,change"]
-    lines += [f"{i},{record.error:.12g},{record.change:.12g}"
-              for i, record in enumerate(trace, 1)]
-    text = "\n".join(lines) + "\n"
-    _atomic_write(path, lambda tmp: pathlib.Path(tmp).write_text(text))
+def _write_csv(path, rows):
+    """Write rows to path as CSV, atomically; csv quotes the fields that
+    hold a comma, a quote or a newline, such as an error message."""
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    _atomic_write(path, write)
 
 
 def cmd_simulate(args):
@@ -167,7 +169,7 @@ def cmd_simulate(args):
     outputs = {
         "observed.wav": scene.observed,
         "reference.wav": MultichannelTimeSignal((scene.reference,)),
-        "clean.wav": MultichannelTimeSignal((scene.clean,)),
+        "clean.wav": MultichannelTimeSignal((clean,)),
         "rirs.wav": MultichannelTimeSignal(scene.rirs),
     }
     for name, signal in outputs.items():
@@ -202,7 +204,10 @@ def cmd_dereverb(args):
     _atomic_write(args.out, functools.partial(
         write_wav, MultichannelTimeSignal((out,))))
     if args.trace_csv:
-        _write_trace_csv(args.trace_csv, trace)
+        _write_csv(args.trace_csv, [
+            ("iteration", "error", "change"),
+            *((i, f"{record.error:.12g}", f"{record.change:.12g}")
+              for i, record in enumerate(trace, 1))])
         plateau = plateau_iteration(trace) or "none"
         sys.stdout.write(f"iterations={len(trace)} plateau_iter={plateau}\n")
     return EXIT_OK
@@ -281,14 +286,7 @@ def cmd_sweep(args):
                              "", "", "", "", f"error:{exc}"])
     header = ["scene", "rho", "mu", "L", "denoiser", "cd", "fwsegsnr",
               "final_error", "plateau_iter", "status"]
-
-    def write(tmp):
-        # csv quotes the fields that hold a comma, a quote or a newline,
-        # such as an error message.
-        with open(tmp, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-
-    _atomic_write(args.out, write)
+    _write_csv(args.out, [header, *rows])
     return EXIT_OK
 
 

@@ -35,8 +35,9 @@ def scipy_linalg_module(name):
 
     `import scipy.linalg` costs about 0.3 s, most of it numpy.f2py,
     numpy.testing and numpy.ma pulled in by scipy's array-API layer, while
-    the band solves need only four f2py routines. Loading the extension
-    file runs neither the scipy nor the scipy.linalg package __init__. The
+    the band solves need only four f2py routines. The stdlib's PathFinder
+    finds the extension file in scipy's linalg directory, and loading it
+    runs neither the scipy nor the scipy.linalg package __init__. The
     module is registered under its canonical name before it runs, so a
     later `import scipy.linalg` reuses this very module. Where no such file
     sits in scipy's linalg directory, as in an editable build, this is the
@@ -46,23 +47,20 @@ def scipy_linalg_module(name):
     module = sys.modules.get(qualname)
     if module is not None:
         return module
-    spec = importlib.util.find_spec("scipy")
-    directories = spec.submodule_search_locations if spec else None
-    for directory in directories or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "linalg", name + suffix)
-            if not os.path.isfile(path):
-                continue
-            file_spec = importlib.util.spec_from_file_location(qualname, path)
-            module = importlib.util.module_from_spec(file_spec)
-            sys.modules[qualname] = module
-            try:
-                file_spec.loader.exec_module(module)
-            except BaseException:
-                del sys.modules[qualname]
-                raise
-            return module
-    return importlib.import_module(qualname)
+    scipy = importlib.util.find_spec("scipy")
+    spec = importlib.machinery.PathFinder.find_spec(qualname, [
+        os.path.join(directory, "linalg")
+        for directory in (scipy.submodule_search_locations if scipy else ())])
+    if spec is None:
+        return importlib.import_module(qualname)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualname] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[qualname]
+        raise
+    return module
 
 
 @functools.cache

@@ -49,24 +49,21 @@ class AdmmState:
 
 
 def update_r(r_tilde, denoiser, mu, inner_iters=1):
-    """Fixed-point mixing: R_i = mu*R_tilde + (1-mu)*Omega(arg_i).
-
-    The first inner step denoises R_tilde itself; subsequent steps denoise
-    the previous inner iterate.
+    """Fixed-point mixing: R_i = mu*R_tilde + (1-mu)*Omega(R_{i-1}), from
+    R_0 = R_tilde: the first inner step denoises R_tilde itself, each later
+    one the previous inner iterate.
     The denoiser is the one value from outside the program: an output
     whose shape differs from its input raises ArgumentError.
     """
-    arg = r_tilde
     r = r_tilde
     for _ in range(inner_iters):
-        denoised = denoiser.denoise(arg)
-        if denoised.values.shape != arg.values.shape:
+        denoised = denoiser.denoise(r)
+        if denoised.values.shape != r.values.shape:
             raise ArgumentError(
-                f"denoiser changed the shape: {arg.values.shape} -> "
+                f"denoiser changed the shape: {r.values.shape} -> "
                 f"{denoised.values.shape}")
         r = r_tilde.with_values(
             mu * r_tilde.values + (1.0 - mu) * denoised.values)
-        arg = r
     return r
 
 

@@ -182,7 +182,6 @@ def white_noise(length, seed, sample_rate=16000):
 class Scene:
     observed: MultichannelTimeSignal
     reference: TimeSignal
-    clean: TimeSignal
     rirs: tuple
 
 
@@ -232,7 +231,6 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     return Scene(
         observed=MultichannelTimeSignal.from_array(observed, spec.sample_rate),
         reference=reference,
-        clean=clean,
         rirs=rirs,
     )
 

@@ -99,9 +99,9 @@ def read_wav(path):
     """Read a PCM16 or IEEE float32 RIFF/WAVE file.
 
     PCM16 samples are scaled to [-1, 1) by division by 32768; float32
-    samples pass through unchanged. Channel order is preserved. A zero
-    sample rate, a data chunk that is not a whole number of samples and
-    non-finite float32 samples raise FormatError.
+    samples pass through unchanged. Channel order is preserved. Content it
+    cannot read (a truncated or missing chunk, a zero sample rate, a partial
+    sample or frame, non-finite float32 samples) raises FormatError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -121,11 +121,11 @@ def read_wav(path):
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise IOError(f"truncated WAV data chunk in {path}")
+                raise FormatError(f"truncated WAV data chunk in {path}")
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)
     if fmt is None or payload is None:
-        raise IOError(f"missing fmt or data chunk in {path}")
+        raise FormatError(f"missing fmt or data chunk in {path}")
 
     audio_format, num_channels, sample_rate, _, _, bits = fmt
     if num_channels < 1:
@@ -147,7 +147,7 @@ def read_wav(path):
     if not np.all(np.isfinite(samples)):
         raise FormatError(f"WAV file holds non-finite samples: {path}")
     if samples.size % num_channels != 0:
-        raise IOError(f"WAV data not divisible by channel count in {path}")
+        raise FormatError(f"WAV data not divisible by channel count in {path}")
     frames = samples.reshape(-1, num_channels)
     return MultichannelTimeSignal.from_array(frames.T, sample_rate)
 

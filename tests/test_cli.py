@@ -481,6 +481,36 @@ def test_exit_code_malformed_wav(tmp_path):
                      "--out", str(tmp_path / "o.wav")] + FAST) == EXIT_IO
 
 
+@pytest.mark.parametrize("tail, message", [
+    (-2, "truncated WAV data chunk"),
+    (None, "missing fmt or data chunk"),
+], ids=["truncated-data", "no-data-chunk"])
+def test_exit_code_malformed_wav_text(tmp_path, capsys, tail, message):
+    """read_wav's FormatError for content it cannot read exits 3 with the
+    i/o error text."""
+    fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    if tail is not None:
+        payload = np.zeros(64, dtype="<f4").tobytes()
+        chunks += (b"data" + struct.pack("<I", len(payload)) + payload)[:tail]
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE"
+                    + chunks)
+    assert main(["dereverb", "--input", str(bad),
+                 "--out", str(tmp_path / "o.wav")] + FAST) == EXIT_IO
+    assert capsys.readouterr().err == f"i/o error: {message} in {bad}\n"
+
+
+def test_exit_code_negative_reference_channel(tmp_path, scene_dir, capsys):
+    out = tmp_path / "o.wav"
+    assert main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--out", str(out),
+                 "--reference-channel", "-1"] + FAST) == EXIT_ARGS
+    assert (capsys.readouterr().err
+            == "error: reference_channel must be >= 0\n")
+    assert not out.exists()
+
+
 def test_exit_code_invalid_solver_params(tmp_path, scene_dir):
     out = tmp_path / "o.wav"
     assert main(["dereverb", "--input",

@@ -132,6 +132,81 @@ def test_magnitude_scale_homogeneity(denoiser):
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 
+# --- RED admissibility -----------------------------------------------------
+# RED's update rho*(R - D(R)) is the gradient of 0.5*rho*Re<R, R - D(R)>
+# only where D is locally 1-homogeneous and its Jacobian is symmetric
+# (Romano, Elad & Milanfar 2017; Reehorst & Schniter 2019). Complex cells
+# are read as real pairs. The point is seeded noise on 60 x 65 bins.
+
+RED_CONFIG = StftConfig(frame_len=128, hop=32)
+
+
+def _red_point():
+    rng = np.random.default_rng(20)
+    shape = (60, RED_CONFIG.num_bins)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Spectrogram(values, RED_CONFIG, 16000, 59 * 32 + 128)
+
+
+class _PointwiseGain:
+    """x |x|^2 / (|x|^2 + 1): a gain of each cell alone, whose Jacobian is
+    symmetric; a check of the probe."""
+
+    def denoise(self, spec):
+        power = np.abs(spec.values) ** 2
+        return spec.with_values(spec.values * power / (power + 1.0))
+
+
+def _asymmetry(denoiser, spec, pairs=12, step=1e-6):
+    """||J - J^T||_F / ||J||_F of the denoiser's Jacobian at spec, from
+    Hutchinson probe pairs: E[(v.Ju - u.Jv)^2] = ||J - J^T||_F^2 and
+    E[|Ju|^2] = ||J||_F^2 for independent standard normal u and v. Each
+    Jacobian-vector product is a central difference."""
+    rng = np.random.default_rng(21)
+
+    def jvp(u):
+        plus, minus = (denoiser.denoise(spec.with_values(spec.values + d * u))
+                       .values for d in (step, -step))
+        return (plus - minus) / (2 * step)
+
+    skew, norm = [], []
+    for _ in range(pairs):
+        u, v = (rng.standard_normal(spec.values.shape)
+                + 1j * rng.standard_normal(spec.values.shape)
+                for _ in range(2))
+        ju, jv = jvp(u), jvp(v)
+        # The real inner product of the real pairs is Re(vdot).
+        skew.append((np.vdot(v, ju).real - np.vdot(u, jv).real) ** 2)
+        norm += [np.vdot(ju, ju).real, np.vdot(jv, jv).real]
+    return float(np.sqrt(np.mean(skew) / np.mean(norm)))
+
+
+@pytest.mark.parametrize("denoiser", [
+    IdentityDenoiser(), SoftThresholdDenoiser(0.5), WienerDenoiser(0.3, 0.1),
+], ids=["identity", "soft_threshold", "wiener"])
+def test_red_one_homogeneity(denoiser):
+    spec = _red_point()
+    out = denoiser.denoise(spec).values
+    for scale in (0.5, 2.0, 10.0):
+        scaled = denoiser.denoise(spec.with_values(scale * spec.values))
+        assert (np.linalg.norm(scaled.values - scale * out)
+                <= 1e-12 * np.linalg.norm(scale * out))
+
+
+@pytest.mark.parametrize("denoiser", [
+    IdentityDenoiser(),
+    _PointwiseGain(),
+    pytest.param(WienerDenoiser(0.3, 0.1), marks=pytest.mark.xfail(
+        strict=True, reason="per-bin quantile floor of the iterate; "
+        "ROADMAP item 13")),
+    pytest.param(SoftThresholdDenoiser(0.5), marks=pytest.mark.xfail(
+        strict=True, reason="global median of the iterate; "
+        "ROADMAP item 13")),
+], ids=["identity", "pointwise", "wiener", "soft_threshold"])
+def test_red_jacobian_symmetry(denoiser):
+    assert _asymmetry(denoiser, _red_point()) < 1e-2
+
+
 # --- binary protocol -------------------------------------------------------
 
 def test_pnpspec_byte_layout(tmp_path):
@@ -170,6 +245,13 @@ def test_pnpspec_malformed_inputs(tmp_path):
     path.write_bytes(b"PNPSPEC1" + struct.pack("<IIII", 0, 5, 16000, 0))
     with pytest.raises(ProtocolError):
         read_pnpspec(path)
+
+
+def test_write_pnpspec_rejects_an_empty_spectrogram(tmp_path):
+    path = tmp_path / "empty.pnpspec"
+    with pytest.raises(ProtocolError, match="empty spectrogram"):
+        write_pnpspec(_spec(np.zeros((0, SMALL.num_bins))), path)
+    assert not path.exists()
 
 
 def test_read_pnpspec_takes_nan_bits_without_a_warning(tmp_path):

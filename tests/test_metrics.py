@@ -145,6 +145,21 @@ def test_metric_input_validation():
     other_rate = TimeSignal(x.samples, 8000)
     with pytest.raises(ArgumentError):
         fw_seg_snr(x, other_rate)
+    with pytest.raises(ArgumentError, match="sample_rate mismatch"):
+        align(x, other_rate)
+
+
+@pytest.mark.parametrize("score", [cepstral_distance, fw_seg_snr])
+def test_reference_whose_frame_energy_overflows_is_rejected(score):
+    """Finite samples near 1e160 square past the float64 range: every
+    frame's energy, the peak's too, is inf, so no frame passes the VAD
+    threshold. The no-active-frame check turns that into a MetricError,
+    not a NaN score."""
+    huge = _speechy(np.random.default_rng(13)).samples * 1e160
+    x = TimeSignal(huge, FS)
+    with np.errstate(over="ignore"):
+        with pytest.raises(MetricError, match="no frames above"):
+            score(x, x)
 
 
 def test_silent_reference_rejected():

@@ -9,8 +9,10 @@ import dereverb
 from dereverb import numerics
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import herk_lower, scipy_linalg_module, solve_hpd
+from dereverb.stft import analyze_multichannel
+from dereverb.wpe import WpeParams, run_wpe
 from helpers import (NormalEquations, accumulate_batch,
-                     accumulate_normal_equations)
+                     accumulate_normal_equations, make_scene)
 
 
 def _random_terms(rng, count, dim):
@@ -204,6 +206,28 @@ def test_one_blas_thread_restores_the_thread_count_when_its_block_raises():
             assert numerics.blas_threads() == 1
             raise RuntimeError("raised inside the block")
     assert numerics.blas_threads() == before
+
+
+def test_without_scipy_openblas_wpe_runs_on_the_f2py_path(monkeypatch):
+    """Where scipy_openblas() finds no library (a scipy build without its
+    bundled OpenBLAS), blas_threads() is 1, one_blas_thread leaves the BLAS
+    thread count alone, and run_wpe, on one worker and the f2py zherk, gives
+    the library path's estimate to rounding: BLAS then runs at the
+    environment's thread count, so sums may be taken in another order."""
+    scene = make_scene("A", seed=0, duration=2.0)
+    observed = analyze_multichannel(scene.observed)
+    params = WpeParams(filter_order=10, iterations=2)
+    with_library = run_wpe(observed, params)[0].values
+    library = numerics.scipy_openblas()
+    monkeypatch.setattr(numerics, "scipy_openblas", lambda: None)
+    assert numerics.blas_threads() == 1
+    if library is not None:
+        threads = library.scipy_openblas_get_num_threads()
+        with numerics.one_blas_thread():
+            assert library.scipy_openblas_get_num_threads() == threads
+    without = run_wpe(observed, params)[0].values
+    assert (np.linalg.norm(without - with_library)
+            <= 1e-6 * np.linalg.norm(with_library))
 
 
 # Run in a fresh interpreter with src/ first on the path (argv[1]): solve()

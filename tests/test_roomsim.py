@@ -266,13 +266,14 @@ def test_free_field_scene_reference_equals_observed():
     # t60 small enough that the Sabine absorption saturates: reflection 0
     spec = _small_spec(t60=0.05)
     assert reflection_coefficient(spec) == 0.0
-    scene = render_scene(spec, _clean(rng))
+    clean = _clean(rng)
+    scene = render_scene(spec, clean)
     obs = scene.observed.channels[0].samples
     assert np.allclose(scene.reference.samples, obs, atol=1e-14)
     d = np.linalg.norm(np.array(spec.source) - np.array(spec.mics[0]))
     tap = int(round(d / SPEED_OF_SOUND * spec.sample_rate))
     amp = 1.0 / (4 * np.pi * d)
-    clean = scene.clean.samples
+    clean = clean.samples
     assert np.allclose(obs[tap:], amp * clean[:len(clean) - tap], atol=1e-12)
 
 

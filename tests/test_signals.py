@@ -61,7 +61,19 @@ def test_truncated_data_chunk(tmp_path):
     raw = _raw_wav(1, 1, 8000, 16, payload)
     path = tmp_path / "trunc.wav"
     path.write_bytes(raw[:-4])
-    with pytest.raises(IOError):
+    with pytest.raises(FormatError):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"RIFF" + struct.pack("<I", 4) + b"WAVE", "missing fmt or data"),
+    (_raw_wav(1, 2, 8000, 16, struct.pack("<3h", 1, 2, 3)),
+     "not divisible by channel count"),
+], ids=["no-chunks", "partial-frame"])
+def test_malformed_content_is_a_format_error(tmp_path, raw, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=message):
         read_wav(path)
 
 
@@ -297,6 +309,19 @@ def test_signal_invariants():
     with pytest.raises(ArgumentError):
         MultichannelTimeSignal((TimeSignal([0.0], 8000),
                                 TimeSignal([0.0], 16000)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultichannelTimeSignal(()), "at least one channel"),
+    (lambda: MultichannelTimeSignal((TimeSignal([0.0], 16000),
+                                     TimeSignal([0.0, 0.0], 16000))),
+     "share one length"),
+    (lambda: MultichannelTimeSignal.from_array(np.zeros(4), 16000),
+     "2-D array"),
+], ids=["no-channel", "length", "from-array-1-D"])
+def test_multichannel_time_signal_rejects(build, message):
+    with pytest.raises(ArgumentError, match=message):
+        build()
 
 
 def test_time_signal_views_a_float64_array_read_only():

@@ -3,8 +3,8 @@ import pytest
 
 from dereverb.errors import ArgumentError
 from dereverb.signals import TimeSignal
-from dereverb.stft import (Spectrogram, StftConfig, analyze, hann,
-                           synthesize)
+from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
+                           analyze, hann, synthesize)
 from helpers import analyze_gather, synthesize_loop
 
 # (frame_len, hop): hop a quarter, the whole and a third of an odd frame,
@@ -112,6 +112,51 @@ def test_short_signal_rejected():
 def test_config_invariants():
     with pytest.raises(ArgumentError):
         StftConfig(frame_len=512, hop=100)
+    with pytest.raises(ArgumentError, match="frame_len must be >= 2"):
+        StftConfig(frame_len=1, hop=1)
+
+
+def _small_spec(values=None, sample_rate=16000, frames=3):
+    config = StftConfig(frame_len=8, hop=2)  # 5 bins
+    if values is None:
+        values = np.ones((frames, config.num_bins))
+    return Spectrogram(values, config, sample_rate, 8)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _small_spec(np.ones(5)), "must be 2-D"),
+    (lambda: _small_spec(np.ones((3, 4))), "bin count"),
+    (lambda: _small_spec(np.full((3, 5), np.nan)), "must be finite"),
+    (lambda: _small_spec().with_values(np.ones((4, 5))), "keep the shape"),
+], ids=["not-2-D", "bin-count", "non-finite", "with-values-shape"])
+def test_spectrogram_rejects(build, message):
+    with pytest.raises(ArgumentError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("channels, message", [
+    ((), "at least one channel"),
+    ((_small_spec(frames=3), _small_spec(frames=4)), "share shape"),
+    ((_small_spec(), _small_spec(sample_rate=8000)), "share config"),
+], ids=["no-channel", "shape", "sample-rate"])
+def test_multichannel_spectrogram_rejects(channels, message):
+    with pytest.raises(ArgumentError, match=message):
+        MultichannelSpectrogram(channels)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_synthesize_of_random_gains_does_not_click_at_the_start():
+    """Real gains in [0, 1] on an STFT of noise: the first frame_len - hop
+    samples, covered by the rising edge of the first frames alone, peak at
+    most 4x the rest. synthesize divides them by a squared-window envelope
+    as small as w[1]^2, so they peak thousands of times higher."""
+    config = StftConfig()
+    noise = np.random.default_rng(0).standard_normal(16000)
+    spec = analyze(TimeSignal(noise, 16000), config)
+    gains = np.random.default_rng(1).uniform(0.0, 1.0, spec.values.shape)
+    out = synthesize(spec.with_values(spec.values * gains)).samples
+    edge = config.frame_len - config.hop
+    assert np.max(np.abs(out[:edge])) <= 4.0 * np.max(np.abs(out[edge:]))
 
 
 @pytest.mark.parametrize("frame_len,hop", CONFIGS)

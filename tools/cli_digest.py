@@ -48,8 +48,6 @@ from workloads import (FS, WORKLOADS, dereverb_argv,  # noqa: E402
 
 SPEECH_SEED = 0
 NOISE_FREE_ROOM_SEEDS = (0, 7)
-
-
 STDOUTS = []  # (sha256, label) of each step's stdout, in run order
 
 
