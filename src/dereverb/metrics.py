@@ -150,8 +150,8 @@ def align(reference, estimate):
     window wraps around; for 8 s at 16 kHz that is 131072 points, half a
     full linear correlation. It agrees with the direct form to rounding;
     the first maximum over ascending lags wins. A window whose correlation
-    is zero to rounding raises AlignmentError. Returns both signals
-    trimmed to their overlap.
+    is zero to rounding or not finite raises AlignmentError. Returns both
+    signals trimmed to their overlap.
     """
     if reference.sample_rate != estimate.sample_rate:
         raise ArgumentError("sample_rate mismatch")
@@ -163,15 +163,18 @@ def align(reference, estimate):
     after = min(MAX_SHIFT, len(est) - 1)
     lags = np.arange(-before, after + 1)
     nfft = fft_length(max(len(ref), len(est)) + max(before, after))
-    spectrum = np.fft.rfft(est, nfft)
-    spectrum *= np.fft.rfft(ref, nfft).conj()
-    # A negative lag reads from the end of the circular correlation.
-    segment = np.fft.irfft(spectrum, nfft)[lags]
+    # Samples near 1e160 overflow the product: the window is then NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(est, nfft)
+        spectrum *= np.fft.rfft(ref, nfft).conj()
+        # A negative lag reads from the end of the circular correlation.
+        segment = np.fft.irfft(spectrum, nfft)[lags]
+        bound = np.linalg.norm(ref) * np.linalg.norm(est)
     # FFT rounding leaves about 1e-16 of the Cauchy-Schwarz bound where the
-    # exact correlation is zero; a window below 1e-12 of it is degenerate.
-    bound = np.linalg.norm(ref) * np.linalg.norm(est)
-    if np.max(np.abs(segment)) <= 1e-12 * bound:
-        raise AlignmentError("degenerate correlation")
+    # exact correlation is zero; a window below 1e-12 of it is degenerate,
+    # and so is a NaN one, which compares false.
+    if not np.max(np.abs(segment)) > 1e-12 * bound:
+        raise AlignmentError("degenerate or non-finite correlation")
     shift = int(lags[np.argmax(segment)])
     if shift >= 0:
         ref_al, est_al = ref, est[shift:]

@@ -52,7 +52,8 @@ class IterationRecord:
 
 def relative_change(new, old):
     """||new - old|| / ||old||; inf if only old is zero, 0.0 if both are.
-    Not np.linalg.norm: its numpy BLAS calls slow the scipy band solves."""
+    Not np.linalg.norm: its other summation order would move the last bits
+    of every change, which PnPWPE's stop_tol compares."""
     diff, base = (np.sum(np.abs(x) ** 2) for x in (new - old, old))
     return float(np.sqrt(diff / base)) if base else (np.inf if diff else 0.0)
 
@@ -116,8 +117,8 @@ def solve_all_bands(regressors, targets, weights):
 
     The bins are split into blas_threads() contiguous ranges (at most one
     per bin), each solved by its own thread with its own buffers; the
-    calling thread solves the first. The rank-k update runs without the
-    GIL, so the ranges overlap, and BLAS is held at one thread meanwhile
+    calling thread solves the first. Every BLAS and LAPACK call runs without
+    the GIL, so the ranges overlap, and BLAS is held at one thread meanwhile
     (one_blas_thread), so every band is computed alike whatever the thread
     count. A failing band raises SingularBandError naming the lowest
     failing band, after every thread has finished.

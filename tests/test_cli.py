@@ -692,23 +692,31 @@ def test_simulate_loads_no_scipy(tmp_path, clean_wav):
     ["--method", "wpe"],
     ["--method", "pnpwpe", "--denoiser", "wiener"],
 ])
-def test_dereverb_loads_only_the_f2py_modules_of_scipy(tmp_path, scene_dir,
+def test_dereverb_loads_no_scipy_and_maps_one_openblas(tmp_path, scene_dir,
                                                        method):
+    """The band solves call the OpenBLAS that numpy bundles, so a solver
+    process loads no scipy module and, where /proc/self/maps shows it,
+    maps one OpenBLAS library: numpy's."""
     src = os.path.dirname(os.path.dirname(dereverb.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dereverb.cli; "
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+            "import dereverb.cli; "
             "code = dereverb.cli.main(['dereverb', '--input', sys.argv[2], "
             "'--out', sys.argv[3], *sys.argv[4:]]); "
             "print(code, *sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))")
+            "if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py'))); "
+            "maps = '/proc/self/maps'; "
+            "print(*sorted({line.split()[-1] for line in open(maps) "
+            "if 'openblas' in os.path.basename(line.split()[-1])}) "
+            "if os.path.exists(maps) else 'no-maps')")
     obs = os.path.join(scene_dir, "observed.wav")
     out = subprocess.run(
         [sys.executable, "-c", code, src, obs, str(tmp_path / "o.wav"),
          *method, *FAST],
         check=True, capture_output=True, text=True, timeout=60).stdout
-    code, *modules = out.split()
-    assert code == str(EXIT_OK)
-    assert {"scipy.linalg._fblas", "scipy.linalg._flapack"} <= set(modules)
-    assert not {"scipy", "scipy.linalg", "numpy.f2py"} & set(modules)
+    loaded, mapped = out.splitlines()[-2:]
+    assert loaded == str(EXIT_OK)
+    if mapped != "no-maps":
+        assert len(mapped.split()) == 1, mapped
 
 
 @pytest.mark.parametrize("method", [

@@ -226,6 +226,19 @@ def test_align_rejects_silence():
         align(silent, x)
 
 
+def test_align_rejects_a_correlation_that_overflows():
+    """Finite samples near 1e160 and a copy delayed by 5 samples: the
+    product of their spectra overflows, so the correlation window is NaN,
+    where the same pair at unit scale aligns to 3995 samples. No overflow
+    warning escapes."""
+    x = np.random.default_rng(17).standard_normal(4000)
+    delayed = np.concatenate([np.zeros(5), x[:-5]])
+    ref_al, _ = align(TimeSignal(x, FS), TimeSignal(delayed, FS))
+    assert len(ref_al) == 3995
+    with pytest.raises(AlignmentError, match="non-finite"):
+        align(TimeSignal(x * 1e160, FS), TimeSignal(delayed * 1e160, FS))
+
+
 def _assert_align_matches_oracle(x, y):
     ref_al, est_al = align(TimeSignal(x, FS), TimeSignal(y, FS))
     shift, ref_expected, est_expected = align_direct(x, y, metrics.MAX_SHIFT)

@@ -1,18 +1,24 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 
-import dereverb
 from dereverb import numerics
 from dereverb.errors import ArgumentError, SingularBandError
-from dereverb.numerics import herk_lower, scipy_linalg_module, solve_hpd
+from dereverb.numerics import band_prediction, herk_lower, solve_hpd
 from dereverb.stft import analyze_multichannel
 from dereverb.wpe import WpeParams, run_wpe
 from helpers import (NormalEquations, accumulate_batch,
                      accumulate_normal_equations, make_scene)
+
+
+def each_path(monkeypatch):
+    """Runs the caller's loop body once on numpy's OpenBLAS, through ctypes,
+    and once with numerics.openblas() patched to None, on matmul and
+    np.linalg (the numpy path); yields the path's library or None."""
+    for library in (numerics.openblas(), None):
+        monkeypatch.setattr(numerics, "openblas",
+                            lambda library=library: library)
+        yield library
 
 
 def _random_terms(rng, count, dim):
@@ -93,15 +99,17 @@ def test_zero_weight_rejected():
 def test_solve_identity_system(monkeypatch):
     monkeypatch.setattr(numerics, "LOADING", 0.0)
     ne = NormalEquations(np.eye(2), np.array([3.0, 4j]))
-    w = solve_hpd(ne.Z, ne.q)
-    assert np.allclose(w, [3.0, 4j])
+    for _ in each_path(monkeypatch):
+        w = solve_hpd(ne.Z, ne.q)
+        assert np.allclose(w, [3.0, 4j])
 
 
 def test_solve_diagonal_system(monkeypatch):
     monkeypatch.setattr(numerics, "LOADING", 0.0)
     ne = NormalEquations(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    w = solve_hpd(ne.Z, ne.q)
-    assert np.allclose(w, [1.0, 1.0])
+    for _ in each_path(monkeypatch):
+        w = solve_hpd(ne.Z, ne.q)
+        assert np.allclose(w, [1.0, 1.0])
 
 
 def test_solve_random_hpd_vs_elimination_oracle(monkeypatch):
@@ -111,35 +119,48 @@ def test_solve_random_hpd_vs_elimination_oracle(monkeypatch):
     Z = A @ A.conj().T + 8 * np.eye(8)
     Z = 0.5 * (Z + Z.conj().T)
     q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    w = solve_hpd(Z, q)
-    assert np.linalg.norm(Z @ w - q) / np.linalg.norm(q) < 1e-10
     oracle = _gaussian_elimination(Z, q)
-    assert np.allclose(w, oracle, rtol=1e-8, atol=1e-10)
+    for _ in each_path(monkeypatch):
+        w = solve_hpd(Z, q)
+        assert np.linalg.norm(Z @ w - q) / np.linalg.norm(q) < 1e-10
+        assert np.allclose(w, oracle, rtol=1e-8, atol=1e-10)
 
 
-def test_solve_reads_only_the_lower_triangle():
+def test_solve_reads_only_the_lower_triangle(monkeypatch):
     rng = np.random.default_rng(6)
     ne = accumulate_normal_equations(_random_terms(rng, 30, 6))
     lower_only = ne.Z.copy()
     lower_only[np.triu_indices(6, 1)] = np.nan
-    assert np.array_equal(solve_hpd(lower_only, ne.q),
-                          solve_hpd(ne.Z, ne.q))
+    for _ in each_path(monkeypatch):
+        assert np.array_equal(solve_hpd(lower_only, ne.q),
+                              solve_hpd(ne.Z, ne.q))
 
 
-def test_zero_system_returns_zero():
+def test_zero_system_returns_zero(monkeypatch):
     ne = accumulate_normal_equations([], size=4)
-    assert np.all(solve_hpd(ne.Z, ne.q) == 0)
+    for _ in each_path(monkeypatch):
+        assert np.all(solve_hpd(ne.Z, ne.q) == 0)
 
 
-def test_zero_matrix_nonzero_rhs_raises():
+def test_zero_matrix_nonzero_rhs_raises(monkeypatch):
     ne = NormalEquations(np.zeros((2, 2)), np.array([1.0, 0.0]))
-    with pytest.raises(SingularBandError):
-        solve_hpd(ne.Z, ne.q)
+    for _ in each_path(monkeypatch):
+        with pytest.raises(SingularBandError):
+            solve_hpd(ne.Z, ne.q)
 
 
-def test_indefinite_matrix_raises():
-    with pytest.raises(SingularBandError, match="Cholesky"):
-        solve_hpd(np.diag([2.0, -1.0]).astype(complex), np.ones(2, complex))
+def test_indefinite_matrix_raises(monkeypatch):
+    for _ in each_path(monkeypatch):
+        with pytest.raises(SingularBandError, match="Cholesky"):
+            solve_hpd(np.diag([2.0, -1.0]).astype(complex),
+                      np.ones(2, complex))
+
+
+def test_solve_rejects_shapes_that_do_not_match():
+    for Z, q in [(np.eye(3), np.ones(2)), (np.eye(2), np.ones((2, 1))),
+                 (np.ones((2, 3)), np.ones(2))]:
+        with pytest.raises(ArgumentError):
+            solve_hpd(Z, q)
 
 
 def test_minimizer_property(monkeypatch):
@@ -147,26 +168,28 @@ def test_minimizer_property(monkeypatch):
     rng = np.random.default_rng(3)
     terms = _random_terms(rng, 40, 3)
     ne = accumulate_normal_equations(terms)
-    w_star = solve_hpd(ne.Z, ne.q)
 
     def cost(w):
         return sum(abs(t - np.vdot(w, v)) ** 2 / lam for v, t, lam in terms)
 
-    base = cost(w_star)
-    for _ in range(20):
-        dw = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        assert cost(w_star + dw) >= base - 1e-10
+    for _ in each_path(monkeypatch):
+        w_star = solve_hpd(ne.Z, ne.q)
+        base = cost(w_star)
+        for _ in range(20):
+            dw = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            assert cost(w_star + dw) >= base - 1e-10
 
 
-def test_permutation_invariance():
+def test_permutation_invariance(monkeypatch):
     rng = np.random.default_rng(4)
     terms = _random_terms(rng, 25, 4)
     ne1 = accumulate_normal_equations(terms)
     rng.shuffle(terms)
     ne2 = accumulate_normal_equations(terms)
-    w1 = solve_hpd(ne1.Z, ne1.q)
-    w2 = solve_hpd(ne2.Z, ne2.q)
-    assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
+    for _ in each_path(monkeypatch):
+        w1 = solve_hpd(ne1.Z, ne1.q)
+        w2 = solve_hpd(ne2.Z, ne2.q)
+        assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
 
 
 def test_hermitian_enforced():
@@ -176,16 +199,27 @@ def test_hermitian_enforced():
     assert np.max(np.abs(ne.Z - ne.Z.conj().T)) == 0.0
 
 
+def test_solve_hpd_is_the_f2py_zpotrf_and_zpotrs(monkeypatch):
+    """On both paths, solve_hpd is LAPACK's Cholesky solve of the loaded
+    lower triangle, as scipy's f2py zpotrf and zpotrs compute it."""
+    rng = np.random.default_rng(31)
+    ne = accumulate_normal_equations(_random_terms(rng, 60, 9))
+    loaded = ne.Z + numerics.LOADING * np.trace(ne.Z).real / 9 * np.eye(9)
+    factor, info = lapack.zpotrf(loaded, lower=1)
+    expected, info_solve = lapack.zpotrs(factor, ne.q, lower=1)
+    assert info == info_solve == 0
+    for library in each_path(monkeypatch):
+        np.testing.assert_allclose(solve_hpd(ne.Z, ne.q), expected,
+                                   rtol=1e-13 if library else 1e-10)
+
+
 def test_herk_lower_is_the_f2py_zherk_with_and_without_scipy_openblas(
         monkeypatch):
     rng = np.random.default_rng(30)
     rows = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
-    expected = scipy_linalg_module("_fblas").zherk(1.0, rows.T, trans=2,
-                                                   lower=1)
+    expected = blas.zherk(1.0, rows.T, trans=2, lower=1)
     upper = np.triu_indices(7, 1)
-    for library in (numerics.scipy_openblas(), None):
-        monkeypatch.setattr(numerics, "scipy_openblas",
-                            lambda library=library: library)
+    for _ in each_path(monkeypatch):
         gram = np.full((7, 7), 5.0 + 0j, order="F")
         herk_lower(rows, gram)
         np.testing.assert_allclose(np.tril(gram), np.tril(expected),
@@ -199,6 +233,16 @@ def test_herk_lower_is_the_f2py_zherk_with_and_without_scipy_openblas(
                 herk_lower(bad_rows, bad_gram)
 
 
+def test_band_prediction_is_the_f2py_zgemv(monkeypatch):
+    rng = np.random.default_rng(32)
+    rows = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
+    filt = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    expected = blas.zgemv(1.0, rows.T, filt.conj())
+    for _ in each_path(monkeypatch):
+        np.testing.assert_allclose(band_prediction(rows, filt), expected,
+                                   rtol=1e-13)
+
+
 def test_one_blas_thread_restores_the_thread_count_when_its_block_raises():
     before = numerics.blas_threads()
     with pytest.raises(RuntimeError):
@@ -208,87 +252,24 @@ def test_one_blas_thread_restores_the_thread_count_when_its_block_raises():
     assert numerics.blas_threads() == before
 
 
-def test_without_scipy_openblas_wpe_runs_on_the_f2py_path(monkeypatch):
-    """Where scipy_openblas() finds no library (a scipy build without its
-    bundled OpenBLAS), blas_threads() is 1, one_blas_thread leaves the BLAS
-    thread count alone, and run_wpe, on one worker and the f2py zherk, gives
-    the library path's estimate to rounding: BLAS then runs at the
-    environment's thread count, so sums may be taken in another order."""
+def test_without_scipy_openblas_wpe_runs_on_the_numpy_path(monkeypatch):
+    """Where openblas() finds no library (a numpy build without its bundled
+    libscipy_openblas64_), blas_threads() is 1, one_blas_thread leaves the
+    BLAS thread count alone, and run_wpe, on one worker, matmul and
+    np.linalg, gives the library path's estimate to rounding: BLAS then
+    runs at the environment's thread count, so sums may be taken in another
+    order, and np.linalg solves by LU where zpotrs uses the factor."""
     scene = make_scene("A", seed=0, duration=2.0)
     observed = analyze_multichannel(scene.observed)
     params = WpeParams(filter_order=10, iterations=2)
     with_library = run_wpe(observed, params)[0].values
-    library = numerics.scipy_openblas()
-    monkeypatch.setattr(numerics, "scipy_openblas", lambda: None)
+    library = numerics.openblas()
+    monkeypatch.setattr(numerics, "openblas", lambda: None)
     assert numerics.blas_threads() == 1
     if library is not None:
-        threads = library.scipy_openblas_get_num_threads()
+        threads = library.openblas_get_num_threads()
         with numerics.one_blas_thread():
-            assert library.scipy_openblas_get_num_threads() == threads
+            assert library.openblas_get_num_threads() == threads
     without = run_wpe(observed, params)[0].values
     assert (np.linalg.norm(without - with_library)
             <= 1e-6 * np.linalg.norm(with_library))
-
-
-# Run in a fresh interpreter with src/ first on the path (argv[1]): solve()
-# runs WPE on seeded two-channel noise and returns a digest of the estimate
-# and filters; scipy_modules() lists the scipy modules loaded so far.
-_SOLVE = """
-import hashlib, sys
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from dereverb.signals import MultichannelTimeSignal, TimeSignal
-from dereverb.stft import analyze_multichannel
-from dereverb.wpe import WpeParams, run_wpe
-noise = np.random.default_rng(0).standard_normal((2, 8000))
-observed = analyze_multichannel(
-    MultichannelTimeSignal(tuple(TimeSignal(x, 16000) for x in noise)))
-def solve():
-    estimate, bank, _ = run_wpe(observed, WpeParams(filter_order=3,
-                                                    iterations=2))
-    return hashlib.sha256(estimate.values.tobytes()
-                          + bank.weights.tobytes()).hexdigest()
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-"""
-
-
-def _run_fresh(code, *args):
-    src = os.path.dirname(os.path.dirname(dereverb.__file__))
-    return subprocess.run(
-        [sys.executable, "-c", _SOLVE + code, src, *args], check=True,
-        capture_output=True, text=True, timeout=60).stdout.splitlines()
-
-
-def test_scipy_linalg_imported_after_a_solve_reuses_the_loaded_modules():
-    lines = _run_fresh("""
-solve()
-print(scipy_modules())
-from dereverb.numerics import scipy_linalg_module
-import scipy.linalg
-fblas = scipy_linalg_module("_fblas")
-flapack = scipy_linalg_module("_flapack")
-print(scipy.linalg.blas.zherk is fblas.zherk,
-      scipy.linalg.blas.zgemv is fblas.zgemv,
-      scipy.linalg.lapack.zpotrf is flapack.zpotrf,
-      scipy.linalg.lapack.zpotrs is flapack.zpotrs,
-      scipy.linalg.get_blas_funcs("herk", dtype=complex) is fblas.zherk)
-""")
-    assert lines == ["['scipy.linalg._fblas', 'scipy.linalg._flapack']",
-                     "True True True True True"]
-
-
-def test_scipy_linalg_module_falls_back_to_the_normal_import(tmp_path):
-    direct = _run_fresh("print(solve(), 'scipy.linalg' in sys.modules)")
-    # scipy's package directory pointed at an empty one: no extension file.
-    fallback = _run_fresh("""
-import importlib.util, types
-find_spec = importlib.util.find_spec
-importlib.util.find_spec = lambda name, *args: (
-    types.SimpleNamespace(submodule_search_locations=[sys.argv[2]])
-    if name == "scipy" else find_spec(name, *args))
-print(solve(), 'scipy.linalg' in sys.modules)
-""", str(tmp_path))
-    digest, loaded = direct[0].split()
-    assert loaded == "False"
-    assert fallback == [f"{digest} True"]

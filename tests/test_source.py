@@ -229,68 +229,35 @@ def test_every_module_level_import_in_src_is_read():
                           "there: " + ", ".join(unread))
 
 
-def test_src_never_imports_scipy_linalg():
-    """The band solves reach scipy's f2py modules through
-    numerics.scipy_linalg_module; importing the scipy.linalg package
-    instead costs about 0.3 s in every solver process."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                modules = [node.module] + [f"{node.module}.{alias.name}"
-                                           for alias in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {module}"
-                      for module in modules
-                      if (module + ".").startswith("scipy.linalg.")]
-    assert found == [], "scipy.linalg imported in src/: " + ", ".join(found)
+def _imports(tree):
+    """(line, module) for each import statement in tree, function-local
+    ones included; a relative import is named by its dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, "." * node.level + (node.module or "")
 
 
-def test_src_imports_scipy_only_through_scipy_linalg_module():
-    """No import statement in src/, function-local ones included, names
-    scipy: the band solves load the f2py modules they need through
-    numerics.scipy_linalg_module, and nothing else in src/ needs scipy."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {module}"
-                      for module in modules
-                      if module.split(".")[0] == "scipy"]
+def test_src_imports_no_scipy():
+    """The band solves call numpy's bundled OpenBLAS, and nothing else in
+    src/ needs scipy, so the runtime depends on numpy alone."""
+    found = [f"{path.name}:{line}: {module}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, module in _imports(ast.parse(path.read_text()))
+             if module.split(".")[0] == "scipy"]
     assert found == [], "scipy imported in src/: " + ", ".join(found)
 
 
-def test_only_numerics_reaches_scipy():
-    """numerics is the one module that calls BLAS and LAPACK: no other
-    module in src/ imports from scipy or names scipy_linalg_module."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "numerics.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [alias.name
-                                               for alias in node.names]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] == "scipy"
-                      or name == "scipy_linalg_module"]
-    assert found == [], "scipy reached outside numerics: " + ", ".join(found)
+def test_only_numerics_imports_ctypes():
+    """numerics is the one module that calls BLAS and LAPACK by hand: no
+    other module in src/ imports ctypes."""
+    found = [f"{path.name}:{line}: {module}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "numerics.py"
+             for line, module in _imports(ast.parse(path.read_text()))
+             if module.split(".")[0] == "ctypes"]
+    assert found == [], "ctypes imported outside numerics: " + ", ".join(found)
 
 
 # The required flags of each solver subcommand, and its own flags: --out,
