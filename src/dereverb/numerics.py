@@ -27,20 +27,21 @@ from .errors import ArgumentError, SingularBandError
 LOADING = 1e-10  # diagonal loading of solve_hpd, relative to trace/size
 # CBLAS and LAPACKE enum values: column-major, lower, conjugate transpose.
 _COL_MAJOR, _LOWER, _CONJ_TRANS = 102, 122, 113
-_ENUM, _INT, _DOUBLE, _POINTER = (ctypes.c_int, ctypes.c_int64,
-                                  ctypes.c_double, ctypes.c_void_p)
-# The routines used, each exported as scipy_<name>64_ by numpy's OpenBLAS
-# (an ILP64 build: 64-bit integers, C int enums and thread counts), with
-# their result and argument types.
+_CINT, _BLASINT, _DOUBLE, _POINTER = (ctypes.c_int, ctypes.c_int64,
+                                      ctypes.c_double, ctypes.c_void_p)
+# The routines used, each exported as scipy_<name>64_ by numpy's OpenBLAS,
+# with their result and argument types. It is an ILP64 build: sizes and
+# LAPACK results are 64-bit (blasint), enums and thread counts C ints.
 _ROUTINES = {
-    "cblas_zherk": (None, [_ENUM, _ENUM, _ENUM, _INT, _INT, _DOUBLE,
-                           _POINTER, _INT, _DOUBLE, _POINTER, _INT]),
-    "LAPACKE_zpotrf_work": (_INT, [_ENUM, ctypes.c_char, _INT, _POINTER,
-                                   _INT]),
-    "LAPACKE_zpotrs_work": (_INT, [_ENUM, ctypes.c_char, _INT, _INT,
-                                   _POINTER, _INT, _POINTER, _INT]),
-    "openblas_get_num_threads": (_ENUM, []),
-    "openblas_set_num_threads": (None, [_ENUM]),
+    "cblas_zherk": (None, [_CINT, _CINT, _CINT, _BLASINT, _BLASINT, _DOUBLE,
+                           _POINTER, _BLASINT, _DOUBLE, _POINTER, _BLASINT]),
+    "LAPACKE_zpotrf_work": (_BLASINT, [_CINT, ctypes.c_char, _BLASINT,
+                                       _POINTER, _BLASINT]),
+    "LAPACKE_zpotrs_work": (_BLASINT, [_CINT, ctypes.c_char, _BLASINT,
+                                       _BLASINT, _POINTER, _BLASINT,
+                                       _POINTER, _BLASINT]),
+    "openblas_get_num_threads": (_CINT, []),
+    "openblas_set_num_threads": (None, [_CINT]),
 }
 
 
