@@ -1,15 +1,15 @@
 """Complex linear algebra kernel for the per-band filter solves, and the
-one module that calls BLAS and LAPACK.
+one module that reaches BLAS and LAPACK through ctypes and sets their
+thread count.
 
 Hermitian positive-definite solves of the weighted normal equations
 Z w = q with relative diagonal loading, the rank-k update that forms them,
-the prediction of each solved filter, and the thread count of the BLAS
-they run on. Every call goes to the OpenBLAS that numpy bundles and has
-already loaded: zherk, zpotrf and zpotrs through ctypes, zgemv through
-numpy's matmul. So one library and one thread pool serve the band solves
-and numpy alike, and every call runs without the GIL. Where numpy ships no
-such library, numpy's matmul and np.linalg give the same results to
-rounding.
+and the hold that keeps their BLAS at one thread. Every call goes to the
+OpenBLAS that numpy bundles and has already loaded: zherk, zpotrf and
+zpotrs through ctypes, so one library and one thread pool serve the band
+solves and numpy alike, and every call runs without the GIL. Where numpy
+ships no such library, numpy's matmul and np.linalg give the same results
+to rounding.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 import types
 
 import numpy as np
@@ -78,29 +79,30 @@ def openblas():
     return None
 
 
-def blas_threads():
-    """The thread count numpy's OpenBLAS is configured with: what
-    OPENBLAS_NUM_THREADS or, without it, the CPU affinity set at start-up.
-    1 where openblas() finds no library."""
-    lib = openblas()
-    return lib.openblas_get_num_threads() if lib else 1
+# One one_blas_thread block at a time; reentrant, so a block nested in
+# another, in the same thread, yields 1 where a plain lock would deadlock.
+_HOLD = threading.RLock()
 
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Holds numpy's OpenBLAS at one thread inside the block and restores
-    its thread count afterwards, also when the block raises. Does nothing
-    where openblas() finds no library."""
-    lib = openblas()
-    if lib is None:
-        yield
-        return
-    threads = lib.openblas_get_num_threads()
-    lib.openblas_set_num_threads(1)
-    try:
-        yield
-    finally:
-        lib.openblas_set_num_threads(threads)
+    """Holds numpy's OpenBLAS at one thread inside the block and yields the
+    thread count it was configured with: what OPENBLAS_NUM_THREADS or,
+    without it, the CPU affinity set at start-up. The count is restored on
+    exit, also when the block raises. Blocks take turns under a module
+    lock, so overlapping holds neither read nor restore each other's count.
+    Yields 1 and sets nothing where openblas() finds no library."""
+    with _HOLD:
+        lib = openblas()
+        if lib is None:
+            yield 1
+            return
+        threads = lib.openblas_get_num_threads()
+        lib.openblas_set_num_threads(1)
+        try:
+            yield threads
+        finally:
+            lib.openblas_set_num_threads(threads)
 
 
 def herk_lower(rows, gram):
@@ -124,13 +126,6 @@ def herk_lower(rows, gram):
     else:
         lib.cblas_zherk(_COL_MAJOR, _LOWER, _CONJ_TRANS, n, k, 1.0,
                         _address(rows), k, 0.0, _address(gram), n)
-
-
-def band_prediction(rows, filt):
-    """filt^H rows, for (n, frames) rows and a length-n filter. numpy's
-    matmul calls its OpenBLAS's zgemv for this without the GIL: the same
-    bytes as cblas_zgemv called through ctypes, with less work per call."""
-    return filt.conj() @ rows
 
 
 def solve_hpd(Z, q):

@@ -12,8 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import (band_prediction, blas_threads, herk_lower,
-                       one_blas_thread, solve_hpd)
+from .numerics import herk_lower, one_blas_thread, solve_hpd
 from .stft import MultichannelSpectrogram
 
 
@@ -110,34 +109,33 @@ def solve_all_bands(regressors, targets, weights):
     scaled rows [x; t] / sqrt(weight), straight from the strided window
     view. One Hermitian rank-k update of those rows (herk_lower) yields the
     lower triangles of Z = sum x x^H / weight and q = sum x t* / weight;
-    solve_hpd reads only that lower triangle. The prediction w^H x is taken
-    from the same scaled rows right after the solve and unscaled once at
-    the end. Returns the (bins, L*Q) filter weights and the (frames, bins)
-    prediction.
+    solve_hpd reads only that lower triangle. The prediction w^H x, numpy's
+    matmul (BLAS zgemv), is taken from the same scaled rows right after the
+    solve and unscaled once at the end. Returns the (bins, L*Q) filter
+    weights and the (frames, bins) prediction.
 
-    The bins are split into blas_threads() contiguous ranges (at most one
-    per bin), each solved by its own thread with its own buffers; the
-    calling thread solves the first. Every BLAS and LAPACK call runs without
-    the GIL, so the ranges overlap, and BLAS is held at one thread meanwhile
-    (one_blas_thread), so every band is computed alike whatever the thread
-    count. A failing band raises SingularBandError naming the lowest
-    failing band, after every thread has finished.
+    The bins are split into as many contiguous ranges as the thread count
+    one_blas_thread yields (at most one per bin), each solved by its own
+    thread with its own buffers; the calling thread solves the first. Every
+    BLAS and LAPACK call runs without the GIL, so the ranges overlap, and
+    that hold keeps BLAS at one thread meanwhile, so every band is computed
+    alike whatever the thread count; concurrent calls take turns at it. A
+    failing band raises SingularBandError naming the lowest failing band,
+    after every thread has finished.
     """
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
     filters = np.empty((n_bins, n_taps), dtype=np.complex128)
     prediction = np.empty((n_bins, n_frames), dtype=np.complex128)
-    workers = min(blas_threads(), n_bins)
-    edges = [n_bins * i // workers for i in range(workers + 1)]
-    errors = [None] * workers
+    errors = {}  # the first bin of a failed range: its exception
 
-    def solve_range(index):
+    def solve_range(start, stop):
         band = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
         gram = np.zeros((n_taps + 1, n_taps + 1), dtype=np.complex128,
                         order="F")
         taps = band[:n_taps].reshape(regressors.windows.shape[1:])  # a view
         try:
-            for k in range(edges[index], edges[index + 1]):
+            for k in range(start, stop):
                 np.multiply(regressors.windows[k], scale[k], out=taps)
                 np.multiply(targets[:, k], scale[k], out=band[n_taps])
                 # gram's lower triangle: conj(Z), and q in its last row.
@@ -148,23 +146,25 @@ def solve_all_bands(regressors, targets, weights):
                 except SingularBandError as exc:
                     raise SingularBandError(f"band {k}: {exc}",
                                             band=k) from exc
-                prediction[k] = band_prediction(band[:n_taps], filters[k])
+                prediction[k] = filters[k].conj() @ band[:n_taps]
         except Exception as exc:  # raised by the calling thread, below
-            errors[index] = exc
+            errors[start] = exc
 
-    with one_blas_thread():
-        threads = [threading.Thread(target=solve_range, args=(index,))
-                   for index in range(1, workers)]
+    with one_blas_thread() as count:
+        workers = min(count, n_bins)
+        edges = [n_bins * i // workers for i in range(workers + 1)]
+        ranges = list(zip(edges, edges[1:]))
+        threads = [threading.Thread(target=solve_range, args=bounds)
+                   for bounds in ranges[1:]]
         for thread in threads:
             thread.start()
         try:
-            solve_range(0)
+            solve_range(*ranges[0])
         finally:
             for thread in threads:
                 thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise errors[min(errors)]
     prediction /= scale
     return filters, prediction.T
 

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -197,6 +198,23 @@ def _band_problem(seed, n_bins, n_ch=2, n_frames=30):
     return stack_regressors(obs, delay=1, order=2), obs[0], weights
 
 
+def _blas_count():
+    """numpy's OpenBLAS thread count, 1 where openblas() finds none."""
+    library = numerics.openblas()
+    return library.openblas_get_num_threads() if library else 1
+
+
+def _workers(monkeypatch, workers):
+    """Makes solve_all_bands run `workers` threads: its hold yields that
+    count from inside numerics' real one_blas_thread."""
+    @contextlib.contextmanager
+    def hold():
+        with numerics.one_blas_thread():
+            yield workers
+
+    monkeypatch.setattr(wpe, "one_blas_thread", hold)
+
+
 @pytest.mark.parametrize("n_bins", [3, 40])
 def test_solve_all_bands_is_bit_identical_for_any_worker_count(monkeypatch,
                                                                n_bins):
@@ -209,18 +227,18 @@ def test_solve_all_bands_is_bit_identical_for_any_worker_count(monkeypatch,
         return solve_hpd(Z, q)
 
     monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
-    blas_before = numerics.blas_threads()
+    blas_before = _blas_count()
     results = set()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap as often as they can
     try:
         for workers in (1, 2, 3, 5):
-            monkeypatch.setattr(wpe, "blas_threads", lambda: workers)
+            _workers(monkeypatch, workers)
             solvers.clear()
             filters, prediction = solve_all_bands(*problem)
             assert len(solvers) == n_bins
             assert len(set(solvers)) == min(workers, n_bins)
-            assert numerics.blas_threads() == blas_before
+            assert _blas_count() == blas_before
             results.add(filters.tobytes() + prediction.tobytes())
     finally:
         sys.setswitchinterval(interval)
@@ -239,14 +257,14 @@ def test_failing_band_in_a_worker_range(monkeypatch, failing, named):
     calls = []
 
     def failing_solve(Z, q):
-        calls.append((threading.current_thread(), numerics.blas_threads()))
+        calls.append((threading.current_thread(), _blas_count()))
         if not np.any(q):  # only the bands with zero targets
             raise SingularBandError("made to fail")
         return solve_hpd(Z, q)
 
     monkeypatch.setattr(wpe, "solve_hpd", failing_solve)
-    monkeypatch.setattr(wpe, "blas_threads", lambda: 4)
-    blas_before = numerics.blas_threads()
+    _workers(monkeypatch, 4)
+    blas_before = _blas_count()
     running = set(threading.enumerate())
     with pytest.raises(SingularBandError, match=rf"^band {named}: ") as info:
         solve_all_bands(regressors, targets, weights)
@@ -255,8 +273,57 @@ def test_failing_band_in_a_worker_range(monkeypatch, failing, named):
     assert len(solvers) == 4
     assert not any(thread.is_alive() for thread in solvers - running)
     assert set(threading.enumerate()) == running
-    assert numerics.blas_threads() == blas_before
+    assert _blas_count() == blas_before
     assert {threads for _, threads in calls} == {1}
+
+
+def test_a_solve_overlapping_a_blas_hold_waits_for_it(monkeypatch):
+    """A solve started while another thread holds one_blas_thread waits
+    for that hold to end, then runs at the configured worker count with
+    every band at one BLAS thread, and the count is restored after both."""
+    library = numerics.openblas()
+    if library is None:
+        pytest.skip("no OpenBLAS to hold")
+    calls = []
+
+    def recording_solve(Z, q):
+        calls.append((threading.current_thread(),
+                      library.openblas_get_num_threads()))
+        return solve_hpd(Z, q)
+
+    monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
+    problem = _band_problem(22, 6)
+    held, solved = threading.Event(), threading.Event()
+    overlapped = []
+
+    def hold():
+        with numerics.one_blas_thread():
+            held.set()
+            # the solve finishes inside this hold only if it skips the hold
+            overlapped.append(solved.wait(timeout=0.5))
+
+    def solve():
+        solve_all_bands(*problem)
+        solved.set()
+
+    configured = library.openblas_get_num_threads()
+    library.openblas_set_num_threads(2)
+    try:
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(timeout=1.0)
+        solver = threading.Thread(target=solve)
+        solver.start()
+        holder.join(timeout=1.0)
+        solver.join(timeout=1.0)
+        assert not holder.is_alive() and not solver.is_alive()
+        assert solved.is_set() and len(calls) == 6
+        assert {threads for _, threads in calls} == {1}
+        assert len({thread for thread, _ in calls}) == 2  # the workers
+        assert library.openblas_get_num_threads() == 2
+        assert overlapped == [False]
+    finally:
+        library.openblas_set_num_threads(configured)
 
 
 def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
@@ -264,7 +331,7 @@ def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
     # the (bins, frames) scale), each of the two worker threads holds one
     # band's scaled rows at a time, plus numpy's casting buffer of
     # np.getbufsize() complex elements for the final unscaling
-    monkeypatch.setattr(wpe, "blas_threads", lambda: 2)
+    _workers(monkeypatch, 2)
     rng = np.random.default_rng(18)
     config = StftConfig()
     delay, order, n_frames = 2, 2, 200
