@@ -56,7 +56,14 @@ class WienerDenoiser:
 
     def denoise(self, spec):
         power = np.abs(spec.values) ** 2
-        floor = np.quantile(power, self.quantile, axis=0)  # per bin
+        # np.quantile(power, quantile, axis=0), per bin, by numpy's linear
+        # rule from two order statistics; np.quantile imports numpy.ma.
+        position = self.quantile * (len(power) - 1)
+        lo = int(position)
+        hi, t = min(lo + 1, len(power) - 1), position - lo
+        below, above = np.partition(power, (lo, hi), axis=0)[[lo, hi]]
+        d = above - below
+        floor = above - d * (1 - t) if t >= 0.5 else below + d * t
         level = np.maximum(power, floor)
         # Where level is 0 the cell is 0, and any gain keeps it 0.
         ratio = np.divide(floor, level, out=np.zeros_like(level),

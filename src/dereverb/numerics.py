@@ -2,11 +2,12 @@
 one module that reaches BLAS and LAPACK through ctypes and sets their
 thread count.
 
-Hermitian positive-definite solves of the weighted normal equations
-Z w = q with relative diagonal loading, the rank-k update that forms them,
-and the hold that keeps their BLAS at one thread. Every call goes to the
+Weighted normal equations Z w = q with relative diagonal loading, solved
+from the augmented Gram conj([Z q; q^H c]) that one rank-k update of the
+rows [x; t] writes, by one Cholesky factorization of it and one triangular
+solve; and the hold that keeps BLAS at one thread. Every call goes to the
 OpenBLAS that numpy bundles and has already loaded: zherk, zpotrf and
-zpotrs through ctypes, so one library and one thread pool serve the band
+ztrsv through ctypes, so one library and one thread pool serve the band
 solves and numpy alike, and every call runs without the GIL. Where numpy
 ships no such library, numpy's matmul and np.linalg give the same results
 to rounding.
@@ -26,8 +27,8 @@ import numpy as np
 from .errors import ArgumentError, SingularBandError
 
 LOADING = 1e-10  # diagonal loading of solve_hpd, relative to trace/size
-# CBLAS and LAPACKE enum values: column-major, lower, conjugate transpose.
-_COL_MAJOR, _LOWER, _CONJ_TRANS = 102, 122, 113
+# CBLAS enum values: column-major, lower, (conjugate) transpose, non-unit.
+_COL_MAJOR, _LOWER, _TRANS, _CONJ_TRANS, _NON_UNIT = 102, 122, 112, 113, 131
 _CINT, _BLASINT, _DOUBLE, _POINTER = (ctypes.c_int, ctypes.c_int64,
                                       ctypes.c_double, ctypes.c_void_p)
 # The routines used, each exported as scipy_<name>64_ by numpy's OpenBLAS,
@@ -38,9 +39,8 @@ _ROUTINES = {
                            _POINTER, _BLASINT, _DOUBLE, _POINTER, _BLASINT]),
     "LAPACKE_zpotrf_work": (_BLASINT, [_CINT, ctypes.c_char, _BLASINT,
                                        _POINTER, _BLASINT]),
-    "LAPACKE_zpotrs_work": (_BLASINT, [_CINT, ctypes.c_char, _BLASINT,
-                                       _BLASINT, _POINTER, _BLASINT,
-                                       _POINTER, _BLASINT]),
+    "cblas_ztrsv": (None, [_CINT, _CINT, _CINT, _CINT, _BLASINT, _POINTER,
+                           _BLASINT, _POINTER, _BLASINT]),
     "openblas_get_num_threads": (_CINT, []),
     "openblas_set_num_threads": (None, [_CINT]),
 }
@@ -128,45 +128,47 @@ def herk_lower(rows, gram):
                         _address(rows), k, 0.0, _address(gram), n)
 
 
-def solve_hpd(Z, q):
-    """Solve (Z + LOADING*delta*I) w = q by Cholesky factorization.
+def solve_hpd(gram):
+    """Solve (Z + LOADING*delta*I) w = q in place in gram, by Cholesky.
 
-    Only the lower triangle of the Hermitian matrix Z is read; the strict
-    upper triangle may hold anything, NaN included. delta = trace(Z)/size
-    makes the diagonal loading LOADING relative. An all-zero system returns
-    the zero vector; a zero trace with a nonzero q, a failed factorization
-    or a non-finite solution raises SingularBandError. Z and q are not
-    modified.
+    gram: F-ordered complex128 (n+1, n+1), conj([Z q; q^H c]) as herk_lower
+    writes it from the rows [x; t]; only its lower triangle is read.
+    delta = trace(Z)/n makes the loading relative. c, which w does not
+    depend on, becomes 2c + trace(Z), so only a Z that is not positive
+    definite after loading fails. chol(gram) = [L11 0; r^H l] with
+    L11 r = conj(q), and w solves L11^T w = conj(r), its last row. An
+    all-zero system returns zeros; a zero trace with a nonzero q, a failed
+    factorization or a non-finite w raises SingularBandError. gram is
+    overwritten; on the library path w is a view of its last row.
     """
-    size = q.shape[0]
-    if Z.shape != (size, size) or q.shape != (size,):
-        raise ArgumentError("solve_hpd needs a square Z and a vector q "
-                            "to match")
-    trace = float(np.trace(Z).real)
+    if not (gram.dtype == np.complex128 and gram.flags.f_contiguous
+            and gram.ndim == 2 and gram.shape[0] == gram.shape[1]):
+        raise ArgumentError("gram must be a square F-ordered complex128 array")
+    size, n = gram.shape[0], gram.shape[0] - 1
+    trace = float(np.trace(gram[:n, :n]).real)
     if trace == 0.0:
-        if np.all(q == 0):
-            return np.zeros(size, dtype=np.complex128)
+        if np.all(gram[n, :n] == 0):
+            return np.zeros(n, dtype=np.complex128)
         raise SingularBandError("zero matrix with nonzero right-hand side")
-    A = np.array(Z, dtype=np.complex128, order="F")
-    A[np.diag_indices(size)] += LOADING * trace / size
+    diagonal = gram.reshape(-1, order="F")[::size + 1]  # a view
+    diagonal[:n] += LOADING * trace / n
+    diagonal[n] += diagonal[n].real + trace
     lib = openblas()
     if lib is None:
         try:
-            factor = np.linalg.cholesky(A)
+            factor = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise SingularBandError(
                 f"Cholesky factorization failed: {exc}") from exc
-        w = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, q))
+        w = np.linalg.solve(factor[:n, :n].T, factor[n, :n])
     else:
-        # zpotrf factors A in place; zpotrs overwrites w, a copy of q.
-        w, address = np.array(q, dtype=np.complex128), _address(A)
+        address, w = _address(gram), gram[n, :n]
         info = lib.LAPACKE_zpotrf_work(_COL_MAJOR, b"L", size, address, size)
-        if info == 0:
-            info = lib.LAPACKE_zpotrs_work(_COL_MAJOR, b"L", size, 1, address,
-                                           size, _address(w), size)
         if info != 0:
             raise SingularBandError(
                 f"Cholesky factorization failed: LAPACK info {info}")
+        lib.cblas_ztrsv(_COL_MAJOR, _LOWER, _TRANS, _NON_UNIT, n, address,
+                        size, _address(w), size)
     if not np.all(np.isfinite(w)):
         raise SingularBandError("non-finite solution")
     return w

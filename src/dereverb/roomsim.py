@@ -13,7 +13,6 @@ from .signals import (MultichannelTimeSignal, TimeSignal, check_noise,
 
 SPEED_OF_SOUND = 343.0
 EARLY_WINDOW_S = 0.050
-T60_FIT_RANGE = (-5.0, -35.0)  # dB levels of the decay curve measure_t60 fits
 MIC_WALL_MARGIN = 0.1
 ARRAY_SPACING = 0.040
 NUM_MICS = 4
@@ -234,30 +233,3 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
         rirs=rirs,
     )
 
-
-def measure_t60(rir):
-    """Reverberation time from Schroeder backward integration.
-
-    Fits a line to the energy decay curve between the T60_FIT_RANGE dB
-    levels and extrapolates to -60 dB.
-    """
-    energy = rir.samples**2
-    total = float(np.sum(energy))
-    if total <= 0:
-        raise ArgumentError("RIR has no energy")
-    edc = np.cumsum(energy[::-1])[::-1] / total
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.maximum(edc, 1e-300))
-    hi, lo = T60_FIT_RANGE
-    start = int(np.argmax(db <= hi))
-    ends = np.nonzero(db <= lo)[0]
-    if db[start] > hi or ends.size == 0:
-        raise ArgumentError("decay range insufficient for the fit")
-    end = int(ends[0])
-    if end <= start + 1:
-        raise ArgumentError("decay range insufficient for the fit")
-    t = np.arange(start, end)
-    slope, _ = np.polyfit(t, db[start:end], 1)
-    if slope >= 0:
-        raise ArgumentError("non-decaying energy curve")
-    return float(-60.0 / (slope * rir.sample_rate))

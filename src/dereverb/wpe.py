@@ -107,9 +107,9 @@ def solve_all_bands(regressors, targets, weights):
     regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
     (frames, bins). Band by band, a reused buffer is written with the
     scaled rows [x; t] / sqrt(weight), straight from the strided window
-    view. One Hermitian rank-k update of those rows (herk_lower) yields the
-    lower triangles of Z = sum x x^H / weight and q = sum x t* / weight;
-    solve_hpd reads only that lower triangle. The prediction w^H x, numpy's
+    view. One Hermitian rank-k update of those rows (herk_lower) writes the
+    augmented Gram of Z = sum x x^H / weight and q = sum x t* / weight,
+    which solve_hpd solves from in place. The prediction w^H x, numpy's
     matmul (BLAS zgemv), is taken from the same scaled rows right after the
     solve and unscaled once at the end. Returns the (bins, L*Q) filter
     weights and the (frames, bins) prediction.
@@ -138,11 +138,9 @@ def solve_all_bands(regressors, targets, weights):
             for k in range(start, stop):
                 np.multiply(regressors.windows[k], scale[k], out=taps)
                 np.multiply(targets[:, k], scale[k], out=band[n_taps])
-                # gram's lower triangle: conj(Z), and q in its last row.
                 herk_lower(band, gram)
                 try:
-                    filters[k] = solve_hpd(gram[:n_taps, :n_taps].conj(),
-                                           gram[n_taps, :n_taps])
+                    filters[k] = solve_hpd(gram)
                 except SingularBandError as exc:
                     raise SingularBandError(f"band {k}: {exc}",
                                             band=k) from exc

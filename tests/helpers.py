@@ -1,8 +1,9 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
 reference STFT analysis and synthesis, a channel stack, per-frame
 regressor and prediction oracles, reference accumulators of the weighted
-normal equations, a reference PnPWPE loop, a whole-lattice image-source
-RIR, a direct-form alignment oracle and fuzzing strategies."""
+normal equations and their augmented Gram, a reference PnPWPE loop, a
+whole-lattice image-source RIR, a Schroeder T60 measurement, a
+direct-form alignment oracle and fuzzing strategies."""
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ from dereverb.signals import TimeSignal
 from dereverb.stft import Spectrogram, hann
 from dereverb.wpe import (FilterBank, IterationRecord, estimate_psd, prepare,
                           relative_change, solve_all_bands)
+
+T60_FIT_RANGE = (-5.0, -35.0)  # dB levels of the decay curve measure_t60 fits
 
 
 def speech_like(duration, fs=16000, seed=0):
@@ -213,6 +216,27 @@ def accumulate_batch(vectors, targets, weights):
     return NormalEquations(Z, q)
 
 
+def augmented_gram(Z, q, c=None):
+    """conj([Z q; q^H c]) in a new F-ordered complex128 buffer: the layout
+    numerics.herk_lower writes from the rows [x; t], with Z = sum x x^H,
+    q = sum x t* and c = sum |t|^2, and numerics.solve_hpd solves from.
+    Every entry is written, Z's upper triangle as given. c defaults to
+    q^H pinv(Z) q, the least value that keeps the buffer positive
+    semidefinite where Z is, with Z read from its lower triangle."""
+    Z = np.asarray(Z, dtype=np.complex128)
+    q = np.asarray(q, dtype=np.complex128)
+    n = len(q)
+    if c is None:
+        hermitian = np.tril(Z) + np.tril(Z, -1).conj().T
+        c = np.vdot(q, np.linalg.pinv(hermitian, hermitian=True) @ q).real
+    gram = np.empty((n + 1, n + 1), dtype=np.complex128, order="F")
+    gram[:n, :n] = Z.conj()
+    gram[:n, n] = q.conj()
+    gram[n, :n] = q
+    gram[n, n] = c
+    return gram
+
+
 def pnpwpe_loop(observed, params):
     """Reference of pnpwpe.run_pnpwpe, written from the equations and the
     stop rule of its docstring with each expression's operands in the same
@@ -280,6 +304,34 @@ def image_source_rir_grid(spec, mic_index):
     rir = np.zeros(spec.rir_length)
     np.add.at(rir, taps[keep], amp[keep])
     return rir
+
+
+def measure_t60(rir):
+    """Reverberation time from Schroeder backward integration.
+
+    Fits a line to the energy decay curve between the T60_FIT_RANGE dB
+    levels and extrapolates to -60 dB.
+    """
+    energy = rir.samples**2
+    total = float(np.sum(energy))
+    if total <= 0:
+        raise ArgumentError("RIR has no energy")
+    edc = np.cumsum(energy[::-1])[::-1] / total
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(np.maximum(edc, 1e-300))
+    hi, lo = T60_FIT_RANGE
+    start = int(np.argmax(db <= hi))
+    ends = np.nonzero(db <= lo)[0]
+    if db[start] > hi or ends.size == 0:
+        raise ArgumentError("decay range insufficient for the fit")
+    end = int(ends[0])
+    if end <= start + 1:
+        raise ArgumentError("decay range insufficient for the fit")
+    t = np.arange(start, end)
+    slope, _ = np.polyfit(t, db[start:end], 1)
+    if slope >= 0:
+        raise ArgumentError("non-decaying energy curve")
+    return float(-60.0 / (slope * rir.sample_rate))
 
 
 def align_direct(reference, estimate, max_shift=1024):

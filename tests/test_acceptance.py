@@ -17,13 +17,13 @@ from dereverb.errors import ProtocolError
 from dereverb.metrics import cepstral_distance, evaluate_pair, fw_seg_snr
 from dereverb.pnpwpe import PnpParams, plateau_iteration, run_pnpwpe
 from dereverb.roomsim import (ARRAY_SPACING, PRESETS, RoomSpec,
-                              image_source_rir, measure_t60, sample_room)
+                              image_source_rir, sample_room)
 from dereverb.signals import MultichannelTimeSignal, TimeSignal
 from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
                            analyze, analyze_multichannel, synthesize)
 from dereverb.wpe import WpeParams, run_wpe
 
-from helpers import make_scene, speech_like
+from helpers import make_scene, measure_t60, speech_like
 
 FS = 16000
 # Scene-scale solver settings used throughout: a 10-tap predictor starting

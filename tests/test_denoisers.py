@@ -119,6 +119,39 @@ def test_wiener_all_zero_bin_is_finite_without_a_warning():
     assert np.all(np.isfinite(out.values))
 
 
+def _wiener_by_np_quantile(values, quantile, min_gain):
+    """WienerDenoiser's output with its floor taken by np.quantile."""
+    power = np.abs(values) ** 2
+    floor = np.quantile(power, quantile, axis=0)
+    level = np.maximum(power, floor)
+    ratio = np.divide(floor, level, out=np.zeros_like(level),
+                      where=level > 0)
+    return values * np.maximum(1.0 - ratio, min_gain)
+
+
+def test_wiener_floor_is_np_quantile_byte_for_byte():
+    # random shapes and quantiles, one frame, ties and an all-zero column
+    rng = np.random.default_rng(9)
+    cases = []
+    for _ in range(200):
+        config = StftConfig(frame_len=int(rng.choice([8, 32])), hop=2)
+        shape = (int(rng.integers(1, 60)), config.num_bins)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cases.append((config, values, float(rng.uniform(0.001, 0.999))))
+    one_frame = rng.standard_normal((1, 5)) + 1j
+    ties = np.round(rng.standard_normal((9, 5))) + 0j
+    zero_column = rng.standard_normal((7, 5)) + 0j
+    zero_column[:, 1] = 0.0
+    cases += [(SMALL, values, quantile) for values in
+              (one_frame, ties, zero_column) for quantile in (0.3, 0.5, 0.9)]
+    for config, values, quantile in cases:
+        length = (len(values) - 1) * config.hop + config.frame_len
+        spec = Spectrogram(values, config, 16000, length)
+        out = WienerDenoiser(quantile, 0.1).denoise(spec).values
+        assert (out.tobytes()
+                == _wiener_by_np_quantile(values, quantile, 0.1).tobytes())
+
+
 @pytest.mark.parametrize("denoiser", [
     SoftThresholdDenoiser(0.4),
     WienerDenoiser(0.3, 0.1),

@@ -88,6 +88,16 @@ def test_dereverb_loads_neither_roomsim_nor_metrics(scene, tmp_path):
     assert not {"roomsim", "metrics"} & modules
 
 
+def test_pnpwpe_with_the_wiener_denoiser_loads_no_numpy_ma(scene, tmp_path):
+    argv = ("['dereverb', '--input', sys.argv[1], '--out', sys.argv[2], "
+            "'--method', 'pnpwpe', '--denoiser', 'wiener', '--preset', 'A', "
+            "'--iterations', '2']")
+    code = _main_code(argv) + "\nassert 'numpy.ma' not in sys.modules"
+    modules, _ = _loaded(code, str(scene / "scene" / "observed.wav"),
+                         str(tmp_path / "o.wav"))
+    assert "denoisers" in modules
+
+
 @pytest.mark.parametrize("argv", [["--help"]]
                          + [[name, "--help"] for name in SUBCOMMANDS])
 def test_help_is_the_text_of_the_fully_built_parser(argv, capsys):

@@ -8,7 +8,7 @@ from dereverb.numerics import herk_lower, solve_hpd
 from dereverb.stft import analyze_multichannel
 from dereverb.wpe import WpeParams, run_wpe
 from helpers import (NormalEquations, accumulate_batch,
-                     accumulate_normal_equations, make_scene)
+                     accumulate_normal_equations, augmented_gram, make_scene)
 
 
 def each_path(monkeypatch):
@@ -100,7 +100,7 @@ def test_solve_identity_system(monkeypatch):
     monkeypatch.setattr(numerics, "LOADING", 0.0)
     ne = NormalEquations(np.eye(2), np.array([3.0, 4j]))
     for _ in each_path(monkeypatch):
-        w = solve_hpd(ne.Z, ne.q)
+        w = solve_hpd(augmented_gram(ne.Z, ne.q))
         assert np.allclose(w, [3.0, 4j])
 
 
@@ -108,7 +108,7 @@ def test_solve_diagonal_system(monkeypatch):
     monkeypatch.setattr(numerics, "LOADING", 0.0)
     ne = NormalEquations(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
     for _ in each_path(monkeypatch):
-        w = solve_hpd(ne.Z, ne.q)
+        w = solve_hpd(augmented_gram(ne.Z, ne.q))
         assert np.allclose(w, [1.0, 1.0])
 
 
@@ -121,7 +121,7 @@ def test_solve_random_hpd_vs_elimination_oracle(monkeypatch):
     q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     oracle = _gaussian_elimination(Z, q)
     for _ in each_path(monkeypatch):
-        w = solve_hpd(Z, q)
+        w = solve_hpd(augmented_gram(Z, q))
         assert np.linalg.norm(Z @ w - q) / np.linalg.norm(q) < 1e-10
         assert np.allclose(w, oracle, rtol=1e-8, atol=1e-10)
 
@@ -129,38 +129,63 @@ def test_solve_random_hpd_vs_elimination_oracle(monkeypatch):
 def test_solve_reads_only_the_lower_triangle(monkeypatch):
     rng = np.random.default_rng(6)
     ne = accumulate_normal_equations(_random_terms(rng, 30, 6))
-    lower_only = ne.Z.copy()
-    lower_only[np.triu_indices(6, 1)] = np.nan
     for _ in each_path(monkeypatch):
-        assert np.array_equal(solve_hpd(lower_only, ne.q),
-                              solve_hpd(ne.Z, ne.q))
+        lower_only = augmented_gram(ne.Z, ne.q)
+        lower_only[np.triu_indices(7, 1)] = np.nan
+        assert np.array_equal(solve_hpd(lower_only),
+                              solve_hpd(augmented_gram(ne.Z, ne.q)))
 
 
 def test_zero_system_returns_zero(monkeypatch):
     ne = accumulate_normal_equations([], size=4)
     for _ in each_path(monkeypatch):
-        assert np.all(solve_hpd(ne.Z, ne.q) == 0)
+        assert np.all(solve_hpd(augmented_gram(ne.Z, ne.q)) == 0)
 
 
 def test_zero_matrix_nonzero_rhs_raises(monkeypatch):
     ne = NormalEquations(np.zeros((2, 2)), np.array([1.0, 0.0]))
     for _ in each_path(monkeypatch):
-        with pytest.raises(SingularBandError):
-            solve_hpd(ne.Z, ne.q)
+        with pytest.raises(SingularBandError, match="zero matrix"):
+            solve_hpd(augmented_gram(ne.Z, ne.q))
 
 
 def test_indefinite_matrix_raises(monkeypatch):
     for _ in each_path(monkeypatch):
         with pytest.raises(SingularBandError, match="Cholesky"):
-            solve_hpd(np.diag([2.0, -1.0]).astype(complex),
-                      np.ones(2, complex))
+            solve_hpd(augmented_gram(np.diag([2.0, -1.0]), np.ones(2)))
 
 
 def test_solve_rejects_shapes_that_do_not_match():
-    for Z, q in [(np.eye(3), np.ones(2)), (np.eye(2), np.ones((2, 1))),
-                 (np.ones((2, 3)), np.ones(2))]:
+    for shape in [(3, 2), (2, 3), (3,), (2, 2, 2)]:
         with pytest.raises(ArgumentError):
-            solve_hpd(Z, q)
+            solve_hpd(np.ones(shape, dtype=np.complex128, order="F"))
+
+
+def test_solve_rejects_a_gram_of_the_wrong_dtype_or_order():
+    gram = augmented_gram(np.eye(2), np.ones(2))
+    for bad in [gram.real.copy("F"), gram.astype(np.complex64),
+                np.ascontiguousarray(gram), gram[::2, ::2]]:
+        with pytest.raises(ArgumentError):
+            solve_hpd(bad)
+    assert np.allclose(solve_hpd(gram), np.ones(2), rtol=1e-8)
+
+
+def test_solve_a_target_that_its_regressors_predict_exactly(monkeypatch):
+    """rows [x; t] with t = a^H x, no loading, and every step exact in
+    floating point: Z = diag(4, 9, 16), and the augmented Gram's last
+    pivot, c - q^H Z^-1 q, is exactly 0. Both paths still return w = a,
+    as w does not depend on that entry, which solve_hpd raises by
+    c + trace(Z) before the factorization."""
+    monkeypatch.setattr(numerics, "LOADING", 0.0)
+    x = np.zeros((3, 5), dtype=np.complex128)
+    x[[0, 1, 2], [0, 1, 2]] = 2.0, 3.0, 4.0
+    a = np.array([1 + 2j, -1j, 3.0])
+    rows = np.vstack([x, a.conj() @ x])
+    for _ in each_path(monkeypatch):
+        gram = np.zeros((4, 4), dtype=np.complex128, order="F")
+        herk_lower(rows, gram)
+        assert gram[3, 3] == np.vdot(a, np.diag([4, 9, 16]) @ a)
+        np.testing.assert_allclose(solve_hpd(gram), a, rtol=1e-15)
 
 
 def test_minimizer_property(monkeypatch):
@@ -173,7 +198,7 @@ def test_minimizer_property(monkeypatch):
         return sum(abs(t - np.vdot(w, v)) ** 2 / lam for v, t, lam in terms)
 
     for _ in each_path(monkeypatch):
-        w_star = solve_hpd(ne.Z, ne.q)
+        w_star = solve_hpd(augmented_gram(ne.Z, ne.q))
         base = cost(w_star)
         for _ in range(20):
             dw = 0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -187,8 +212,8 @@ def test_permutation_invariance(monkeypatch):
     rng.shuffle(terms)
     ne2 = accumulate_normal_equations(terms)
     for _ in each_path(monkeypatch):
-        w1 = solve_hpd(ne1.Z, ne1.q)
-        w2 = solve_hpd(ne2.Z, ne2.q)
+        w1 = solve_hpd(augmented_gram(ne1.Z, ne1.q))
+        w2 = solve_hpd(augmented_gram(ne2.Z, ne2.q))
         assert np.allclose(w1, w2, rtol=1e-10, atol=1e-12)
 
 
@@ -200,8 +225,9 @@ def test_hermitian_enforced():
 
 
 def test_solve_hpd_is_the_f2py_zpotrf_and_zpotrs(monkeypatch):
-    """On both paths, solve_hpd is LAPACK's Cholesky solve of the loaded
-    lower triangle, as scipy's f2py zpotrf and zpotrs compute it."""
+    """On both paths, solve_hpd from the augmented Gram is LAPACK's
+    Cholesky solve of the loaded lower triangle of Z, as scipy's f2py
+    zpotrf and zpotrs compute it."""
     rng = np.random.default_rng(31)
     ne = accumulate_normal_equations(_random_terms(rng, 60, 9))
     loaded = ne.Z + numerics.LOADING * np.trace(ne.Z).real / 9 * np.eye(9)
@@ -209,7 +235,8 @@ def test_solve_hpd_is_the_f2py_zpotrf_and_zpotrs(monkeypatch):
     expected, info_solve = lapack.zpotrs(factor, ne.q, lower=1)
     assert info == info_solve == 0
     for library in each_path(monkeypatch):
-        np.testing.assert_allclose(solve_hpd(ne.Z, ne.q), expected,
+        np.testing.assert_allclose(solve_hpd(augmented_gram(ne.Z, ne.q)),
+                                   expected,
                                    rtol=1e-13 if library else 1e-10)
 
 

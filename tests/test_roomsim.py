@@ -8,13 +8,12 @@ from dereverb import roomsim
 from dereverb.errors import ArgumentError
 from dereverb.roomsim import (ARRAY_SPACING, EARLY_WINDOW_S, PRESETS,
                               RoomSpec, SPEED_OF_SOUND, default_rir_length,
-                              image_source_rir, measure_t60,
-                              reflection_coefficient, render_scene,
-                              sample_room, white_noise)
+                              image_source_rir, reflection_coefficient,
+                              render_scene, sample_room, white_noise)
 from dereverb.signals import (TimeSignal, convolve, fft_length,
                               scaled_noise_segment)
 
-from helpers import image_source_rir_grid, speech_like
+from helpers import image_source_rir_grid, measure_t60, speech_like
 
 
 # --- geometry sampling -------------------------------------------------------

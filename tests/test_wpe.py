@@ -15,8 +15,8 @@ from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
 from dereverb.wpe import (IterationRecord, WpeParams, estimate_psd, prepare,
                           relative_change, run_wpe, solve_all_bands,
                           stack_regressors)
-from helpers import (accumulate_batch, build_regressor, make_scene, predict,
-                     regressor_block, stack_channels)
+from helpers import (accumulate_batch, augmented_gram, build_regressor,
+                     make_scene, predict, regressor_block, stack_channels)
 
 SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
 
@@ -119,7 +119,7 @@ def test_solve_all_bands_matches_per_band_oracle():
     for k in range(SMALL.num_bins):
         vectors = regressor_block(taps, k, k + 1)[0].T
         ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
-        oracle = solve_hpd(ne.Z, ne.q)
+        oracle = solve_hpd(augmented_gram(ne.Z, ne.q))
         assert np.allclose(filters[k], oracle, rtol=1e-10, atol=1e-12)
 
 
@@ -135,7 +135,7 @@ def test_solve_all_bands_matches_per_frame_oracle():
         vectors = np.array([build_regressor(spec, n, k, delay, order)
                             for n in range(n_frames)])
         ne = accumulate_batch(vectors, targets[:, k], weights[:, k])
-        oracle = solve_hpd(ne.Z, ne.q)
+        oracle = solve_hpd(augmented_gram(ne.Z, ne.q))
         np.testing.assert_allclose(filters[k], oracle, rtol=1e-10)
         np.testing.assert_allclose(prediction[:, k],
                                    vectors @ oracle.conj(), rtol=1e-10)
@@ -222,9 +222,9 @@ def test_solve_all_bands_is_bit_identical_for_any_worker_count(monkeypatch,
     problem = _band_problem(20, n_bins)
     solvers = []
 
-    def recording_solve(Z, q):
+    def recording_solve(gram):
         solvers.append(threading.current_thread())
-        return solve_hpd(Z, q)
+        return solve_hpd(gram)
 
     monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
     blas_before = _blas_count()
@@ -256,11 +256,11 @@ def test_failing_band_in_a_worker_range(monkeypatch, failing, named):
     targets[:, sorted(failing)] = 0.0
     calls = []
 
-    def failing_solve(Z, q):
+    def failing_solve(gram):
         calls.append((threading.current_thread(), _blas_count()))
-        if not np.any(q):  # only the bands with zero targets
+        if not gram[-1, :-1].any():  # only the bands with zero targets
             raise SingularBandError("made to fail")
-        return solve_hpd(Z, q)
+        return solve_hpd(gram)
 
     monkeypatch.setattr(wpe, "solve_hpd", failing_solve)
     _workers(monkeypatch, 4)
@@ -286,10 +286,10 @@ def test_a_solve_overlapping_a_blas_hold_waits_for_it(monkeypatch):
         pytest.skip("no OpenBLAS to hold")
     calls = []
 
-    def recording_solve(Z, q):
+    def recording_solve(gram):
         calls.append((threading.current_thread(),
                       library.openblas_get_num_threads()))
-        return solve_hpd(Z, q)
+        return solve_hpd(gram)
 
     monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
     problem = _band_problem(22, 6)
