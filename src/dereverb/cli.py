@@ -37,6 +37,8 @@ EXIT_DENOISER = 5
 # a test holds them equal to roomsim.PRESETS.
 PRESET_FILTER_ORDER = {"A": 10, "B": 20}
 
+BUILT_FIELDS = ("wpe", "denoiser")  # PnpParams fields other flags build
+
 
 def _atomic_write(path, write):
     """Call write(tmp) on a new temp file beside path, then rename it over
@@ -86,7 +88,7 @@ def _add_solver_flags(parser):
     from .wpe import WpeParams
     for cls in (StftConfig, WpeParams, PnpParams):
         for field in dataclasses.fields(cls):
-            if field.name in ("wpe", "denoiser"):  # other flags build them
+            if field.name in BUILT_FIELDS:
                 continue
             order = field.name == "filter_order"  # None: --preset picks it
             parser.add_argument(
@@ -196,8 +198,14 @@ def _analyze(path, args):
 
 
 def cmd_dereverb(args):
-    from .pnpwpe import estimate, plateau_iteration
+    from .pnpwpe import PnpParams, estimate, plateau_iteration
     from .signals import MultichannelTimeSignal, write_wav
+    if args.method == "wpe":  # WPE would drop PnPWPE's own settings
+        for field in dataclasses.fields(PnpParams):
+            if (field.name not in BUILT_FIELDS
+                    and getattr(args, field.name) != field.default):
+                flag = "--" + field.name.replace("_", "-")
+                raise ArgumentError(f"{flag} applies to --method pnpwpe only")
     observed = _analyze(args.input, args)
     params = _wpe_params(args) if args.method == "wpe" else _pnp_params(args)
     out, trace = estimate(observed, params)

@@ -8,10 +8,7 @@ format so arbitrary programs can be attached.
 """
 from __future__ import annotations
 
-import shutil
 import struct
-import subprocess
-import tempfile
 
 import numpy as np
 
@@ -124,6 +121,10 @@ class ExternalDenoiser:
         self.workdir = workdir
 
     def denoise(self, spec):
+        # Imported here, so that only a run with this denoiser loads them.
+        import shutil
+        import subprocess
+        import tempfile
         tmpdir = tempfile.mkdtemp(prefix="pnpspec_", dir=self.workdir)
         in_path = f"{tmpdir}/in.pnpspec"
         out_path = f"{tmpdir}/out.pnpspec"

@@ -3,14 +3,14 @@ one module that reaches BLAS and LAPACK through ctypes and sets their
 thread count.
 
 Weighted normal equations Z w = q with relative diagonal loading, solved
-from the augmented Gram conj([Z q; q^H c]) that one rank-k update of the
-rows [x; t] writes, by one Cholesky factorization of it and one triangular
-solve; and the hold that keeps BLAS at one thread. Every call goes to the
-OpenBLAS that numpy bundles and has already loaded: zherk, zpotrf and
-ztrsv through ctypes, so one library and one thread pool serve the band
-solves and numpy alike, and every call runs without the GIL. Where numpy
-ships no such library, numpy's matmul and np.linalg give the same results
-to rounding.
+from the augmented Gram conj([Z q; q^H c]) of the rows [x; t], in buffers
+that band_solver makes once for each worker, by one rank-k update, one
+Cholesky factorization and one triangular solve; and the hold that keeps
+BLAS at one thread. Every call goes to the OpenBLAS that numpy bundles
+and has already loaded: zherk, zpotrf and ztrsv through ctypes, so one
+library and one thread pool serve the band solves and numpy alike, and
+every call runs without the GIL. Where numpy ships no such library,
+numpy's matmul and np.linalg give the same results to rounding.
 """
 from __future__ import annotations
 
@@ -105,34 +105,36 @@ def one_blas_thread():
             lib.openblas_set_num_threads(threads)
 
 
-def herk_lower(rows, gram):
-    """Writes the lower triangle of conj(rows rows^H) into gram in place.
+def band_solver(n_taps, n_frames):
+    """One worker's band buffers: (rows, solve). rows: C-ordered complex128
+    (n_taps + 1, n_frames), for the caller's [x; t]. solve() writes the
+    lower triangle of conj(rows rows^H), the augmented Gram conj([Z q;
+    q^H c]), into a zeroed F-ordered buffer of its own (cblas_zherk of
+    rows.T^H rows.T, column-major, at addresses taken here, once) and
+    returns solve_hpd of that buffer: on the library path a view of it,
+    which the next solve() overwrites."""
+    size = n_taps + 1
+    rows = np.empty((size, n_frames), dtype=np.complex128)
+    gram = np.zeros((size, size), dtype=np.complex128, order="F")
+    lib, rows_at, gram_at = openblas(), _address(rows), _address(gram)
 
-    rows: C-contiguous complex128 (n, k); gram: F-contiguous complex128
-    (n, n), whose strict upper triangle is left as it was. Column-major,
-    rows is the (k, n) matrix rows.T, so this is cblas_zherk of
-    rows.T^H rows.T.
-    """
-    n, k = rows.shape
-    if not (rows.dtype == gram.dtype == np.complex128
-            and rows.flags.c_contiguous and gram.flags.f_contiguous
-            and gram.shape == (n, n)):
-        raise ArgumentError("herk_lower needs C-ordered complex128 rows and "
-                            "an F-ordered complex128 square gram to match")
-    lib = openblas()
-    if lib is None:
-        lower = np.tril_indices(n)
-        gram[lower] = (rows.conj() @ rows.T)[lower]
-    else:
-        lib.cblas_zherk(_COL_MAJOR, _LOWER, _CONJ_TRANS, n, k, 1.0,
-                        _address(rows), k, 0.0, _address(gram), n)
+    def solve():
+        if lib is None:
+            lower = np.tril_indices(size)
+            gram[lower] = (rows.conj() @ rows.T)[lower]
+        else:
+            lib.cblas_zherk(_COL_MAJOR, _LOWER, _CONJ_TRANS, size, n_frames,
+                            1.0, rows_at, n_frames, 0.0, gram_at, size)
+        return solve_hpd(gram)
+    return rows, solve
 
 
 def solve_hpd(gram):
     """Solve (Z + LOADING*delta*I) w = q in place in gram, by Cholesky.
 
-    gram: F-ordered complex128 (n+1, n+1), conj([Z q; q^H c]) as herk_lower
-    writes it from the rows [x; t]; only its lower triangle is read.
+    gram: F-ordered complex128 (n+1, n+1), conj([Z q; q^H c]) as a
+    band_solver writes it from the rows [x; t]; only its lower triangle
+    is read.
     delta = trace(Z)/n makes the loading relative. c, which w does not
     depend on, becomes 2c + trace(Z), so only a Z that is not positive
     definite after loading fails. chol(gram) = [L11 0; r^H l] with

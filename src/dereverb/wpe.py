@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, SingularBandError
-from .numerics import herk_lower, one_blas_thread, solve_hpd
+from .numerics import band_solver, one_blas_thread
 from .stft import MultichannelSpectrogram
 
 
@@ -105,23 +105,23 @@ def solve_all_bands(regressors, targets, weights):
     """Per-band weighted normal-equation solve and the prediction it makes.
 
     regressors: Regressors of shape (bins, L*Q, frames); targets, weights:
-    (frames, bins). Band by band, a reused buffer is written with the
-    scaled rows [x; t] / sqrt(weight), straight from the strided window
-    view. One Hermitian rank-k update of those rows (herk_lower) writes the
-    augmented Gram of Z = sum x x^H / weight and q = sum x t* / weight,
-    which solve_hpd solves from in place. The prediction w^H x, numpy's
-    matmul (BLAS zgemv), is taken from the same scaled rows right after the
-    solve and unscaled once at the end. Returns the (bins, L*Q) filter
-    weights and the (frames, bins) prediction.
+    (frames, bins). Band by band, the rows buffer of a band_solver is
+    written with the scaled rows [x; t] / sqrt(weight), straight from the
+    strided window view, and its solve() solves the normal equations of
+    Z = sum x x^H / weight and q = sum x t* / weight from the augmented
+    Gram of those rows. The prediction w^H x, numpy's matmul, is taken
+    from the same scaled rows right after the solve and unscaled once at
+    the end. Returns the (bins, L*Q) filter weights and the
+    (frames, bins) prediction.
 
     The bins are split into as many contiguous ranges as the thread count
     one_blas_thread yields (at most one per bin), each solved by its own
-    thread with its own buffers; the calling thread solves the first. Every
-    BLAS and LAPACK call runs without the GIL, so the ranges overlap, and
-    that hold keeps BLAS at one thread meanwhile, so every band is computed
-    alike whatever the thread count; concurrent calls take turns at it. A
-    failing band raises SingularBandError naming the lowest failing band,
-    after every thread has finished.
+    thread with its own band_solver; the calling thread solves the first.
+    Every BLAS and LAPACK call runs without the GIL, so the ranges overlap,
+    and that hold keeps BLAS at one thread meanwhile, so every band is
+    computed alike whatever the thread count; concurrent calls take turns
+    at it. A failing band raises SingularBandError naming the lowest
+    failing band, after every thread has finished.
     """
     n_bins, n_taps, n_frames = regressors.shape
     scale = np.sqrt(1.0 / weights).T  # (bins, frames)
@@ -130,17 +130,14 @@ def solve_all_bands(regressors, targets, weights):
     errors = {}  # the first bin of a failed range: its exception
 
     def solve_range(start, stop):
-        band = np.empty((n_taps + 1, n_frames), dtype=np.complex128)
-        gram = np.zeros((n_taps + 1, n_taps + 1), dtype=np.complex128,
-                        order="F")
-        taps = band[:n_taps].reshape(regressors.windows.shape[1:])  # a view
         try:
+            band, solve = band_solver(n_taps, n_frames)
+            taps = band[:n_taps].reshape(regressors.windows.shape[1:])  # view
             for k in range(start, stop):
                 np.multiply(regressors.windows[k], scale[k], out=taps)
                 np.multiply(targets[:, k], scale[k], out=band[n_taps])
-                herk_lower(band, gram)
                 try:
-                    filters[k] = solve_hpd(gram)
+                    filters[k] = solve()
                 except SingularBandError as exc:
                     raise SingularBandError(f"band {k}: {exc}",
                                             band=k) from exc

@@ -218,7 +218,7 @@ def accumulate_batch(vectors, targets, weights):
 
 def augmented_gram(Z, q, c=None):
     """conj([Z q; q^H c]) in a new F-ordered complex128 buffer: the layout
-    numerics.herk_lower writes from the rows [x; t], with Z = sum x x^H,
+    a numerics.band_solver writes from its rows [x; t], with Z = sum x x^H,
     q = sum x t* and c = sum |t|^2, and numerics.solve_hpd solves from.
     Every entry is written, Z's upper triangle as given. c defaults to
     q^H pinv(Z) q, the least value that keeps the buffer positive

@@ -519,6 +519,21 @@ def test_exit_code_invalid_solver_params(tmp_path, scene_dir):
                  "--out", str(out), "--rho", "0"] + FAST) == EXIT_ARGS
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rho", "5"), ("--mu", "0.2"), ("--inner-iters", "2"),
+    ("--stop-tol", "0"),
+])
+def test_dereverb_wpe_rejects_a_pnpwpe_only_flag_away_from_its_default(
+        tmp_path, scene_dir, capsys, flag, value):
+    out = tmp_path / "o.wav"
+    argv = ["dereverb", "--input", os.path.join(scene_dir, "observed.wav"),
+            "--out", str(out), "--method", "wpe"] + FAST
+    assert main(argv + [flag, value]) == EXIT_ARGS
+    assert capsys.readouterr().err == (
+        f"error: {flag} applies to --method pnpwpe only\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, setting", [
     (["--rho", "inf"], "rho"),
     (["--epsilon", "inf"], "epsilon"),

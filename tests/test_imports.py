@@ -98,6 +98,15 @@ def test_pnpwpe_with_the_wiener_denoiser_loads_no_numpy_ma(scene, tmp_path):
     assert "denoisers" in modules
 
 
+def test_wpe_loads_no_subprocess(scene, tmp_path):
+    argv = ("['dereverb', '--input', sys.argv[1], '--out', sys.argv[2], "
+            "'--method', 'wpe', '--preset', 'A', '--iterations', '2']")
+    code = _main_code(argv) + "\nassert 'subprocess' not in sys.modules"
+    modules, _ = _loaded(code, str(scene / "scene" / "observed.wav"),
+                         str(tmp_path / "o.wav"))
+    assert "wpe" in modules
+
+
 @pytest.mark.parametrize("argv", [["--help"]]
                          + [[name, "--help"] for name in SUBCOMMANDS])
 def test_help_is_the_text_of_the_fully_built_parser(argv, capsys):

@@ -4,7 +4,7 @@ from scipy.linalg import blas, lapack
 
 from dereverb import numerics
 from dereverb.errors import ArgumentError, SingularBandError
-from dereverb.numerics import herk_lower, solve_hpd
+from dereverb.numerics import band_solver, solve_hpd
 from dereverb.stft import analyze_multichannel
 from dereverb.wpe import WpeParams, run_wpe
 from helpers import (NormalEquations, accumulate_batch,
@@ -180,12 +180,18 @@ def test_solve_a_target_that_its_regressors_predict_exactly(monkeypatch):
     x = np.zeros((3, 5), dtype=np.complex128)
     x[[0, 1, 2], [0, 1, 2]] = 2.0, 3.0, 4.0
     a = np.array([1 + 2j, -1j, 3.0])
-    rows = np.vstack([x, a.conj() @ x])
+    grams = []
+
+    def capturing_solve(gram):
+        grams.append(gram.copy(order="F"))
+        return solve_hpd(gram)
+
     for _ in each_path(monkeypatch):
-        gram = np.zeros((4, 4), dtype=np.complex128, order="F")
-        herk_lower(rows, gram)
-        assert gram[3, 3] == np.vdot(a, np.diag([4, 9, 16]) @ a)
-        np.testing.assert_allclose(solve_hpd(gram), a, rtol=1e-15)
+        monkeypatch.setattr(numerics, "solve_hpd", capturing_solve)
+        rows, solve = band_solver(3, 5)
+        rows[:] = np.vstack([x, a.conj() @ x])
+        np.testing.assert_allclose(solve(), a, rtol=1e-15)
+        assert grams[-1][3, 3] == np.vdot(a, np.diag([4, 9, 16]) @ a)
 
 
 def test_minimizer_property(monkeypatch):
@@ -240,24 +246,28 @@ def test_solve_hpd_is_the_f2py_zpotrf_and_zpotrs(monkeypatch):
                                    rtol=1e-13 if library else 1e-10)
 
 
-def test_herk_lower_is_the_f2py_zherk_with_and_without_scipy_openblas(
+def test_band_solver_solves_the_f2py_zherk_of_its_rows_as_they_stand(
         monkeypatch):
+    """solve() is solve_hpd of the augmented Gram that scipy's f2py zherk
+    makes of the rows, on both paths, and it reads the rows anew at each
+    call: the second of two calls on one solver solves the second rows."""
     rng = np.random.default_rng(30)
-    rows = rng.standard_normal((7, 40)) + 1j * rng.standard_normal((7, 40))
-    expected = blas.zherk(1.0, rows.T, trans=2, lower=1)
-    upper = np.triu_indices(7, 1)
-    for _ in each_path(monkeypatch):
-        gram = np.full((7, 7), 5.0 + 0j, order="F")
-        herk_lower(rows, gram)
-        np.testing.assert_allclose(np.tril(gram), np.tril(expected),
-                                   rtol=1e-13)
-        assert np.all(gram[upper] == 5.0)
-        for bad_rows, bad_gram in [(np.asfortranarray(rows), gram),
-                                   (rows, np.ascontiguousarray(gram)),
-                                   (rows, gram[:6, :6]),
-                                   (rows.real.copy(), gram.real.copy("F"))]:
-            with pytest.raises(ArgumentError):
-                herk_lower(bad_rows, bad_gram)
+    batches = [rng.standard_normal((7, 40))
+               + 1j * rng.standard_normal((7, 40)) for _ in range(2)]
+    expected = []
+    for batch in batches:
+        # the lower triangle of conj(batch batch^H) = conj([Z q; q^H c])
+        lower = blas.zherk(1.0, batch.T, trans=2, lower=1)
+        full = np.tril(lower) + np.tril(lower, -1).conj().T
+        expected.append(solve_hpd(augmented_gram(
+            full[:6, :6].conj(), full[:6, 6].conj(), full[6, 6].real)))
+    for library in each_path(monkeypatch):
+        rows, solve = band_solver(6, 40)
+        assert rows.shape == (7, 40) and rows.flags.c_contiguous
+        for batch, oracle in zip(batches, expected):
+            rows[:] = batch
+            np.testing.assert_allclose(solve(), oracle,
+                                       rtol=1e-13 if library else 1e-10)
 
 
 def test_one_blas_thread_restores_the_thread_count_when_its_block_raises():

@@ -226,7 +226,7 @@ def test_solve_all_bands_is_bit_identical_for_any_worker_count(monkeypatch,
         solvers.append(threading.current_thread())
         return solve_hpd(gram)
 
-    monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
+    monkeypatch.setattr(numerics, "solve_hpd", recording_solve)
     blas_before = _blas_count()
     results = set()
     interval = sys.getswitchinterval()
@@ -262,7 +262,7 @@ def test_failing_band_in_a_worker_range(monkeypatch, failing, named):
             raise SingularBandError("made to fail")
         return solve_hpd(gram)
 
-    monkeypatch.setattr(wpe, "solve_hpd", failing_solve)
+    monkeypatch.setattr(numerics, "solve_hpd", failing_solve)
     _workers(monkeypatch, 4)
     blas_before = _blas_count()
     running = set(threading.enumerate())
@@ -291,7 +291,7 @@ def test_a_solve_overlapping_a_blas_hold_waits_for_it(monkeypatch):
                       library.openblas_get_num_threads()))
         return solve_hpd(gram)
 
-    monkeypatch.setattr(wpe, "solve_hpd", recording_solve)
+    monkeypatch.setattr(numerics, "solve_hpd", recording_solve)
     problem = _band_problem(22, 6)
     held, solved = threading.Event(), threading.Event()
     overlapped = []
@@ -324,6 +324,28 @@ def test_a_solve_overlapping_a_blas_hold_waits_for_it(monkeypatch):
         assert overlapped == [False]
     finally:
         library.openblas_set_num_threads(configured)
+
+
+def test_solve_all_bands_takes_each_worker_buffer_address_once(monkeypatch):
+    # a4-shaped: 257 bins, 4 channels at L = 10, 501 frames, two workers.
+    # Each band_solver takes its two buffers' addresses when it is made;
+    # per band, only solve_hpd takes two (the Gram and its last row)
+    rng = np.random.default_rng(23)
+    obs = (rng.standard_normal((4, 501, 257))
+           + 1j * rng.standard_normal((4, 501, 257)))
+    regressors = stack_regressors(obs, delay=6, order=10)
+    weights = rng.uniform(0.5, 2.0, (501, 257))
+    taken = []
+    address = numerics._address
+
+    def counting_address(array):
+        taken.append(array.shape)
+        return address(array)
+
+    monkeypatch.setattr(numerics, "_address", counting_address)
+    _workers(monkeypatch, 2)
+    solve_all_bands(regressors, obs[0], weights)
+    assert len(taken) <= 2 * 257 + 2 * 2
 
 
 def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
@@ -454,6 +476,53 @@ def test_run_wpe_objective_does_not_increase():
     cost_before = np.sum(np.abs(ref) ** 2 / sigma)
     cost_after = np.sum(np.abs(residual) ** 2 / sigma)
     assert cost_after <= cost_before + 1e-10
+
+
+@pytest.mark.parametrize("preset, noise_kind, seed, order", [
+    ("A", "none", 0, 10), ("B", "wgn", 0, 20),
+    ("A", "wgn", 1, 10), ("B", "none", 1, 20),
+])
+def test_run_wpe_descends_its_objective_at_every_half_step(
+        monkeypatch, preset, noise_kind, seed, order):
+    """run_wpe is coordinate descent on L = mean(|S_hat|^2 / sigma + ln
+    sigma), sigma >= epsilon. Each sigma update lands at L's minimum over
+    sigma, as |S_hat|^2 / sigma + ln sigma is least at max(|S_hat|^2,
+    epsilon), and each band solve minimises L over the filter, up to the
+    diagonal loading; so L falls at every half-step. Both hold within a
+    slack relative to LOADING. Each iteration's sigma and prediction are
+    taken from its solve_all_bands call."""
+    scene = make_scene(preset, seed=seed, noise_kind=noise_kind,
+                       duration=3.0)
+    observed = analyze_multichannel(scene.observed)
+    params = WpeParams(filter_order=order, iterations=6)
+    calls = []
+
+    def recording_solve_all_bands(regressors, targets, weights):
+        filters, prediction = solve_all_bands(regressors, targets, weights)
+        calls.append((weights, prediction))
+        return filters, prediction
+
+    monkeypatch.setattr(wpe, "solve_all_bands", recording_solve_all_bands)
+    run_wpe(observed, params)
+    assert len(calls) == params.iterations
+
+    def objective(s_hat, sigma):
+        return np.mean(np.abs(s_hat) ** 2 / sigma + np.log(sigma))
+
+    def slack(value):
+        return 1e3 * numerics.LOADING * abs(value)
+
+    ref = observed.channels[0].values
+    s_hat, values = ref, []
+    for sigma, prediction in calls:
+        least = objective(s_hat, np.maximum(np.abs(s_hat) ** 2,
+                                            params.epsilon))
+        values.append(objective(s_hat, sigma))  # after the sigma update
+        assert values[-1] <= least + slack(least)
+        s_hat = ref - prediction
+        values.append(objective(s_hat, sigma))  # after the filter update
+    for before, after in zip(values, values[1:]):
+        assert after <= before + slack(before)
 
 
 def test_run_wpe_memory_stays_bounded():
