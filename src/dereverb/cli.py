@@ -63,26 +63,31 @@ def _atomic_write(path, write):
         raise
 
 
-def _denoiser_command(args):
+def _denoiser_command(command):
     try:
-        return shlex.split(args.denoiser_command or "")
+        return shlex.split(command)
     except ValueError as exc:  # an unclosed quote or a trailing escape
         raise ArgumentError(f"--denoiser-command: {exc}") from None
 
 
-# Each --denoiser kind and how the denoiser flags build it from the
-# denoisers module.
+# Each --denoiser kind: the denoiser flags it reads, at their defaults, and
+# how their values build it from the denoisers module. No other kind reads
+# a kind's flags.
 DENOISERS = {
-    "identity": lambda d, args: d.IdentityDenoiser(),
-    "soft_threshold": lambda d, args: d.SoftThresholdDenoiser(args.threshold),
-    "wiener": lambda d, args: d.WienerDenoiser(args.quantile, args.min_gain),
-    "external": lambda d, args: d.ExternalDenoiser(_denoiser_command(args)),
+    "identity": ({}, lambda d: d.IdentityDenoiser()),
+    "soft_threshold": ({"threshold": 0.5},
+                       lambda d, t: d.SoftThresholdDenoiser(t)),
+    "wiener": ({"quantile": 0.3, "min_gain": 0.1},
+               lambda d, q, g: d.WienerDenoiser(q, g)),
+    "external": ({"denoiser_command": ""},
+                 lambda d, c: d.ExternalDenoiser(_denoiser_command(c))),
 }
 
 
 def _add_solver_flags(parser):
-    """The STFT, WPE and PnPWPE flags of dereverb and sweep: --FIELD-NAME
-    at its default for each field of the three configs."""
+    """The STFT, WPE, PnPWPE and denoiser flags of dereverb and sweep:
+    --FIELD-NAME at its default for each field of the three configs, and
+    --NAME for each flag a denoiser kind reads."""
     from .pnpwpe import PnpParams
     from .stft import StftConfig
     from .wpe import WpeParams
@@ -102,11 +107,11 @@ def _add_solver_flags(parser):
                         default=None)
     parser.add_argument("--denoiser", default="identity",
                         choices=list(DENOISERS))
-    parser.add_argument("--threshold", type=float, default=0.5)
-    parser.add_argument("--quantile", type=float, default=0.3)
-    parser.add_argument("--min-gain", type=float, default=0.1)
-    parser.add_argument("--denoiser-command", default=None,
-                        help="command line for the external denoiser")
+    for kind, (flags, _) in DENOISERS.items():
+        for name, default in flags.items():
+            parser.add_argument("--" + name.replace("_", "-"), default=default,
+                                type=type(default),
+                                help=f"read by --denoiser {kind}")
 
 
 def _config(cls, args, **derived):
@@ -123,24 +128,26 @@ def _filter_order(args):
     return PRESET_FILTER_ORDER.get(args.preset, WpeParams.filter_order)
 
 
-def _wpe_params(args):
-    from .wpe import WpeParams
-    return _config(WpeParams, args, filter_order=_filter_order(args))
-
-
 def _denoiser(kind, args):
-    """The denoiser of kind, built from the denoiser flags; sweep's grid
-    kinds come here unchecked by argparse."""
+    """The denoiser of kind, built from the denoiser flags it reads; sweep's
+    grid kinds come here unchecked by argparse."""
     if kind not in DENOISERS:
         raise ArgumentError(f"unknown denoiser kind: {kind}")
     from . import denoisers
-    return DENOISERS[kind](denoisers, args)
+    flags, build = DENOISERS[kind]
+    return build(denoisers, *(getattr(args, name) for name in flags))
 
 
-def _pnp_params(args):
+def _settings(args, method="pnpwpe", **point):
+    """WpeParams for method "wpe", else PnpParams, from the solver flags but
+    for those in point: sweep's rho, mu, filter_order and denoiser kind."""
     from .pnpwpe import PnpParams
-    return _config(PnpParams, args, wpe=_wpe_params(args),
-                   denoiser=_denoiser(args.denoiser, args))
+    from .wpe import WpeParams
+    args = argparse.Namespace(
+        **{**vars(args), "filter_order": _filter_order(args), **point})
+    wpe = _config(WpeParams, args)
+    return wpe if method == "wpe" else _config(
+        PnpParams, args, wpe=wpe, denoiser=_denoiser(args.denoiser, args))
 
 
 def _write_csv(path, rows):
@@ -197,17 +204,31 @@ def _analyze(path, args):
     return analyze_multichannel(read_wav(path), _config(StftConfig, args))
 
 
+def _check_flags(args, method, kinds):
+    """Raise ArgumentError for a flag away from its default that the run
+    does not read: a PnPWPE flag with --method wpe, else a flag of a
+    denoiser kind not among the run's kinds."""
+    from .pnpwpe import PnpParams
+    if method == "wpe":  # WPE would drop PnPWPE's own settings
+        unread = {field.name: (field.default, "--method pnpwpe")
+                  for field in dataclasses.fields(PnpParams)
+                  if field.name not in BUILT_FIELDS}
+    else:
+        unread = {name: (default, "--denoiser " + kind)
+                  for kind, (flags, _) in DENOISERS.items()
+                  if kind not in kinds for name, default in flags.items()}
+    for name, (default, applies) in unread.items():
+        if getattr(args, name) != default:
+            flag = "--" + name.replace("_", "-")
+            raise ArgumentError(f"{flag} applies to {applies} only")
+
+
 def cmd_dereverb(args):
-    from .pnpwpe import PnpParams, estimate, plateau_iteration
+    from .pnpwpe import estimate, plateau_iteration
     from .signals import MultichannelTimeSignal, write_wav
-    if args.method == "wpe":  # WPE would drop PnPWPE's own settings
-        for field in dataclasses.fields(PnpParams):
-            if (field.name not in BUILT_FIELDS
-                    and getattr(args, field.name) != field.default):
-                flag = "--" + field.name.replace("_", "-")
-                raise ArgumentError(f"{flag} applies to --method pnpwpe only")
+    _check_flags(args, args.method, (args.denoiser,))
     observed = _analyze(args.input, args)
-    params = _wpe_params(args) if args.method == "wpe" else _pnp_params(args)
+    params = _settings(args, args.method)
     out, trace = estimate(observed, params)
     _atomic_write(args.out, functools.partial(
         write_wav, MultichannelTimeSignal((out,))))
@@ -256,15 +277,15 @@ def _parse_grid(args, name, cast):
 
 def cmd_sweep(args):
     from .metrics import evaluate_pair
-    from .pnpwpe import PnpParams, estimate, plateau_iteration
+    from .pnpwpe import estimate, plateau_iteration
     from .signals import read_wav
     from .stft import StftConfig
-    from .wpe import WpeParams
     rhos = _parse_grid(args, "rho_grid", float) or [args.rho]
     mus = _parse_grid(args, "mu_grid", float) or [args.mu]
     orders = (_parse_grid(args, "filter_order_grid", int)
               or [_filter_order(args)])
     kinds = _parse_grid(args, "denoiser_grid", str) or [args.denoiser]
+    _check_flags(args, "pnpwpe", kinds)
     _config(StftConfig, args)  # exit 2, no error rows
     grid = list(itertools.product(rhos, mus, orders, kinds))
     rows = []
@@ -279,10 +300,8 @@ def cmd_sweep(args):
             continue
         for rho, mu, order, kind in grid:
             try:
-                params = _config(
-                    PnpParams, args, rho=rho, mu=mu,
-                    wpe=_config(WpeParams, args, filter_order=order),
-                    denoiser=_denoiser(kind, args))
+                params = _settings(args, rho=rho, mu=mu, filter_order=order,
+                                   denoiser=kind)
                 out, trace = estimate(observed, params)
                 report = evaluate_pair(reference, out)
                 rows.append([scene_dir, rho, mu, order, kind,

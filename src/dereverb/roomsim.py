@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ArgumentError, GeometryError
 from .signals import (MultichannelTimeSignal, TimeSignal, check_noise,
-                      convolve, convolve_each, scaled_noise_segment)
+                      convolve, scaled_noise_segment)
 
 SPEED_OF_SOUND = 343.0
 EARLY_WINDOW_S = 0.050
@@ -187,17 +187,17 @@ class Scene:
 def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     """Convolve clean speech with the room RIRs and optionally add noise.
 
-    The microphone channels are one signals.convolve_each call: overlap-add
-    in blocks of fft_length(2 * rir_length) points (65536 for a preset-B
-    room), whose clean spectra are taken once and shared by all the RIRs,
-    each channel written into one (mics, length) array. The reference keeps
+    The microphone channels are one signals.convolve call: overlap-add in
+    blocks of fft_length(2 * rir_length) points (65536 for a preset-B room),
+    whose clean spectra are taken once and shared by all the RIRs, each
+    channel written into one (mics, length) array. The reference keeps
     microphone 0's direct path plus 50 ms of early reflections, convolved
-    on its own (signals.convolve) in blocks sized to that short kernel
-    (4096 points for a preset-B room). Noise is scaled against microphone
-    0's reverberant signal, and the same scaled segment is added in place
-    to every channel. All signals are trimmed to the clean length. The
-    sample rates, an empty clean signal, a finite snr_db and the noise
-    length are checked before any RIR is built.
+    by a second call in blocks sized to that short kernel (4096 points for
+    a preset-B room). Both calls stop at the clean length. Noise is scaled
+    against microphone 0's reverberant signal, and the same scaled segment
+    is added in place to every channel. The sample rates, an empty clean
+    signal, a finite snr_db and the noise length are checked before any RIR
+    is built.
     """
     if clean.sample_rate != spec.sample_rate:
         raise ArgumentError(
@@ -211,7 +211,7 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
         check_noise(clean, noise)
     rirs = tuple(image_source_rir(spec, q) for q in range(spec.num_mics))
     length = len(clean)
-    observed = convolve_each(clean, rirs, length)
+    observed = convolve(clean, rirs, length)
 
     ref_rir = rirs[0].samples
     nonzero = np.nonzero(ref_rir)[0]
@@ -219,7 +219,7 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
         raise GeometryError("reference RIR is all zero")
     cutoff = int(nonzero[0]) + int(round(EARLY_WINDOW_S * spec.sample_rate))
     early = TimeSignal(ref_rir[:cutoff + 1], spec.sample_rate)
-    reference = TimeSignal(convolve(clean, early).samples[:length],
+    reference = TimeSignal(convolve(clean, (early,), length)[0],
                            spec.sample_rate)
 
     if noise is not None:

@@ -179,33 +179,17 @@ def hann(frame_len):
 
 
 def fft_length(n):
-    """The power of two at or above n: the block length of convolve_each
+    """The power of two at or above n: the block length of convolve
     (capped at fft_length(2 * taps)) and the correlation length of
     metrics.align."""
     return 1 << (n - 1).bit_length()
 
 
-def convolve(signal, kernel):
-    """Full linear convolution of two signals at the same sample rate.
-
-    The one-kernel case of convolve_each, at the full output length
-    len(signal) + len(kernel) - 1. It agrees with the direct form
-    (np.convolve) to rounding. An empty signal or kernel raises
-    ArgumentError.
-    """
-    if signal.sample_rate != kernel.sample_rate:
-        raise ArgumentError("sample_rate mismatch in convolve")
-    if len(signal) == 0 or len(kernel) == 0:
-        raise ArgumentError("cannot convolve an empty signal")
-    n = len(signal) + len(kernel) - 1
-    return TimeSignal(convolve_each(signal, (kernel,), n)[0],
-                      signal.sample_rate)
-
-
-def convolve_each(signal, kernels, length):
+def convolve(signal, kernels, length):
     """The first `length` samples of `signal` convolved with each of
     `kernels`, as a (len(kernels), length) float64 array; samples past a
-    full convolution are zero.
+    full convolution are zero to rounding. The kernels must share the
+    signal's sample rate, and an empty signal or kernel raises ArgumentError.
 
     Overlap-add in real-FFT blocks of nfft points, where taps is the longest
     kernel: nfft = fft_length(2 * taps), or fft_length(len(signal) + taps
@@ -214,11 +198,15 @@ def convolve_each(signal, kernels, length):
     samples, as many as the first `length` outputs read, and their spectra
     are one 2-D rfft shared by every kernel. Each kernel in turn takes one
     rfft, one multiply and one 2-D irfft, in buffers reused from kernel to
-    kernel; its block outputs are added into the row in block order.
-    The kernels must share the signal's sample rate; convolve and
-    render_scene check it.
+    kernel; its block outputs are added into the row in block order. So a
+    row's first n samples are the same bytes for any `length` >= n. It
+    agrees with the direct form (np.convolve) to rounding.
     """
-    taps = max(len(k) for k in kernels)
+    if any(k.sample_rate != signal.sample_rate for k in kernels):
+        raise ArgumentError("sample_rate mismatch in convolve")
+    if len(signal) == 0 or min(map(len, kernels), default=0) == 0:
+        raise ArgumentError("cannot convolve an empty signal")
+    taps = max(map(len, kernels))
     nfft = min(fft_length(2 * taps), fft_length(len(signal) + taps - 1))
     step = nfft - taps + 1
     out = np.zeros((len(kernels), length))

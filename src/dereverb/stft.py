@@ -6,7 +6,7 @@ spectrum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,11 +56,9 @@ class Spectrogram:
 
     def with_values(self, values):
         """Same metadata, new complex matrix of identical shape."""
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != self.values.shape:
+        if np.shape(values) != self.values.shape:
             raise ArgumentError("replacement values must keep the shape")
-        return Spectrogram(values, self.config, self.sample_rate,
-                           self.signal_length)
+        return replace(self, values=values)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ import pytest
 import dereverb
 from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
                           EXIT_NUMERIC, EXIT_OK, _atomic_write, _config,
-                          _denoiser, _filter_order, _pnp_params, _wpe_params,
-                          build_parser, main)
+                          _denoiser, _filter_order, _settings, build_parser,
+                          main)
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
 from dereverb.errors import ArgumentError
@@ -420,8 +420,8 @@ def test_every_solver_flag_reaches_its_field():
     expected = {"frame_len": 256, "hop": 64, "filter_order": 6, "delay": 4,
                 "epsilon": 1e-3, "iterations": 2, "reference_channel": 1,
                 "rho": 0.5, "mu": 0.7, "inner_iters": 2, "stop_tol": 0.0}
-    pnp = _pnp_params(args)
-    assert _wpe_params(args) == pnp.wpe
+    pnp = _settings(args)
+    assert _settings(args, "wpe") == pnp.wpe
     built, defaults = {}, {}
     for config in (_config(StftConfig, args), pnp.wpe, pnp):
         for field in dataclasses.fields(config):
@@ -531,6 +531,38 @@ def test_dereverb_wpe_rejects_a_pnpwpe_only_flag_away_from_its_default(
     assert main(argv + [flag, value]) == EXIT_ARGS
     assert capsys.readouterr().err == (
         f"error: {flag} applies to --method pnpwpe only\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, flags, flag, kind", [
+    ("dereverb", ["--denoiser", "wiener", "--denoiser-command",
+                  "/nonexistent"], "--denoiser-command", "external"),
+    ("dereverb", ["--denoiser", "wiener", "--threshold", "7"], "--threshold",
+     "soft_threshold"),
+    ("dereverb", ["--denoiser", "soft_threshold", "--quantile", "0.9"],
+     "--quantile", "wiener"),
+    ("dereverb", ["--min-gain", "0.9"], "--min-gain", "wiener"),
+    ("sweep", ["--denoiser-grid", "identity,soft_threshold", "--quantile",
+               "0.9"], "--quantile", "wiener"),
+    ("sweep", ["--denoiser", "wiener", "--denoiser-grid", "identity",
+               "--min-gain", "0.2"], "--min-gain", "wiener"),
+    ("sweep", ["--denoiser", "wiener", "--threshold", "7"], "--threshold",
+     "soft_threshold"),
+])
+def test_pnpwpe_rejects_a_denoiser_flag_no_kind_of_the_run_reads(
+        tmp_path, scene_dir, capsys, subcommand, flags, flag, kind):
+    """A denoiser flag away from its default exits 2 and writes nothing
+    unless a denoiser kind of the run reads it: dereverb's --denoiser, or
+    sweep's --denoiser-grid kinds, else its --denoiser."""
+    out = tmp_path / "out"
+    if subcommand == "dereverb":
+        argv = ["dereverb", "--input",
+                os.path.join(scene_dir, "observed.wav")]
+    else:
+        argv = ["sweep", "--scenes", scene_dir]
+    assert main(argv + ["--out", str(out)] + FAST + flags) == EXIT_ARGS
+    assert capsys.readouterr().err == (
+        f"error: {flag} applies to --denoiser {kind} only\n")
     assert not out.exists()
 
 

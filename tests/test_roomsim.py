@@ -320,23 +320,27 @@ def test_render_scene_validates_rates():
 
 def _one_convolution_each(spec, clean):
     """render_scene's channels without noise, and its reference, one
-    signals.convolve call each, trimmed to the clean length."""
+    full-length signals.convolve call of one kernel each, trimmed to the
+    clean length."""
     n = len(clean)
-    channels = [convolve(clean, image_source_rir(spec, q)).samples[:n]
-                for q in range(spec.num_mics)]
+
+    def full(kernel):
+        return convolve(clean, (kernel,), n + len(kernel) - 1)[0, :n]
+
+    channels = [full(image_source_rir(spec, q)) for q in range(spec.num_mics)]
     rir = image_source_rir(spec, 0).samples
     cutoff = (int(np.flatnonzero(rir)[0])
               + int(round(EARLY_WINDOW_S * spec.sample_rate)))
-    early = TimeSignal(rir[:cutoff + 1], spec.sample_rate)
-    return channels, convolve(clean, early).samples[:n]
+    return channels, full(TimeSignal(rir[:cutoff + 1], spec.sample_rate))
 
 
 @pytest.mark.parametrize("preset,seed", [("A", 2), ("B", 4)])
 def test_scene_is_one_convolution_per_microphone_byte_for_byte(preset, seed):
-    """Sharing the clean spectrum among the RIRs changes no rounding: each
-    observed channel is convolve(clean, its RIR) plus the scaled noise
-    segment, and the reference is convolve(clean, early RIR), to the
-    byte."""
+    """Sharing the clean spectrum among the RIRs and stopping at the clean
+    length change no rounding: each observed channel is the full
+    convolution of clean with its RIR, trimmed, plus the scaled noise
+    segment, and the reference is the trimmed full convolution with the
+    early RIR, to the byte."""
     spec = sample_room(preset, seed)
     clean = speech_like(1.5, seed=seed)
     noise = white_noise(len(clean) + 16000, seed=5)

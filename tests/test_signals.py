@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dereverb.errors import ArgumentError, FormatError
 from dereverb.roomsim import image_source_rir, sample_room
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal, convolve,
-                              convolve_each, fft_length, read_wav,
-                              scaled_noise_segment, write_wav)
+                              fft_length, read_wav, scaled_noise_segment,
+                              write_wav)
 
 from helpers import (FUZZ_SETTINGS, U32, cut_short_sometimes, often,
                      speech_like)
@@ -100,16 +100,19 @@ def test_zero_sample_rate(tmp_path):
         read_wav(path)
 
 
+def _full(x, h):
+    """convolve of x with the one kernel h, at the full output length."""
+    x, h = TimeSignal(x, 16000), TimeSignal(h, 16000)
+    return convolve(x, (h,), len(x) + len(h) - 1)[0]
+
+
 def test_convolve_identity_kernel():
-    x = TimeSignal(np.arange(5.0), 16000)
-    out = convolve(x, TimeSignal([1.0], 16000))
-    assert np.allclose(out.samples, x.samples)
+    x = np.arange(5.0)
+    assert np.allclose(_full(x, [1.0]), x)
 
 
 def test_convolve_shift():
-    out = convolve(TimeSignal([1.0, 0.0, 0.0], 16000),
-                   TimeSignal([0.0, 0.0, 1.0], 16000))
-    assert out.samples.tolist() == [0, 0, 1, 0, 0]
+    assert _full([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]).tolist() == [0, 0, 1, 0, 0]
 
 
 def test_convolve_matches_double_loop():
@@ -120,8 +123,7 @@ def test_convolve_matches_double_loop():
     for i in range(64):
         for j in range(16):
             expected[i + j] += x[i] * h[j]
-    out = convolve(TimeSignal(x, 16000), TimeSignal(h, 16000))
-    assert np.allclose(out.samples, expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(_full(x, h), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_convolve_linearity():
@@ -130,32 +132,32 @@ def test_convolve_linearity():
     y = rng.standard_normal(50)
     h = rng.standard_normal(9)
     a, b = 2.5, -1.25
-    lhs = convolve(TimeSignal(a * x + b * y, 16000), TimeSignal(h, 16000))
-    rhs = (a * convolve(TimeSignal(x, 16000), TimeSignal(h, 16000)).samples
-           + b * convolve(TimeSignal(y, 16000), TimeSignal(h, 16000)).samples)
-    assert np.allclose(lhs.samples, rhs, rtol=1e-10, atol=1e-12)
+    lhs = _full(a * x + b * y, h)
+    rhs = a * _full(x, h) + b * _full(y, h)
+    assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
 def test_convolve_rate_mismatch():
-    with pytest.raises(ArgumentError):
-        convolve(TimeSignal([1.0], 16000), TimeSignal([1.0], 8000))
+    x = TimeSignal([1.0], 16000)
+    for kernels in ((TimeSignal([1.0], 8000),),
+                    (x, TimeSignal([1.0, 2.0], 8000))):
+        with pytest.raises(ArgumentError, match="sample_rate"):
+            convolve(x, kernels, 2)
 
 
 def _assert_matches_direct_form(x, *kernels, length=None):
-    """convolve(x, h) for one kernel, or convolve_each(x, kernels, length),
-    agrees with np.convolve, trimmed or zero-padded to the output length,
-    within 1e-12 of each row's peak."""
-    signal = TimeSignal(x, 16000)
-    taps = tuple(TimeSignal(h, 16000) for h in kernels)
+    """convolve(x, kernels, length) agrees with np.convolve, trimmed or
+    zero-padded to `length`, within 1e-12 of each row's peak; `length`
+    defaults to the full convolution with the longest kernel."""
     if length is None:
-        out = convolve(signal, *taps).samples[None]
-    else:
-        out = convolve_each(signal, taps, length)
+        length = len(x) + max(map(len, kernels)) - 1
+    out = convolve(TimeSignal(x, 16000),
+                   tuple(TimeSignal(h, 16000) for h in kernels), length)
+    assert out.shape == (len(kernels), length)
     for row, h in zip(out, kernels, strict=True):
         full = np.convolve(x, h, mode="full")
-        expected = np.zeros(len(full) if length is None else length)
-        expected[:len(full)] = full[:len(expected)]
-        assert row.shape == expected.shape
+        expected = np.zeros(length)
+        expected[:len(full)] = full[:length]
         peak = np.max(np.abs(full))
         assert np.max(np.abs(row - expected)) <= 1e-12 * peak
 
@@ -170,6 +172,11 @@ def test_convolve_kernel_longer_than_signal_matches_direct_form():
     rng = np.random.default_rng(8)
     _assert_matches_direct_form(rng.standard_normal(37),
                                 rng.standard_normal(5000))
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal(300)
+    kernels = [rng.standard_normal(n) for n in (17, 5000)]
+    _assert_matches_direct_form(x, *kernels)
+    _assert_matches_direct_form(x, *kernels, length=len(x))
 
 
 def test_convolve_length_one_operands_match_direct_form():
@@ -180,15 +187,15 @@ def test_convolve_length_one_operands_match_direct_form():
     _assert_matches_direct_form(np.array([2.0]), np.array([3.0]))
 
 
-def test_convolve_each_kernels_of_unequal_length_match_direct_form():
+def test_convolve_kernels_of_unequal_length_match_direct_form():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(20000)
     kernels = [rng.standard_normal(n) for n in (700, 3000, 1)]
-    _assert_matches_direct_form(x, *kernels, length=len(x) + 3000 - 1)
+    _assert_matches_direct_form(x, *kernels)
     _assert_matches_direct_form(x, *kernels, length=len(x))
 
 
-def test_convolve_each_length_off_the_block_grid_matches_direct_form():
+def test_convolve_length_off_the_block_grid_matches_direct_form():
     """A `length` shorter than the full convolution and shorter than the
     signal, ending inside a block: 3000 taps make 8192-point blocks of
     5193 samples."""
@@ -201,7 +208,7 @@ def test_convolve_each_length_off_the_block_grid_matches_direct_form():
         _assert_matches_direct_form(x, h, length=length)
 
 
-def test_convolve_each_signal_shorter_than_one_block_matches_direct_form():
+def test_convolve_signal_shorter_than_one_block_matches_direct_form():
     rng = np.random.default_rng(12)
     h = rng.standard_normal(3000)
     for n in (1, 1000, 4000, fft_length(2 * len(h)) - len(h)):
@@ -211,20 +218,36 @@ def test_convolve_each_signal_shorter_than_one_block_matches_direct_form():
         _assert_matches_direct_form(x, h, length=n + 5000)
 
 
-def test_convolve_each_kernel_longer_than_signal_matches_direct_form():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(300)
-    kernels = [rng.standard_normal(n) for n in (17, 5000)]
-    _assert_matches_direct_form(x, *kernels, length=len(x) + 5000 - 1)
-    _assert_matches_direct_form(x, *kernels, length=len(x))
+def test_convolve_is_the_full_convolution_trimmed_byte_for_byte():
+    """The first n samples of each row are the bytes of the full-length
+    call, for n below, at and above the signal's length and on either side
+    of a block edge: the trim render_scene makes by asking for n."""
+    rng = np.random.default_rng(14)
+    x = TimeSignal(rng.standard_normal(20000), 16000)
+    kernels = tuple(TimeSignal(rng.standard_normal(n), 16000)
+                    for n in (700, 3000, 1))
+    full = len(x) + 3000 - 1
+    step = fft_length(2 * 3000) - 3000 + 1
+    whole = convolve(x, kernels, full)
+    for n in (1, step - 1, step, step + 1, 12345, len(x) - 1, len(x),
+              len(x) + 1, full - 1, full):
+        out = convolve(x, kernels, n)
+        assert out.shape == (3, n)
+        assert out.tobytes() == np.ascontiguousarray(whole[:, :n]).tobytes()
 
 
-def test_convolve_each_keeps_a_lone_block_output_byte_for_byte():
+def test_convolve_of_length_zero_is_an_empty_row_per_kernel():
+    x = TimeSignal([1.0, 2.0], 16000)
+    out = convolve(x, (x, TimeSignal([3.0], 16000)), 0)
+    assert out.shape == (2, 0) and out.dtype == np.float64
+
+
+def test_convolve_keeps_a_lone_block_output_byte_for_byte():
     """A one-tap kernel makes blocks of 2 points that do not overlap, so
     each output sample is one block's irfft output, its zero's sign
-    included; past the full convolution the output is +0.0."""
+    included; past the last block the output is +0.0."""
     kernel = TimeSignal([-1.0], 16000)
-    out = convolve_each(TimeSignal(np.zeros(10), 16000), (kernel,), 12)[0]
+    out = convolve(TimeSignal(np.zeros(10), 16000), (kernel,), 12)[0]
     blocks = np.fft.irfft(np.fft.rfft(np.zeros((5, 2)), 2)
                           * np.fft.rfft([-1.0], 2), 2)
     assert np.any(np.signbit(blocks))
@@ -235,9 +258,10 @@ def test_convolve_each_keeps_a_lone_block_output_byte_for_byte():
 def test_convolve_rejects_empty_operands():
     x = TimeSignal([1.0, 2.0], 16000)
     empty = TimeSignal([], 16000)
-    for signal, kernel in ((empty, x), (x, empty), (empty, empty)):
-        with pytest.raises(ArgumentError):
-            convolve(signal, kernel)
+    for signal, kernels in ((empty, (x,)), (x, (empty,)), (empty, (empty,)),
+                            (x, (x, empty)), (x, ())):
+        with pytest.raises(ArgumentError, match="empty"):
+            convolve(signal, kernels, 4)
 
 
 # --- the noise segment render_scene mixes in at an SNR ----------------------
