@@ -172,6 +172,9 @@ def test_convolve_kernel_longer_than_signal_matches_direct_form():
     rng = np.random.default_rng(8)
     _assert_matches_direct_form(rng.standard_normal(37),
                                 rng.standard_normal(5000))
+
+
+def test_convolve_several_kernels_longer_than_signal_match_direct_form():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(300)
     kernels = [rng.standard_normal(n) for n in (17, 5000)]
