@@ -39,6 +39,8 @@ PRESET_FILTER_ORDER = {"A": 10, "B": 20}
 
 BUILT_FIELDS = ("wpe", "denoiser")  # PnpParams fields other flags build
 
+SWEPT = ("rho", "mu", "filter_order", "denoiser")  # sweep's grid axes
+
 
 def _atomic_write(path, write):
     """Call write(tmp) on a new temp file beside path, then rename it over
@@ -84,10 +86,11 @@ DENOISERS = {
 }
 
 
-def _add_solver_flags(parser):
+def _add_solver_flags(parser, several=()):
     """The STFT, WPE, PnPWPE and denoiser flags of dereverb and sweep:
     --FIELD-NAME at its default for each field of the three configs, and
-    --NAME for each flag a denoiser kind reads."""
+    --NAME for each flag a denoiser kind reads. The flags of the settings
+    in several take one or more values; their defaults stay single."""
     from .pnpwpe import PnpParams
     from .stft import StftConfig
     from .wpe import WpeParams
@@ -99,6 +102,7 @@ def _add_solver_flags(parser):
             parser.add_argument(
                 "--" + field.name.replace("_", "-"), type=type(field.default),
                 default=None if order else field.default,
+                nargs="+" if field.name in several else None,
                 help=(f"taps per channel (default {field.default}; "
                       f"{PRESET_FILTER_ORDER['A']} for preset A, "
                       f"{PRESET_FILTER_ORDER['B']} for preset B)")
@@ -106,7 +110,8 @@ def _add_solver_flags(parser):
     parser.add_argument("--preset", choices=sorted(PRESET_FILTER_ORDER),
                         default=None)
     parser.add_argument("--denoiser", default="identity",
-                        choices=list(DENOISERS))
+                        choices=list(DENOISERS),
+                        nargs="+" if "denoiser" in several else None)
     for kind, (flags, _) in DENOISERS.items():
         for name, default in flags.items():
             parser.add_argument("--" + name.replace("_", "-"), default=default,
@@ -129,10 +134,7 @@ def _filter_order(args):
 
 
 def _denoiser(kind, args):
-    """The denoiser of kind, built from the denoiser flags it reads; sweep's
-    grid kinds come here unchecked by argparse."""
-    if kind not in DENOISERS:
-        raise ArgumentError(f"unknown denoiser kind: {kind}")
+    """The denoiser of kind, built from the denoiser flags it reads."""
     from . import denoisers
     flags, build = DENOISERS[kind]
     return build(denoisers, *(getattr(args, name) for name in flags))
@@ -140,7 +142,7 @@ def _denoiser(kind, args):
 
 def _settings(args, method="pnpwpe", **point):
     """WpeParams for method "wpe", else PnpParams, from the solver flags but
-    for those in point: sweep's rho, mu, filter_order and denoiser kind."""
+    for those in point: a sweep grid point, one value per SWEPT name."""
     from .pnpwpe import PnpParams
     from .wpe import WpeParams
     args = argparse.Namespace(
@@ -260,34 +262,24 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _parse_grid(args, name, cast):
-    """The comma-separated values of the --NAME flag, each cast; [] when
-    the flag is absent or holds no value."""
-    values = []
-    for tok in (getattr(args, name) or "").split(","):
-        if not tok.strip():
-            continue
-        try:
-            values.append(cast(tok))
-        except ValueError:
-            flag = "--" + name.replace("_", "-")
-            raise ArgumentError(f"{flag}: invalid value {tok!r}") from None
-    return values
-
-
 def cmd_sweep(args):
     from .metrics import evaluate_pair
     from .pnpwpe import estimate, plateau_iteration
     from .signals import read_wav
     from .stft import StftConfig
-    rhos = _parse_grid(args, "rho_grid", float) or [args.rho]
-    mus = _parse_grid(args, "mu_grid", float) or [args.mu]
-    orders = (_parse_grid(args, "filter_order_grid", int)
-              or [_filter_order(args)])
-    kinds = _parse_grid(args, "denoiser_grid", str) or [args.denoiser]
-    _check_flags(args, "pnpwpe", kinds)
+    axes = (args.rho, args.mu, _filter_order(args), args.denoiser)  # SWEPT's
+    grid = list(itertools.product(*(
+        values if isinstance(values, list) else [values] for values in axes)))
+    _check_flags(args, "pnpwpe", {kind for *_, kind in grid})
     _config(StftConfig, args)  # exit 2, no error rows
-    grid = list(itertools.product(rhos, mus, orders, kinds))
+    settings = []  # each point's params, or the error that refused them
+    for point in grid:
+        try:
+            settings.append(_settings(args, **dict(zip(SWEPT, point))))
+        except ArgumentError as exc:
+            settings.append(exc)
+    if all(isinstance(params, ArgumentError) for params in settings):
+        raise settings[0]  # exit 2 as dereverb would, no error rows
     rows = []
     for scene_dir in args.scenes:
         try:
@@ -298,18 +290,18 @@ def cmd_sweep(args):
             rows += [[scene_dir, *point, "", "", "", "", f"error:{exc}"]
                      for point in grid]
             continue
-        for rho, mu, order, kind in grid:
+        for point, params in zip(grid, settings):
             try:
-                params = _settings(args, rho=rho, mu=mu, filter_order=order,
-                                   denoiser=kind)
+                if isinstance(params, ArgumentError):
+                    raise params
                 out, trace = estimate(observed, params)
                 report = evaluate_pair(reference, out)
-                rows.append([scene_dir, rho, mu, order, kind,
+                rows.append([scene_dir, *point,
                              f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
                              f"{trace[-1].error:.12g}",
                              plateau_iteration(trace) or "none", "ok"])
             except Exception as exc:
-                rows.append([scene_dir, rho, mu, order, kind,
+                rows.append([scene_dir, *point,
                              "", "", "", "", f"error:{exc}"])
     header = ["scene", "rho", "mu", "L", "denoiser", "cd", "fwsegsnr",
               "final_error", "plateau_iter", "status"]
@@ -345,12 +337,8 @@ def _evaluate_flags(p):
 def _sweep_flags(p):
     p.add_argument("--scenes", nargs="+", required=True,
                    help="scene bundle directories")
-    p.add_argument("--rho-grid", default=None)
-    p.add_argument("--mu-grid", default=None)
-    p.add_argument("--filter-order-grid", default=None)
-    p.add_argument("--denoiser-grid", default=None)
     p.add_argument("--out", required=True)
-    _add_solver_flags(p)
+    _add_solver_flags(p, several=SWEPT)
 
 
 # Each subcommand: its help line, the function adding its flags, and the

@@ -1,9 +1,9 @@
 """Shared test utilities: synthetic speech surrogate, scene builders,
-reference STFT analysis and synthesis, a channel stack, per-frame
-regressor and prediction oracles, reference accumulators of the weighted
-normal equations and their augmented Gram, a reference PnPWPE loop, a
-whole-lattice image-source RIR, a Schroeder T60 measurement, a
-direct-form alignment oracle and fuzzing strategies."""
+small spectrogram builders, reference STFT analysis and synthesis, a
+channel stack, per-frame regressor and prediction oracles, reference
+accumulators of the weighted normal equations and their augmented Gram, a
+reference PnPWPE loop, a whole-lattice image-source RIR, a Schroeder T60
+measurement, a direct-form alignment oracle and fuzzing strategies."""
 import math
 from dataclasses import dataclass
 
@@ -16,11 +16,37 @@ from dereverb.pnpwpe import AdmmState, update_r
 from dereverb.roomsim import (SPEED_OF_SOUND, reflection_coefficient,
                               render_scene, sample_room, white_noise)
 from dereverb.signals import TimeSignal
-from dereverb.stft import Spectrogram, hann
+from dereverb.stft import (MultichannelSpectrogram, Spectrogram,
+                           StftConfig, hann)
 from dereverb.wpe import (FilterBank, IterationRecord, estimate_psd, prepare,
                           relative_change, solve_all_bands)
 
 T60_FIT_RANGE = (-5.0, -35.0)  # dB levels of the decay curve measure_t60 fits
+
+SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
+
+
+def small_spec(values, fs=16000) -> Spectrogram:
+    """(N, K) values on SMALL -> Spectrogram."""
+    values = np.asarray(values, dtype=np.complex128)
+    length = (values.shape[0] - 1) * SMALL.hop + SMALL.frame_len
+    return Spectrogram(values, SMALL, fs, length)
+
+
+def mc_spec(arr, config=SMALL, fs=16000) -> MultichannelSpectrogram:
+    """(Q, N, K) complex array -> MultichannelSpectrogram."""
+    n_frames = arr.shape[1]
+    length = (n_frames - 1) * config.hop + config.frame_len
+    return MultichannelSpectrogram(tuple(
+        Spectrogram(arr[q], config, fs, length) for q in range(arr.shape[0])))
+
+
+def random_mc(rng, n_ch=2, n_frames=30,
+              config=SMALL) -> MultichannelSpectrogram:
+    """A standard complex Gaussian MultichannelSpectrogram."""
+    arr = (rng.standard_normal((n_ch, n_frames, config.num_bins))
+           + 1j * rng.standard_normal((n_ch, n_frames, config.num_bins)))
+    return mc_spec(arr, config)
 
 
 def speech_like(duration, fs=16000, seed=0):

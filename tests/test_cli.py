@@ -22,7 +22,6 @@ from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
                           main)
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
-from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import PnpParams, estimate, plateau_iteration
 from dereverb.roomsim import white_noise
 from dereverb.stft import StftConfig, analyze_multichannel
@@ -201,8 +200,8 @@ def test_evaluate_prints_the_row_it_appends(tmp_path, scene_dir, capsys):
 
 def test_sweep_over_one_scene(tmp_path, scene_dir):
     out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--scenes", scene_dir, "--rho-grid", "0.1,1",
-                 "--denoiser-grid", "identity", "--filter-order-grid", "2",
+    code = main(["sweep", "--scenes", scene_dir, "--rho", "0.1", "1",
+                 "--denoiser", "identity", "--filter-order", "2",
                  "--iterations", "2", "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
@@ -215,29 +214,19 @@ def test_sweep_over_one_scene(tmp_path, scene_dir):
 def test_sweep_missing_scene_reports_error_rows(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenes", str(tmp_path / "nope"),
-                 "--filter-order-grid", "2", "--out", str(out)])
+                 "--filter-order", "2", "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert "error:" in lines[1]
 
 
-def test_sweep_validates_the_grid_order_not_the_base_one(tmp_path, scene_dir):
-    out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--scenes", scene_dir, "--filter-order", "0",
-                 "--filter-order-grid", "4", "--iterations", "1",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    row = out.read_text().splitlines()[1].split(",")
-    assert row[3] == "4" and row[-1] == "ok"
-
-
 def test_sweep_grid_point_reaches_the_solver(tmp_path, scene_dir):
     flags = ["--iterations", "2", "--inner-iters", "2"]
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenes", scene_dir, "--rho-grid", "50",
-                 "--mu-grid", "0.7", "--filter-order-grid", "4",
-                 "--denoiser-grid", "wiener", "--out", str(out)]
+    assert main(["sweep", "--scenes", scene_dir, "--rho", "50",
+                 "--mu", "0.7", "--filter-order", "4",
+                 "--denoiser", "wiener", "--out", str(out)]
                 + flags) == EXIT_OK
     row = out.read_text().splitlines()[1].split(",")
     assert row[1:5] == ["50.0", "0.7", "4", "wiener"] and row[-1] == "ok"
@@ -257,14 +246,14 @@ def test_sweep_grid_point_reaches_the_solver(tmp_path, scene_dir):
     assert row[5:7] == evaluated[1:3]
 
 
-def test_sweep_denoiser_grid_skips_empty_kinds(tmp_path, scene_dir):
+def test_sweep_rejects_an_unknown_denoiser_kind(tmp_path, scene_dir, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--scenes", scene_dir,
-                 "--denoiser-grid", "identity,,fancy", "--out", str(out)]
-                + FAST) == EXIT_OK
-    statuses = [line.split(",")[-1]
-                for line in out.read_text().splitlines()[1:]]
-    assert statuses == ["ok", "error:unknown denoiser kind: fancy"]
+                 "--denoiser", "identity", "fancy", "--out", str(out)]
+                + FAST) == EXIT_ARGS
+    assert ("error: argument --denoiser: invalid choice: 'fancy'"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def _sweep_rows(out):
@@ -284,7 +273,7 @@ def test_sweep_quotes_a_read_error_with_a_comma(tmp_path):
     (pcm24 / "observed.wav").write_bytes(
         b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
     out = tmp_path / "pcm24.csv"
-    assert main(["sweep", "--scenes", str(pcm24), "--rho-grid", "0.1,1",
+    assert main(["sweep", "--scenes", str(pcm24), "--rho", "0.1", "1",
                  "--out", str(out)] + FAST) == EXIT_OK
     assert [row[-1] for row in _sweep_rows(out)] == [
         "error:unsupported WAV encoding (format=1, bits=24)"] * 2
@@ -296,7 +285,7 @@ def test_sweep_quotes_a_denoiser_error_with_a_newline(tmp_path, scene_dir,
     failing = ("import sys; sys.stderr.write('bad input, giving up\\n"
                "see log'); sys.exit(3)")
     out = tmp_path / "external.csv"
-    assert main(["sweep", "--scenes", scene_dir, "--denoiser-grid",
+    assert main(["sweep", "--scenes", scene_dir, "--denoiser",
                  "external", "--denoiser-command",
                  shlex.join([sys.executable, "-c", failing]),
                  "--out", str(out)] + FAST) == EXIT_OK
@@ -305,18 +294,41 @@ def test_sweep_quotes_a_denoiser_error_with_a_newline(tmp_path, scene_dir,
                               "bad input, giving up\nsee log (inputs kept")
 
 
-@pytest.mark.parametrize("flag, value, token", [
-    ("--rho-grid", "0.1,abc", "abc"),
-    ("--filter-order-grid", "4.5", "4.5"),
+@pytest.mark.parametrize("flag, values, token", [
+    ("--rho", ["0.1", "abc"], "abc"),
+    ("--filter-order", ["4.5"], "4.5"),
 ])
 def test_sweep_malformed_grid_is_a_bad_argument(tmp_path, scene_dir, capsys,
-                                                flag, value, token):
+                                                flag, values, token):
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenes", scene_dir, flag, value,
+    assert main(["sweep", "--scenes", scene_dir, flag, *values,
                  "--out", str(out)]) == EXIT_ARGS
     err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err and repr(token) in err
+    assert f"error: argument {flag}: invalid" in err and repr(token) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--iterations", "0", "--rho", "0.1", "1"], "iterations must be >= 1"),
+    (["--denoiser", "external"], "external denoiser requires a command"),
+])
+def test_sweep_with_no_point_it_can_build_is_a_bad_argument(
+        tmp_path, scene_dir, capsys, flags, error):
+    """A setting every grid point shares, rejected as dereverb rejects it,
+    exits 2 with dereverb's error line and writes no CSV."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", scene_dir, "--out", str(out)]
+                + flags) == EXIT_ARGS
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_sweep_point_it_cannot_build_is_an_error_row(tmp_path, scene_dir):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenes", scene_dir, "--rho", "-1", "0.1",
+                 "--out", str(out)] + FAST) == EXIT_OK
+    assert [row[1] + " " + row[-1] for row in _sweep_rows(out)] == [
+        "-1.0 error:rho must be finite and > 0", "0.1 ok"]
 
 
 def test_sweep_bad_stft_flags_are_a_bad_argument(tmp_path, scene_dir,
@@ -444,15 +456,15 @@ def test_every_denoiser_choice_builds_its_class():
                                   "--denoiser-command", "true"])
         assert type(_denoiser(args.denoiser, args)) is cls
     assert _denoiser("wiener", args).quantile == 0.4
-    # a sweep grid kind, unchecked by argparse
-    with pytest.raises(ArgumentError, match="unknown denoiser kind: fancy"):
-        _denoiser("fancy", args)
     assert main(["dereverb", "--input", "x", "--out", "y",
                  "--denoiser", "fancy"]) == EXIT_ARGS
 
 
 def test_exit_code_bad_args():
     assert main(["dereverb", "--input", "x"]) == EXIT_ARGS  # --out missing
+    # one value per flag: only sweep takes several
+    assert main(["dereverb", "--input", "x", "--out", "y",
+                 "--rho", "0.1", "1"]) == EXIT_ARGS
     assert main(["nonsense"]) == EXIT_ARGS
 
 
@@ -542,10 +554,10 @@ def test_dereverb_wpe_rejects_a_pnpwpe_only_flag_away_from_its_default(
     ("dereverb", ["--denoiser", "soft_threshold", "--quantile", "0.9"],
      "--quantile", "wiener"),
     ("dereverb", ["--min-gain", "0.9"], "--min-gain", "wiener"),
-    ("sweep", ["--denoiser-grid", "identity,soft_threshold", "--quantile",
+    ("sweep", ["--denoiser", "identity", "soft_threshold", "--quantile",
                "0.9"], "--quantile", "wiener"),
-    ("sweep", ["--denoiser", "wiener", "--denoiser-grid", "identity",
-               "--min-gain", "0.2"], "--min-gain", "wiener"),
+    ("sweep", ["--denoiser", "identity", "--min-gain", "0.2"], "--min-gain",
+     "wiener"),
     ("sweep", ["--denoiser", "wiener", "--threshold", "7"], "--threshold",
      "soft_threshold"),
 ])
@@ -553,7 +565,7 @@ def test_pnpwpe_rejects_a_denoiser_flag_no_kind_of_the_run_reads(
         tmp_path, scene_dir, capsys, subcommand, flags, flag, kind):
     """A denoiser flag away from its default exits 2 and writes nothing
     unless a denoiser kind of the run reads it: dereverb's --denoiser, or
-    sweep's --denoiser-grid kinds, else its --denoiser."""
+    one of sweep's --denoiser kinds."""
     out = tmp_path / "out"
     if subcommand == "dereverb":
         argv = ["dereverb", "--input",

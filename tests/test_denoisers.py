@@ -14,15 +14,8 @@ from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
 from dereverb.errors import (ArgumentError, DenoiserError, ProtocolError)
 from dereverb.stft import Spectrogram, StftConfig
 
-from helpers import FUZZ_SETTINGS, U32, cut_short_sometimes, often
-
-SMALL = StftConfig(frame_len=8, hop=2)
-
-
-def _spec(values, fs=16000) -> Spectrogram:
-    values = np.asarray(values, dtype=np.complex128)
-    length = (values.shape[0] - 1) * SMALL.hop + SMALL.frame_len
-    return Spectrogram(values, SMALL, fs, length)
+from helpers import (FUZZ_SETTINGS, SMALL, U32, cut_short_sometimes, often,
+                     small_spec)
 
 
 def _random_spec(rng, n_frames=6, float32_exact=False) -> Spectrogram:
@@ -31,7 +24,7 @@ def _random_spec(rng, n_frames=6, float32_exact=False) -> Spectrogram:
     if float32_exact:
         values = (values.real.astype(np.float32).astype(np.float64)
                   + 1j * values.imag.astype(np.float32).astype(np.float64))
-    return _spec(values)
+    return small_spec(values)
 
 
 # --- constructor validation ----------------------------------------------
@@ -64,7 +57,7 @@ def test_soft_threshold_zero_tau_is_identity():
 def test_soft_threshold_uniform_magnitude():
     rng = np.random.default_rng(2)
     phases = rng.uniform(0, 2 * np.pi, (4, SMALL.num_bins))
-    spec = _spec(np.exp(1j * phases))
+    spec = small_spec(np.exp(1j * phases))
     out = SoftThresholdDenoiser(0.5).denoise(spec)
     assert np.allclose(np.abs(out.values), 0.5, atol=1e-12)
     assert np.allclose(np.angle(out.values), np.angle(spec.values),
@@ -84,7 +77,7 @@ def test_soft_threshold_matches_scalar_oracle():
 
 
 def test_wiener_constant_band_hits_min_gain():
-    spec = _spec(np.full((5, SMALL.num_bins), 0.7 + 0.7j))
+    spec = small_spec(np.full((5, SMALL.num_bins), 0.7 + 0.7j))
     out = WienerDenoiser(0.5, 0.1).denoise(spec)
     assert np.allclose(out.values, 0.1 * spec.values, atol=1e-12)
 
@@ -92,7 +85,7 @@ def test_wiener_constant_band_hits_min_gain():
 def test_wiener_strong_entries_pass_through():
     values = 1e-3 * np.ones((6, SMALL.num_bins), dtype=np.complex128)
     values[3] = 1e3
-    out = WienerDenoiser(0.5, 0.0).denoise(_spec(values))
+    out = WienerDenoiser(0.5, 0.0).denoise(small_spec(values))
     assert np.allclose(out.values[3], values[3], rtol=1e-10)
 
 
@@ -114,7 +107,7 @@ def test_wiener_all_zero_bin_is_finite_without_a_warning():
     values[:, 2] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = WienerDenoiser(0.5, 0.2).denoise(_spec(values))
+        out = WienerDenoiser(0.5, 0.2).denoise(small_spec(values))
     assert np.all(out.values[:, 2] == 0.0)
     assert np.all(np.isfinite(out.values))
 
@@ -160,7 +153,7 @@ def test_magnitude_scale_homogeneity(denoiser):
     rng = np.random.default_rng(6)
     spec = _random_spec(rng)
     alpha = 3.7
-    lhs = denoiser.denoise(_spec(alpha * spec.values)).values
+    lhs = denoiser.denoise(small_spec(alpha * spec.values)).values
     rhs = alpha * denoiser.denoise(spec).values
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
@@ -283,7 +276,7 @@ def test_pnpspec_malformed_inputs(tmp_path):
 def test_write_pnpspec_rejects_an_empty_spectrogram(tmp_path):
     path = tmp_path / "empty.pnpspec"
     with pytest.raises(ProtocolError, match="empty spectrogram"):
-        write_pnpspec(_spec(np.zeros((0, SMALL.num_bins))), path)
+        write_pnpspec(small_spec(np.zeros((0, SMALL.num_bins))), path)
     assert not path.exists()
 
 

@@ -7,33 +7,12 @@ from dereverb.denoisers import (IdentityDenoiser, SoftThresholdDenoiser,
 from dereverb.errors import ArgumentError
 from dereverb.pnpwpe import PnpParams, plateau_iteration, run_pnpwpe, update_r
 from dereverb.signals import MultichannelTimeSignal
-from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
-                           analyze_multichannel, synthesize)
+from dereverb.stft import (Spectrogram, StftConfig, analyze_multichannel,
+                           synthesize)
 from dereverb.wpe import (IterationRecord, WpeParams, prepare, run_wpe,
                           solve_all_bands, stack_regressors)
-from helpers import pnpwpe_loop, stack_channels
-
-SMALL = StftConfig(frame_len=8, hop=2)
-
-
-def _mc_spec(arr, config=SMALL, fs=16000):
-    n_frames = arr.shape[1]
-    length = (n_frames - 1) * config.hop + config.frame_len
-    return MultichannelSpectrogram(tuple(
-        Spectrogram(arr[q], config, fs, length) for q in range(arr.shape[0])))
-
-
-def _random_mc(rng, n_ch=2, n_frames=30,
-               config=SMALL) -> MultichannelSpectrogram:
-    arr = (rng.standard_normal((n_ch, n_frames, config.num_bins))
-           + 1j * rng.standard_normal((n_ch, n_frames, config.num_bins)))
-    return _mc_spec(arr, config)
-
-
-def _spec(values, fs=16000):
-    values = np.asarray(values, dtype=np.complex128)
-    length = (values.shape[0] - 1) * SMALL.hop + SMALL.frame_len
-    return Spectrogram(values, SMALL, fs, length)
+from helpers import (SMALL, mc_spec, pnpwpe_loop, random_mc, small_spec,
+                     stack_channels)
 
 
 def _random_matrix(rng, n=4):
@@ -97,7 +76,7 @@ class _Recording:
 ], ids=["wiener", "soft_threshold", "wiener_stops"])
 def test_run_pnpwpe_matches_the_reference_loop_byte_for_byte(
         denoiser, iterations, inner_iters, stop_tol):
-    spec = _random_mc(np.random.default_rng(14))
+    spec = random_mc(np.random.default_rng(14))
     params = _params(iterations=iterations, inner_iters=inner_iters,
                      stop_tol=stop_tol, rho=0.7, denoiser=denoiser)
     estimate, state, trace = run_pnpwpe(spec, params)
@@ -116,7 +95,7 @@ def test_run_pnpwpe_matches_the_reference_loop_byte_for_byte(
 
 
 def test_lambda_closed_form(monkeypatch):
-    spec = _random_mc(np.random.default_rng(0))
+    spec = random_mc(np.random.default_rng(0))
     params = _params(iterations=3, stop_tol=0.0, rho=0.3,
                      denoiser=WienerDenoiser(0.3, 0.1))
     _, sigmas, solves = _recorded_run(monkeypatch, spec, params)
@@ -126,7 +105,7 @@ def test_lambda_closed_form(monkeypatch):
 
 
 def test_lambda_small_rho_limit(monkeypatch):
-    spec = _random_mc(np.random.default_rng(1))
+    spec = random_mc(np.random.default_rng(1))
     _, sigmas, solves = _recorded_run(monkeypatch, spec, _params(
         iterations=3, stop_tol=0.0, rho=1e-12))
     for sigma, (_, lam) in zip(sigmas, solves):
@@ -134,8 +113,8 @@ def test_lambda_small_rho_limit(monkeypatch):
 
 
 def test_lambda_large_sigma_limit(monkeypatch):
-    spec = _random_mc(np.random.default_rng(2))
-    loud = _mc_spec(1e7 * stack_channels(spec))
+    spec = random_mc(np.random.default_rng(2))
+    loud = mc_spec(1e7 * stack_channels(spec))
     _, sigmas, solves = _recorded_run(monkeypatch, loud, _params(rho=0.1))
     sigma, (_, lam) = sigmas[0], solves[0]
     large = sigma > 1e12
@@ -144,7 +123,7 @@ def test_lambda_large_sigma_limit(monkeypatch):
 
 
 def test_lambda_bounds(monkeypatch):
-    spec = _random_mc(np.random.default_rng(3))
+    spec = random_mc(np.random.default_rng(3))
     for rho in (0.01, 0.1, 1.0):
         _, sigmas, solves = _recorded_run(monkeypatch, spec, _params(
             iterations=3, stop_tol=0.0, rho=rho,
@@ -155,7 +134,7 @@ def test_lambda_bounds(monkeypatch):
 
 
 def test_xtilde_identity_when_state_zero(monkeypatch):
-    spec = _random_mc(np.random.default_rng(4))
+    spec = random_mc(np.random.default_rng(4))
     params = _params(iterations=2, stop_tol=0.0,
                      denoiser=WienerDenoiser(0.3, 0.1))
     _, _, solves = _recorded_run(monkeypatch, spec, params)
@@ -169,7 +148,7 @@ def _consecutive_states(monkeypatch):
     which P is no longer exactly 0; then, of the same run to three
     iterations, the AdmmState `after`, the trace, and the third
     iteration's (targets, weights) and denoiser input."""
-    spec = _random_mc(np.random.default_rng(5))
+    spec = random_mc(np.random.default_rng(5))
     kw = {"stop_tol": 0.0, "rho": 0.7}
     _, before, _ = run_pnpwpe(spec, _params(
         iterations=2, denoiser=WienerDenoiser(0.3, 0.1), **kw))
@@ -216,13 +195,13 @@ def test_constraint_error_cases(monkeypatch):
 # --- fixed-point denoising step ----------------------------------------------
 
 def test_update_r_mu_one_is_passthrough():
-    spec = _spec(_random_matrix(np.random.default_rng(8)))
+    spec = small_spec(_random_matrix(np.random.default_rng(8)))
     out = update_r(spec, SoftThresholdDenoiser(0.9), mu=1.0)
     assert np.array_equal(out.values, spec.values)
 
 
 def test_update_r_identity_denoiser_fixed_point():
-    spec = _spec(_random_matrix(np.random.default_rng(9)))
+    spec = small_spec(_random_matrix(np.random.default_rng(9)))
     for mu in (0.2, 0.5, 1.0):
         out = update_r(spec, IdentityDenoiser(), mu=mu, inner_iters=3)
         assert np.allclose(out.values, spec.values, atol=1e-15)
@@ -231,7 +210,7 @@ def test_update_r_identity_denoiser_fixed_point():
 def test_update_r_soft_threshold_closed_form():
     rng = np.random.default_rng(10)
     phases = rng.uniform(0, 2 * np.pi, (4, SMALL.num_bins))
-    spec = _spec(np.exp(1j * phases))  # uniform magnitude 1
+    spec = small_spec(np.exp(1j * phases))  # uniform magnitude 1
     mu = 0.3
     out = update_r(spec, SoftThresholdDenoiser(0.5), mu=mu, inner_iters=1)
     expected = mu * spec.values + (1 - mu) * 0.5 * spec.values
@@ -251,7 +230,7 @@ class _OneFrameDenoiser:
 
 
 def test_denoiser_that_changes_the_shape_is_rejected():
-    observed = _random_mc(np.random.default_rng(11))
+    observed = random_mc(np.random.default_rng(11))
     denoiser = _OneFrameDenoiser()
     params = PnpParams(wpe=WpeParams(filter_order=2, delay=1),
                        denoiser=denoiser)
@@ -280,7 +259,7 @@ def update_filters(observed, params):
 
 
 def test_update_filters_zero_observed():
-    spec = _mc_spec(np.zeros((2, 10, SMALL.num_bins), dtype=np.complex128))
+    spec = mc_spec(np.zeros((2, 10, SMALL.num_bins), dtype=np.complex128))
     filters = update_filters(spec, _params())
     assert np.all(filters.weights == 0)
 
@@ -291,7 +270,7 @@ def test_update_filters_toy_scalar_system():
     arr = np.zeros((1, 2, SMALL.num_bins), dtype=np.complex128)
     arr[0, 0, 0] = x0
     arr[0, 1, 0] = x1
-    spec = _mc_spec(arr)
+    spec = mc_spec(arr)
     filters = update_filters(spec, _params(filter_order=1, delay=1, rho=0.4))
     # xtilde = x; only frame 1 has a nonzero regressor, so its lambda
     # cancels: w = (x0 x1*/lam)* / (|x0|^2/lam) = (x1/x0)*
@@ -302,7 +281,7 @@ def test_update_filters_toy_scalar_system():
 
 def test_update_filters_reduces_to_wpe_at_small_rho():
     rng = np.random.default_rng(11)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     obs = stack_channels(spec)
     ref = obs[0]
     sigma = np.maximum(np.abs(ref) ** 2, 1e-4)
@@ -317,7 +296,7 @@ def test_update_filters_reduces_to_wpe_at_small_rho():
 
 def test_identity_denoiser_null_property():
     rng = np.random.default_rng(12)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     params = _params(iterations=10, stop_tol=0.0)
     estimate, state, trace = run_pnpwpe(spec, params)
     assert np.max(np.abs(state.v)) < 1e-12
@@ -329,7 +308,7 @@ def test_identity_denoiser_null_property():
 
 def test_small_rho_identity_matches_vanilla_wpe():
     rng = np.random.default_rng(13)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     iters = 3
     params = PnpParams(wpe=WpeParams(filter_order=2, delay=2,
                                      iterations=iters),
@@ -344,7 +323,7 @@ def test_small_rho_identity_matches_vanilla_wpe():
 
 
 def test_zero_observed_gives_zero_everything():
-    spec = _mc_spec(np.zeros((2, 12, SMALL.num_bins), dtype=np.complex128))
+    spec = mc_spec(np.zeros((2, 12, SMALL.num_bins), dtype=np.complex128))
     estimate, state, trace = run_pnpwpe(spec, _params(iterations=3,
                                                       stop_tol=0.0))
     assert np.all(estimate.values == 0)
@@ -362,7 +341,7 @@ def _settled(trace, i, tol):
 
 def test_early_stop_on_flat_error():
     rng = np.random.default_rng(14)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     _, _, trace = run_pnpwpe(spec, _params(iterations=10, stop_tol=0.05))
     # identity denoiser: the error is exactly 0 every iteration, so the run
     # goes on while R still moves and stops once it settles
@@ -373,7 +352,7 @@ def test_early_stop_on_flat_error():
 
 def test_early_stop_waits_for_error_and_change_to_settle():
     rng = np.random.default_rng(14)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     tol, iterations = 0.05, 40
     _, _, trace = run_pnpwpe(spec, _params(
         iterations=iterations, stop_tol=tol,
@@ -388,13 +367,13 @@ def test_early_stop_waits_for_error_and_change_to_settle():
 
 def test_scaling_equivariance_at_small_rho():
     rng = np.random.default_rng(15)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     alpha = 4.2
     # epsilon is kept far below any iterate power so the PSD floor never
     # binds; a binding floor is not scale-equivariant
     params = _params(rho=1e-12, epsilon=1e-20, iterations=1, stop_tol=0.0)
     est1, state1, _ = run_pnpwpe(spec, params)
-    est2, state2, _ = run_pnpwpe(_mc_spec(alpha * stack_channels(spec)), params)
+    est2, state2, _ = run_pnpwpe(mc_spec(alpha * stack_channels(spec)), params)
     scale = np.max(np.abs(est1.values))
     assert np.max(np.abs(est2.values - alpha * est1.values)) < 1e-8 * alpha * scale
     wscale = max(np.max(np.abs(state1.filters.weights)), 1e-30)
@@ -404,7 +383,7 @@ def test_scaling_equivariance_at_small_rho():
     # rounding at near-null residual entries, so only a looser bound holds
     params3 = _params(rho=1e-12, epsilon=1e-20, iterations=3, stop_tol=0.0)
     est1, _, _ = run_pnpwpe(spec, params3)
-    est2, _, _ = run_pnpwpe(_mc_spec(alpha * stack_channels(spec)), params3)
+    est2, _, _ = run_pnpwpe(mc_spec(alpha * stack_channels(spec)), params3)
     scale = np.max(np.abs(est1.values))
     assert np.max(np.abs(est2.values - alpha * est1.values)) < 1e-5 * alpha * scale
 
@@ -426,7 +405,7 @@ def test_plateau_iteration_basic():
 
 def test_run_pnpwpe_records_error_and_change_of_r():
     rng = np.random.default_rng(17)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     params = _params(iterations=3, stop_tol=0.0,
                      denoiser=WienerDenoiser(0.3, 0.1))
     _, state, trace = run_pnpwpe(spec, params)
@@ -453,7 +432,7 @@ class _CountingPassThrough:
 
 def test_any_object_with_denoise_plugs_in():
     rng = np.random.default_rng(19)
-    spec = _random_mc(rng)
+    spec = random_mc(rng)
     fake = _CountingPassThrough()
     kw = {"iterations": 3, "inner_iters": 2, "stop_tol": 0.0}
     estimate, state, trace = run_pnpwpe(spec, _params(denoiser=fake, **kw))

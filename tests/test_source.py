@@ -266,9 +266,7 @@ def test_only_numerics_imports_ctypes():
 SOLVER_SUBCOMMANDS = {
     "dereverb": (["--input", "x", "--out", "y"],
                  ["input", "method", "out", "trace_csv"]),
-    "sweep": (["--scenes", "s", "--out", "y"],
-              ["denoiser_grid", "filter_order_grid", "mu_grid", "out",
-               "rho_grid", "scenes"]),
+    "sweep": (["--scenes", "s", "--out", "y"], ["out", "scenes"]),
 }
 
 

@@ -10,37 +10,21 @@ from dereverb import numerics, wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.roomsim import EARLY_WINDOW_S
-from dereverb.stft import (MultichannelSpectrogram, Spectrogram, StftConfig,
-                           analyze, analyze_multichannel, synthesize)
+from dereverb.stft import (StftConfig, analyze, analyze_multichannel,
+                           synthesize)
 from dereverb.wpe import (IterationRecord, WpeParams, estimate_psd, prepare,
                           relative_change, run_wpe, solve_all_bands,
                           stack_regressors)
-from helpers import (accumulate_batch, augmented_gram, build_regressor,
-                     make_scene, predict, regressor_block, stack_channels)
-
-SMALL = StftConfig(frame_len=8, hop=2)  # 5 bins
-
-
-def _mc_spec(arr, config=SMALL, fs=16000):
-    """(Q, N, K) complex array -> MultichannelSpectrogram."""
-    n_frames = arr.shape[1]
-    length = (n_frames - 1) * config.hop + config.frame_len
-    return MultichannelSpectrogram(tuple(
-        Spectrogram(arr[q], config, fs, length) for q in range(arr.shape[0])))
-
-
-def _random_mc(rng, n_ch, n_frames,
-               config=SMALL) -> MultichannelSpectrogram:
-    arr = (rng.standard_normal((n_ch, n_frames, config.num_bins))
-           + 1j * rng.standard_normal((n_ch, n_frames, config.num_bins)))
-    return _mc_spec(arr, config)
+from helpers import (SMALL, accumulate_batch, augmented_gram,
+                     build_regressor, make_scene, mc_spec, predict, random_mc,
+                     regressor_block, stack_channels)
 
 
 # --- regressor construction -------------------------------------------------
 
 def test_build_regressor_direct_read():
     rng = np.random.default_rng(0)
-    spec = _random_mc(rng, 2, 6)
+    spec = random_mc(rng, 2, 6)
     obs = stack_channels(spec)
     d = 3
     v = build_regressor(spec, d, 2, delay=d, order=1)
@@ -49,14 +33,14 @@ def test_build_regressor_direct_read():
 
 def test_build_regressor_boundary_zero_fill():
     rng = np.random.default_rng(1)
-    spec = _random_mc(rng, 3, 6)
+    spec = random_mc(rng, 3, 6)
     for d in (1, 2, 5):
         assert np.all(build_regressor(spec, 0, 1, delay=d, order=4) == 0)
 
 
 def test_build_regressor_index_arithmetic():
     rng = np.random.default_rng(2)
-    spec = _random_mc(rng, 1, 8)
+    spec = random_mc(rng, 1, 8)
     obs = stack_channels(spec)
     v = build_regressor(spec, 5, 0, delay=2, order=3)
     assert v.tolist() == [obs[0, 3, 0], obs[0, 2, 0], obs[0, 1, 0]]
@@ -64,7 +48,7 @@ def test_build_regressor_index_arithmetic():
 
 def test_stack_matches_per_frame_loop():
     rng = np.random.default_rng(3)
-    spec = _random_mc(rng, 2, 12)
+    spec = random_mc(rng, 2, 12)
     obs = stack_channels(spec)
     delay, order = 2, 3
     taps = stack_regressors(obs, delay, order)
@@ -87,7 +71,7 @@ def test_stack_holds_only_the_padded_observation():
 def test_prepare_holds_one_copy_of_the_observation():
     # the regressors' zero-padded copy is read from the channels in place,
     # with no stacked (Q, frames, bins) copy beside it
-    spec = _random_mc(np.random.default_rng(19), 4, 501, StftConfig())
+    spec = random_mc(np.random.default_rng(19), 4, 501, StftConfig())
     tracemalloc.start()
     try:
         _, regressors = prepare(spec, WpeParams(filter_order=10))
@@ -110,7 +94,7 @@ def test_estimate_psd_floor_and_passthrough():
 def test_solve_all_bands_matches_per_band_oracle():
     rng = np.random.default_rng(4)
     n_frames = 50
-    spec = _random_mc(rng, 3, n_frames)
+    spec = random_mc(rng, 3, n_frames)
     taps = stack_regressors(stack_channels(spec), delay=2, order=1)
     targets = (rng.standard_normal((n_frames, SMALL.num_bins))
                + 1j * rng.standard_normal((n_frames, SMALL.num_bins)))
@@ -126,7 +110,7 @@ def test_solve_all_bands_matches_per_band_oracle():
 def test_solve_all_bands_matches_per_frame_oracle():
     rng = np.random.default_rng(14)
     delay, order, n_frames = 2, 3, 40
-    spec = _random_mc(rng, 3, n_frames)
+    spec = random_mc(rng, 3, n_frames)
     taps = stack_regressors(stack_channels(spec), delay, order)
     targets = spec.channels[0].values
     weights = rng.uniform(0.5, 2.0, (n_frames, SMALL.num_bins))
@@ -166,7 +150,7 @@ def test_fused_prediction_matches_unscaled_predict():
     # the unscaled per-frame regressors
     rng = np.random.default_rng(17)
     delay, order, n_frames = 2, 3, 40
-    spec = _random_mc(rng, 3, n_frames)
+    spec = random_mc(rng, 3, n_frames)
     taps = stack_regressors(stack_channels(spec), delay, order)
     targets = spec.channels[0].values
     weights = 10.0 ** rng.uniform(-4, 4, (n_frames, SMALL.num_bins))
@@ -178,7 +162,7 @@ def test_fused_prediction_matches_unscaled_predict():
 
 def test_failing_target_band_reports_its_index():
     rng = np.random.default_rng(15)
-    spec = _random_mc(rng, 2, 12)
+    spec = random_mc(rng, 2, 12)
     taps = stack_regressors(stack_channels(spec), delay=1, order=1)
     targets = spec.channels[0].values.copy()
     targets[:, 3] = np.nan
@@ -357,7 +341,7 @@ def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
     rng = np.random.default_rng(18)
     config = StftConfig()
     delay, order, n_frames = 2, 2, 200
-    spec = _random_mc(rng, 2, n_frames, config)
+    spec = random_mc(rng, 2, n_frames, config)
     taps = stack_regressors(stack_channels(spec), delay, order)
     targets = spec.channels[0].values
     weights = rng.uniform(0.5, 2.0, (n_frames, config.num_bins))
@@ -378,7 +362,7 @@ def test_solve_all_bands_works_in_one_band_of_memory(monkeypatch):
 def test_early_frames_pass_through_unchanged():
     # frames before the delay have all-zero regressors for any filter
     rng = np.random.default_rng(8)
-    spec = _random_mc(rng, 2, 12)
+    spec = random_mc(rng, 2, 12)
     out, filters, _ = run_wpe(spec, WpeParams(filter_order=1, delay=3,
                                               iterations=2))
     ref = spec.channels[0].values
@@ -398,7 +382,7 @@ def _ar_scene(rng, n_frames=60, delay=2, config=SMALL):
     x = np.zeros_like(s)
     for n in range(n_frames):
         x[n] = s[n] + (c * x[n - delay] if n >= delay else 0.0)
-    return _mc_spec(x[None, :, :], config), s, c
+    return mc_spec(x[None, :, :], config), s, c
 
 
 def test_run_wpe_recovers_ar_filter():
@@ -413,7 +397,7 @@ def test_run_wpe_recovers_ar_filter():
 
 def test_run_wpe_records_residual_power_and_change_of_s_hat():
     rng = np.random.default_rng(17)
-    spec = _random_mc(rng, 2, 30)
+    spec = random_mc(rng, 2, 30)
     first, _, one = run_wpe(spec, WpeParams(filter_order=2, iterations=1))
     estimate, _, trace = run_wpe(spec, WpeParams(filter_order=2,
                                                  iterations=3))
@@ -444,7 +428,7 @@ def test_run_wpe_null_on_unpredictable_input():
     arr[:, live, :] = (rng.standard_normal((n_ch, live.sum(), SMALL.num_bins))
                        + 1j * rng.standard_normal((n_ch, live.sum(),
                                                    SMALL.num_bins)))
-    spec = _mc_spec(arr)
+    spec = mc_spec(arr)
     params = WpeParams(filter_order=2, delay=2, iterations=3)
     estimate, filters, _ = run_wpe(spec, params)
     assert np.max(np.abs(filters.weights)) <= 1e-5
@@ -453,7 +437,7 @@ def test_run_wpe_null_on_unpredictable_input():
 
 
 def test_run_wpe_zero_input():
-    spec = _mc_spec(np.zeros((2, 10, SMALL.num_bins), dtype=np.complex128))
+    spec = mc_spec(np.zeros((2, 10, SMALL.num_bins), dtype=np.complex128))
     estimate, filters, _ = run_wpe(spec, WpeParams(filter_order=2, delay=2,
                                                    iterations=1))
     assert np.all(estimate.values == 0)
@@ -464,7 +448,7 @@ def test_run_wpe_objective_does_not_increase():
     # with sigma frozen from the previous iterate, the solved filter can
     # only lower the weighted residual cost relative to the zero filter
     rng = np.random.default_rng(12)
-    spec = _random_mc(rng, 2, 40)
+    spec = random_mc(rng, 2, 40)
     obs = stack_channels(spec)
     ref = obs[0]
     params = WpeParams(filter_order=2, delay=2, epsilon=1e-4, iterations=1)
@@ -529,7 +513,7 @@ def test_run_wpe_memory_stays_bounded():
     # the full (bins, L*Q, frames) regressor tensor would be 549 MiB
     rng = np.random.default_rng(16)
     config = StftConfig()
-    spec = _random_mc(rng, 4, 1000, config)
+    spec = random_mc(rng, 4, 1000, config)
     params = WpeParams(filter_order=35, iterations=1)
     full = 16 * config.num_bins * 35 * 4 * 1000
     tracemalloc.start()
@@ -567,7 +551,7 @@ def test_oracle_weights_beat_run_wpe_by_3_db():
 
 def test_run_wpe_validates_inputs():
     rng = np.random.default_rng(13)
-    spec = _random_mc(rng, 2, 4)
+    spec = random_mc(rng, 2, 4)
     with pytest.raises(ArgumentError):
         run_wpe(spec, WpeParams(delay=5))
     with pytest.raises(ArgumentError):

@@ -15,8 +15,8 @@ Runs the CLI of the checkout this script sits in, in-process:
   its default: PnPWPE, soft threshold, with a trace CSV;
 - `dereverb` on the preset-A scene as a convergence study: PnPWPE,
   Wiener, 5 iterations, `--stop-tol 0`, with a trace CSV;
-- `sweep` over the preset-A scene: `--rho-grid 0.1,1 --denoiser-grid
-  identity,wiener --iterations 2`, which scores each grid point's estimate,
+- `sweep` over the preset-A scene: `--rho 0.1 1 --denoiser identity
+  wiener --iterations 2`, which scores each grid point's estimate,
   as `dereverb` would write it, in-process with `metrics.evaluate_pair`;
 - `evaluate` of each scene's observed signal and of each estimate against
   the scene's reference, into one CSV.
@@ -116,7 +116,7 @@ def digests(workdir):
          "--preset", "A", "--denoiser", "wiener", "--iterations", "5",
          "--stop-tol", "0"])
     run(["sweep", "--scenes", os.path.join("A", "scene"),
-         "--rho-grid", "0.1,1", "--denoiser-grid", "identity,wiener",
+         "--rho", "0.1", "1", "--denoiser", "identity", "wiener",
          "--iterations", "2", "--out", "sweep.csv"])
     found = []
     for top, dirs, files in os.walk("."):
