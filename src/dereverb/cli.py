@@ -17,9 +17,7 @@ import pathlib
 import shlex
 import sys
 
-from .errors import (AlignmentError, ArgumentError, DenoiserError,
-                     FormatError, GeometryError, MetricError, ProtocolError,
-                     SingularBandError)
+from .errors import ArgumentError, DenoiserError, NumericError
 
 # Each cmd_* imports the modules it runs, and main adds the flags of the
 # parsed subcommand only, as their defaults come from those modules; so
@@ -384,14 +382,13 @@ def main(argv=None):
     except ArgumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ARGS
-    except (DenoiserError, ProtocolError) as exc:
+    except DenoiserError as exc:
         sys.stderr.write(f"denoiser error: {exc}\n")
         return EXIT_DENOISER
-    except (OSError, FormatError) as exc:
+    except OSError as exc:  # FormatError too
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
-    except (SingularBandError, GeometryError, MetricError,
-            AlignmentError) as exc:
+    except NumericError as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
 

@@ -151,7 +151,7 @@ class ExternalDenoiser:
                 raise ProtocolError("denoiser changed the sample rate")
             if not np.all(np.isfinite(values)):
                 raise ProtocolError("denoiser output is not finite")
-        except (DenoiserError, ProtocolError) as exc:
+        except DenoiserError as exc:  # ProtocolError too
             raise type(exc)(f"{exc} (inputs kept in {tmpdir})") from exc
         shutil.rmtree(tmpdir, ignore_errors=True)
         return spec.with_values(values)

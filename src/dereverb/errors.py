@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per non-zero exit
+code of the CLI, and a subclass only where a catcher reads more."""
 
 
 class DereverbError(Exception):
@@ -6,14 +7,18 @@ class DereverbError(Exception):
 
 
 class ArgumentError(DereverbError, ValueError):
-    """Invalid argument values or mismatched shapes/rates."""
+    """Invalid argument values or mismatched shapes/rates (exit 2)."""
 
 
-class FormatError(DereverbError, ValueError):
-    """Unsupported or malformed file content."""
+class FormatError(DereverbError, OSError, ValueError):
+    """Unsupported or malformed file content: an OSError (exit 3)."""
 
 
-class SingularBandError(DereverbError, RuntimeError):
+class NumericError(DereverbError, RuntimeError):
+    """Solve, scene sampling, metric or alignment failed (exit 4)."""
+
+
+class SingularBandError(NumericError):
     """Normal-equation solve failed even after diagonal loading."""
 
     def __init__(self, message, band=None):
@@ -22,20 +27,8 @@ class SingularBandError(DereverbError, RuntimeError):
 
 
 class DenoiserError(DereverbError, RuntimeError):
-    """External denoiser process failed."""
+    """External denoiser process failed (exit 5)."""
 
 
-class ProtocolError(DereverbError, RuntimeError):
+class ProtocolError(DenoiserError):
     """Malformed spectrogram exchange data."""
-
-
-class GeometryError(DereverbError, RuntimeError):
-    """Scene sampling could not satisfy the geometric constraints."""
-
-
-class MetricError(DereverbError, RuntimeError):
-    """Metric could not be computed (e.g. silent reference)."""
-
-
-class AlignmentError(DereverbError, RuntimeError):
-    """Cross-correlation alignment is degenerate."""

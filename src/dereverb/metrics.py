@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AlignmentError, ArgumentError, MetricError
+from .errors import ArgumentError, NumericError
 from .signals import TimeSignal, fft_length, hann
 
 FRAME_LEN = 512
@@ -32,7 +32,7 @@ class MetricReport:
 def _frames(x):
     """Unwindowed (frames, FRAME_LEN) strided view of x at HOP intervals."""
     if len(x) < FRAME_LEN:
-        raise MetricError("signal shorter than one metric frame")
+        raise NumericError("signal shorter than one metric frame")
     return sliding_window_view(x, FRAME_LEN)[::HOP]
 
 
@@ -40,7 +40,7 @@ def _vad_mask(ref_frames):
     energy = np.sum(ref_frames**2, axis=1)
     peak = float(np.max(energy, initial=0.0))
     if peak <= 0:
-        raise MetricError("reference is silent")
+        raise NumericError("reference is silent")
     return energy > peak * 10.0 ** (-VAD_RANGE_DB / 10.0)
 
 
@@ -49,7 +49,7 @@ def _active_spectra(reference, estimate):
     the reference is speech-active, one rfft a frame.
 
     Both signals must share sample rate and length; a pair with no active
-    frame raises MetricError. Returns (reference spectra, estimate
+    frame raises NumericError. Returns (reference spectra, estimate
     spectra), each (active frames, FRAME_LEN // 2 + 1).
     """
     if reference.sample_rate != estimate.sample_rate:
@@ -60,7 +60,7 @@ def _active_spectra(reference, estimate):
     ref_frames = _frames(reference.samples) * window
     mask = _vad_mask(ref_frames)
     if not np.any(mask):
-        raise MetricError("no frames above the energy threshold")
+        raise NumericError("no frames above the energy threshold")
     est_frames = _frames(estimate.samples)[mask] * window
     return (np.fft.rfft(ref_frames[mask], n=FRAME_LEN, axis=1),
             np.fft.rfft(est_frames, n=FRAME_LEN, axis=1))
@@ -150,7 +150,7 @@ def align(reference, estimate):
     window wraps around; for 8 s at 16 kHz that is 131072 points, half a
     full linear correlation. It agrees with the direct form to rounding;
     the first maximum over ascending lags wins. A window whose correlation
-    is zero to rounding or not finite raises AlignmentError. Returns both
+    is zero to rounding or not finite raises NumericError. Returns both
     signals trimmed to their overlap.
     """
     if reference.sample_rate != estimate.sample_rate:
@@ -158,7 +158,7 @@ def align(reference, estimate):
     ref = reference.samples
     est = estimate.samples
     if not np.any(ref) or not np.any(est):
-        raise AlignmentError("cannot align silent signals")
+        raise NumericError("cannot align silent signals")
     before = min(MAX_SHIFT, len(ref) - 1)
     after = min(MAX_SHIFT, len(est) - 1)
     lags = np.arange(-before, after + 1)
@@ -174,7 +174,7 @@ def align(reference, estimate):
     # exact correlation is zero; a window below 1e-12 of it is degenerate,
     # and so is a NaN one, which compares false.
     if not np.max(np.abs(segment)) > 1e-12 * bound:
-        raise AlignmentError("degenerate or non-finite correlation")
+        raise NumericError("degenerate or non-finite correlation")
     shift = int(lags[np.argmax(segment)])
     if shift >= 0:
         ref_al, est_al = ref, est[shift:]

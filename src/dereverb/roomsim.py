@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, GeometryError
+from .errors import ArgumentError, NumericError
 from .signals import (MultichannelTimeSignal, TimeSignal, check_noise,
                       convolve, scaled_noise_segment)
 
@@ -111,7 +111,7 @@ def sample_room(preset, seed):
             source=tuple(source),
             mics=tuple(tuple(m) for m in mics),
         )
-    raise GeometryError(f"could not satisfy preset {preset} constraints")
+    raise NumericError(f"could not satisfy preset {preset} constraints")
 
 
 def reflection_coefficient(spec):
@@ -216,7 +216,7 @@ def render_scene(spec, clean, noise=None, snr_db=None, noise_seed=0):
     ref_rir = rirs[0].samples
     nonzero = np.nonzero(ref_rir)[0]
     if nonzero.size == 0:
-        raise GeometryError("reference RIR is all zero")
+        raise NumericError("reference RIR is all zero")
     cutoff = int(nonzero[0]) + int(round(EARLY_WINDOW_S * spec.sample_rate))
     early = TimeSignal(ref_rir[:cutoff + 1], spec.sample_rate)
     reference = TimeSignal(convolve(clean, (early,), length)[0],

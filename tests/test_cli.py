@@ -17,9 +17,11 @@ import pytest
 
 import dereverb
 from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
-                          EXIT_NUMERIC, EXIT_OK, _atomic_write, _config,
-                          _denoiser, _filter_order, _settings, build_parser,
-                          main)
+                          EXIT_NUMERIC, EXIT_OK, SUBCOMMANDS, _atomic_write,
+                          _config, _denoiser, _filter_order, _settings,
+                          build_parser, main)
+from dereverb.errors import (ArgumentError, DenoiserError, FormatError,
+                             NumericError, ProtocolError, SingularBandError)
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
 from dereverb.pnpwpe import PnpParams, estimate, plateau_iteration
@@ -466,6 +468,34 @@ def test_exit_code_bad_args():
     assert main(["dereverb", "--input", "x", "--out", "y",
                  "--rho", "0.1", "1"]) == EXIT_ARGS
     assert main(["nonsense"]) == EXIT_ARGS
+
+
+EXIT_OF_ERROR = [
+    (ArgumentError, EXIT_ARGS, "error"),
+    (FormatError, EXIT_IO, "i/o error"),
+    (OSError, EXIT_IO, "i/o error"),
+    (NumericError, EXIT_NUMERIC, "numeric error"),
+    (SingularBandError, EXIT_NUMERIC, "numeric error"),
+    (DenoiserError, EXIT_DENOISER, "denoiser error"),
+    (ProtocolError, EXIT_DENOISER, "denoiser error"),
+]
+
+
+@pytest.mark.parametrize("error, code, label", EXIT_OF_ERROR,
+                         ids=[error.__name__ for error, *_ in EXIT_OF_ERROR])
+def test_each_error_class_exits_with_its_code_and_label(
+        monkeypatch, capsys, error, code, label):
+    """A subcommand that raises one of the package's error classes, or
+    OSError, exits with that class's code and one stderr line under its
+    label; a subclass exits as its parent does."""
+    def fail(args):
+        raise error("made to fail")
+
+    help_text, add_flags, _ = SUBCOMMANDS["evaluate"]
+    monkeypatch.setitem(SUBCOMMANDS, "evaluate", (help_text, add_flags, fail))
+    assert main(["evaluate", "--reference", "r.wav", "--estimate", "e.wav",
+                 "--csv", "c.csv"]) == code
+    assert capsys.readouterr().err == f"{label}: made to fail\n"
 
 
 def test_exit_code_missing_input(tmp_path):

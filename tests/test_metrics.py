@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dereverb import metrics
-from dereverb.errors import AlignmentError, ArgumentError, MetricError
+from dereverb.errors import ArgumentError, NumericError
 from dereverb.metrics import (FRAME_LEN, HOP, LOG_FLOOR, MetricReport,
                               _fwsegsnr, align, cepstral_distance,
                               evaluate_pair, fw_seg_snr, mel_filterbank)
@@ -153,24 +153,24 @@ def test_metric_input_validation():
 def test_reference_whose_frame_energy_overflows_is_rejected(score):
     """Finite samples near 1e160 square past the float64 range: every
     frame's energy, the peak's too, is inf, so no frame passes the VAD
-    threshold. The no-active-frame check turns that into a MetricError,
+    threshold. The no-active-frame check turns that into a NumericError,
     not a NaN score."""
     huge = _speechy(np.random.default_rng(13)).samples * 1e160
     x = TimeSignal(huge, FS)
     with np.errstate(over="ignore"):
-        with pytest.raises(MetricError, match="no frames above"):
+        with pytest.raises(NumericError, match="no frames above"):
             score(x, x)
 
 
 def test_silent_reference_rejected():
     silent = TimeSignal(np.zeros(4000), FS)
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="reference is silent"):
         cepstral_distance(silent, silent)
 
 
 def test_too_short_signal_rejected():
     tiny = TimeSignal(np.ones(100), FS)
-    with pytest.raises(MetricError):
+    with pytest.raises(NumericError, match="shorter than one metric frame"):
         cepstral_distance(tiny, tiny)
 
 
@@ -220,9 +220,9 @@ def test_align_robust_to_noise():
 def test_align_rejects_silence():
     x = TimeSignal(np.random.default_rng(16).standard_normal(2000), FS)
     silent = TimeSignal(np.zeros(2000), FS)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(NumericError, match="cannot align silent signals"):
         align(x, silent)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(NumericError, match="cannot align silent signals"):
         align(silent, x)
 
 
@@ -235,7 +235,7 @@ def test_align_rejects_a_correlation_that_overflows():
     delayed = np.concatenate([np.zeros(5), x[:-5]])
     ref_al, _ = align(TimeSignal(x, FS), TimeSignal(delayed, FS))
     assert len(ref_al) == 3995
-    with pytest.raises(AlignmentError, match="non-finite"):
+    with pytest.raises(NumericError, match="non-finite"):
         align(TimeSignal(x * 1e160, FS), TimeSignal(delayed * 1e160, FS))
 
 
@@ -312,7 +312,7 @@ def test_align_window_never_sees_a_wrapped_lag(n, monkeypatch):
     early[:width] = pattern
     late[-width:] = pattern
     for ref, est in ((late, early), (early, late)):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(NumericError, match="degenerate or non-finite"):
             align(TimeSignal(ref, FS), TimeSignal(est, FS))
 
 
@@ -324,7 +324,7 @@ def test_align_rejects_correlation_outside_window_at_any_length(monkeypatch):
         y = np.zeros(n)
         x[:50] = rng.standard_normal(50)
         y[-50:] = rng.standard_normal(50)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(NumericError, match="degenerate or non-finite"):
             align(TimeSignal(x, FS), TimeSignal(y, FS))
 
 

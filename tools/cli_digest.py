@@ -19,13 +19,19 @@ Runs the CLI of the checkout this script sits in, in-process:
   wiener --iterations 2`, which scores each grid point's estimate,
   as `dereverb` would write it, in-process with `metrics.evaluate_pair`;
 - `evaluate` of each scene's observed signal and of each estimate against
-  the scene's reference, into one CSV.
+  the scene's reference, into one CSV;
+- one failing step for each non-zero exit code: `dereverb --method wpe`
+  with a PnPWPE-only flag (2), `evaluate` of a file that is not a WAV (3),
+  `evaluate` against a silent reference (4), and `dereverb` with an
+  external denoiser that exits 3 (5).
 
 The steps run in a temporary directory, removed afterwards, and name their
 files relative to it, so the printout names no checkout. Each file's line
 names its path; each step's stdout line follows them, in the order the
-steps ran, as "stdout NN SUBCOMMAND". Two checkouts whose printouts are
-equal wrote and printed the same bytes.
+steps ran, as "stdout NN SUBCOMMAND", then each failing step's stderr line,
+as "exit CODE SUBCOMMAND". The directory where the external denoiser's
+inputs are kept is named by a fixed token in its stderr, and removed. Two
+checkouts whose printouts are equal wrote and printed the same bytes.
 """
 from __future__ import annotations
 
@@ -33,6 +39,8 @@ import contextlib
 import hashlib
 import io
 import os
+import re
+import shlex
 import shutil
 import sys
 import tempfile
@@ -43,12 +51,15 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 from dereverb.cli import main  # noqa: E402
 from dereverb.signals import (MultichannelTimeSignal, TimeSignal,  # noqa: E402
                               write_wav)
+import numpy as np  # noqa: E402
 from workloads import (FS, WORKLOADS, dereverb_argv,  # noqa: E402
                        evaluate_argv, simulate_argv, speech_like)
 
 SPEECH_SEED = 0
 NOISE_FREE_ROOM_SEEDS = (0, 7)
 STDOUTS = []  # (sha256, label) of each step's stdout, in run order
+STDERRS = []  # (sha256, label) of each failing step's stderr, in run order
+KEPT = re.compile(r"\(inputs kept in (.+?)\)")
 
 
 def run(argv):
@@ -58,6 +69,40 @@ def run(argv):
         raise SystemExit(f"{' '.join(argv)}: exited {code}")
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     STDOUTS.append((digest, f"stdout {len(STDOUTS) + 1:02d} {argv[0]}"))
+
+
+def fail(argv):
+    """Run a step that must fail; digest its stderr, with the directory
+    of kept denoiser inputs named by a token, and remove that directory."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    if code == 0:
+        raise SystemExit(f"{' '.join(argv)}: exited 0")
+    text = err.getvalue()
+    for kept in KEPT.findall(text):
+        shutil.rmtree(kept)
+    text = KEPT.sub("(inputs kept in PNPSPEC_DIR)", text)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    STDERRS.append((digest, f"exit {code} {argv[0]}"))
+
+
+def fail_once_per_exit_code():
+    """One failing step for each of exit codes 2, 3, 4 and 5, on the
+    preset-A scene."""
+    scene = os.path.join("A", "scene")
+    observed = os.path.join(scene, "observed.wav")
+    fail(["dereverb", "--input", observed, "--out", "fail.wav",
+          "--method", "wpe", "--rho", "5"])
+    fail(["evaluate", "--reference", os.path.join(scene, "meta"),
+          "--estimate", observed, "--csv", "fail.csv"])
+    silent = TimeSignal(np.zeros(FS), FS)
+    write_wav(MultichannelTimeSignal((silent,)), "silent.wav")
+    fail(["evaluate", "--reference", "silent.wav", "--estimate", observed,
+          "--csv", "fail.csv"])
+    exits_3 = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(3)'"
+    fail(["dereverb", "--input", observed, "--out", "fail.wav",
+          "--iterations", "1", "--denoiser", "external",
+          "--denoiser-command", exits_3])
 
 
 def simulate_scenes():
@@ -118,6 +163,7 @@ def digests(workdir):
     run(["sweep", "--scenes", os.path.join("A", "scene"),
          "--rho", "0.1", "1", "--denoiser", "identity", "wiener",
          "--iterations", "2", "--out", "sweep.csv"])
+    fail_once_per_exit_code()
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
@@ -125,7 +171,7 @@ def digests(workdir):
             path = os.path.relpath(os.path.join(top, file))
             with open(path, "rb") as fh:
                 found.append((hashlib.sha256(fh.read()).hexdigest(), path))
-    return found + STDOUTS
+    return found + STDOUTS + STDERRS
 
 
 if __name__ == "__main__":
