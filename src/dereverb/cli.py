@@ -17,7 +17,7 @@ import pathlib
 import shlex
 import sys
 
-from .errors import ArgumentError, DenoiserError, NumericError
+from .errors import ArgumentError, DenoiserError, FormatError, NumericError
 
 # Each cmd_* imports the modules it runs, and main adds the flags of the
 # parsed subcommand only, as their defaults come from those modules; so
@@ -150,6 +150,16 @@ def _settings(args, method="pnpwpe", **point):
         PnpParams, args, wpe=wpe, denoiser=_denoiser(args.denoiser, args))
 
 
+# A record dataclass's CSV columns and cells; floats take the table's spec.
+def _columns(record_type, prefix=""):
+    return [prefix + field.name for field in dataclasses.fields(record_type)]
+
+
+def _cells(record, spec):
+    return [format(value, spec) if isinstance(value, float) else str(value)
+            for value in dataclasses.astuple(record)]
+
+
 def _write_csv(path, rows):
     """Write rows to path as CSV, atomically; csv quotes the fields that
     hold a comma, a quote or a newline, such as an error message."""
@@ -224,7 +234,7 @@ def _check_flags(args, method, kinds):
 
 
 def cmd_dereverb(args):
-    from .pnpwpe import estimate, plateau_iteration
+    from .pnpwpe import IterationRecord, estimate, plateau_iteration
     from .signals import MultichannelTimeSignal, write_wav
     _check_flags(args, args.method, (args.denoiser,))
     observed = _analyze(args.input, args)
@@ -234,8 +244,8 @@ def cmd_dereverb(args):
         write_wav, MultichannelTimeSignal((out,))))
     if args.trace_csv:
         _write_csv(args.trace_csv, [
-            ("iteration", "error", "change"),
-            *((i, f"{record.error:.12g}", f"{record.change:.12g}")
+            ("iteration", *_columns(IterationRecord)),
+            *((i, *_cells(record, ".12g"))
               for i, record in enumerate(trace, 1))])
         plateau = plateau_iteration(trace) or "none"
         sys.stdout.write(f"iterations={len(trace)} plateau_iter={plateau}\n")
@@ -243,26 +253,33 @@ def cmd_dereverb(args):
 
 
 def cmd_evaluate(args):
-    from .metrics import evaluate_pair
+    from .metrics import MetricReport, evaluate_pair
     from .signals import read_wav
     reference = read_wav(args.reference).channels[0]
     estimate = read_wav(args.estimate).channels[0]
     report = evaluate_pair(reference, estimate)
-    row = [args.estimate, f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
-           str(report.frames_used)]
-    with open(args.csv, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        # Append mode opens at the end: position 0 is an empty file.
-        if fh.tell() == 0:
-            writer.writerow(["file", "cd", "fwsegsnr", "frames_used"])
+    header = ["file", *_columns(MetricReport)]
+    row = [args.estimate, *_cells(report, ".6f")]
+    with open(args.csv, "a+", newline="") as fh:
+        fh.seek(0)  # read the first row; "a+" writes at the end all the same
+        try:
+            first = next(csv.reader(fh), None)  # None: an empty file
+        except (UnicodeDecodeError, csv.Error):  # not a CSV of text
+            first = []
+        if first not in (None, header):
+            raise FormatError("first row is not evaluate's header "
+                              f"{','.join(header)}: {args.csv}")
+        writer = csv.writer(fh, lineterminator="\n")
+        if first is None:
+            writer.writerow(header)
         writer.writerow(row)
     csv.writer(sys.stdout, lineterminator="\n").writerow(row)
     return EXIT_OK
 
 
 def cmd_sweep(args):
-    from .metrics import evaluate_pair
-    from .pnpwpe import estimate, plateau_iteration
+    from .metrics import MetricReport, evaluate_pair
+    from .pnpwpe import IterationRecord, estimate, plateau_iteration
     from .signals import read_wav
     from .stft import StftConfig
     axes = (args.rho, args.mu, _filter_order(args), args.denoiser)  # SWEPT's
@@ -278,6 +295,9 @@ def cmd_sweep(args):
             settings.append(exc)
     if all(isinstance(params, ArgumentError) for params in settings):
         raise settings[0]  # exit 2 as dereverb would, no error rows
+    header = ["scene", *SWEPT, *_columns(MetricReport),
+              *_columns(IterationRecord, "final_"), "plateau_iter", "status"]
+    blank = [""] * (len(header) - len(SWEPT) - 2)  # error rows' empty cells
     rows = []
     for scene_dir in args.scenes:
         try:
@@ -285,7 +305,7 @@ def cmd_sweep(args):
             reference = read_wav(
                 os.path.join(scene_dir, "reference.wav")).channels[0]
         except Exception as exc:
-            rows += [[scene_dir, *point, "", "", "", "", f"error:{exc}"]
+            rows += [[scene_dir, *point, *blank, f"error:{exc}"]
                      for point in grid]
             continue
         for point, params in zip(grid, settings):
@@ -294,15 +314,11 @@ def cmd_sweep(args):
                     raise params
                 out, trace = estimate(observed, params)
                 report = evaluate_pair(reference, out)
-                rows.append([scene_dir, *point,
-                             f"{report.cd:.6f}", f"{report.fwsegsnr:.6f}",
-                             f"{trace[-1].error:.12g}",
+                rows.append([scene_dir, *point, *_cells(report, ".6f"),
+                             *_cells(trace[-1], ".12g"),
                              plateau_iteration(trace) or "none", "ok"])
             except Exception as exc:
-                rows.append([scene_dir, *point,
-                             "", "", "", "", f"error:{exc}"])
-    header = ["scene", "rho", "mu", "L", "denoiser", "cd", "fwsegsnr",
-              "final_error", "plateau_iter", "status"]
+                rows.append([scene_dir, *point, *blank, f"error:{exc}"])
     _write_csv(args.out, [header, *rows])
     return EXIT_OK
 

@@ -17,13 +17,14 @@ import pytest
 
 import dereverb
 from dereverb.cli import (DENOISERS, EXIT_ARGS, EXIT_DENOISER, EXIT_IO,
-                          EXIT_NUMERIC, EXIT_OK, SUBCOMMANDS, _atomic_write,
-                          _config, _denoiser, _filter_order, _settings,
-                          build_parser, main)
+                          EXIT_NUMERIC, EXIT_OK, SUBCOMMANDS, SWEPT,
+                          _atomic_write, _config, _denoiser, _filter_order,
+                          _settings, build_parser, main)
 from dereverb.errors import (ArgumentError, DenoiserError, FormatError,
                              NumericError, ProtocolError, SingularBandError)
 from dereverb.denoisers import (ExternalDenoiser, IdentityDenoiser,
                                 SoftThresholdDenoiser, WienerDenoiser)
+from dereverb.metrics import MetricReport
 from dereverb.pnpwpe import PnpParams, estimate, plateau_iteration
 from dereverb.roomsim import white_noise
 from dereverb.stft import StftConfig, analyze_multichannel
@@ -32,6 +33,24 @@ from dereverb.signals import (MultichannelTimeSignal, TimeSignal, read_wav,
                               write_wav)
 
 from helpers import speech_like
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def columns(record_type, prefix=""):
+    return [prefix + field.name for field in dataclasses.fields(record_type)]
+
+
+# Each CSV's header: its own columns around its records' fields.
+TRACE_HEADER = ["iteration", *columns(IterationRecord)]
+EVALUATE_HEADER = ["file", *columns(MetricReport)]
+SWEEP_HEADER = ["scene", *SWEPT, *columns(MetricReport),
+                *columns(IterationRecord, "final_"), "plateau_iter", "status"]
+
+
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -165,9 +184,10 @@ def test_evaluate_appends_csv(tmp_path, scene_dir, capsys):
                  "--csv", str(csv_path)]) == EXIT_OK
     assert main(["evaluate", "--reference", ref, "--estimate", ref,
                  "--csv", str(csv_path)]) == EXIT_OK
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "file,cd,fwsegsnr,frames_used"
-    assert len(lines) == 3
+    raw = csv_path.read_bytes()
+    assert raw.startswith(b"file,cd,fwsegsnr,frames_used\n")
+    assert raw.count(b"\n") == 3 and b"\r" not in raw  # as stdout ends lines
+    lines = raw.decode().splitlines()
     self_row = lines[2].split(",")
     assert float(self_row[1]) < 1e-6       # CD of a signal with itself
     assert float(self_row[2]) == 35.0
@@ -184,6 +204,66 @@ def test_evaluate_writes_the_header_into_an_existing_empty_csv(tmp_path,
                  "--csv", str(csv_path)]) == EXIT_OK
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "file,cd,fwsegsnr,frames_used" and len(lines) == 2
+
+
+def test_evaluate_appends_only_to_its_own_csv(tmp_path, scene_dir, capsys):
+    """A CSV whose first row is another header, or not text, is refused
+    with exit 3 and left as it was; one written with CRLF line ends, as
+    evaluate wrote them before, takes the row."""
+    ref = os.path.join(scene_dir, "reference.wav")
+    trace = tmp_path / "trace.csv"
+    assert main(["dereverb", "--input",
+                 os.path.join(scene_dir, "observed.wav"), "--method", "wpe",
+                 "--out", str(tmp_path / "wpe.wav"),
+                 "--trace-csv", str(trace)] + FAST) == EXIT_OK
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00file,cd\n")
+    capsys.readouterr()
+    for other in (trace, binary):
+        before = other.read_bytes()
+        assert main(["evaluate", "--reference", ref, "--estimate", ref,
+                     "--csv", str(other)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("i/o error: first row is not")
+        assert other.read_bytes() == before
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"file,cd,fwsegsnr,frames_used\r\nold.wav,1,2,3\r\n")
+    assert main(["evaluate", "--reference", ref, "--estimate", ref,
+                 "--csv", str(crlf)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert csv_rows(crlf) == [EVALUATE_HEADER, ["old.wav", "1", "2", "3"],
+                              next(csv.reader([printed]))]
+
+
+def test_evaluate_row_passes_the_bench_check(tmp_path, scene_dir, capsys,
+                                              monkeypatch):
+    """bench/runner.check_row reads the last three fields of the printed
+    row as cd, fwsegsnr and frames_used: a MetricReport field declared
+    after frames_used fails it, one declared before cd does not."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import runner
+    ref = os.path.join(scene_dir, "reference.wav")
+    obs = os.path.join(scene_dir, "observed.wav")
+    assert main(["evaluate", "--reference", ref, "--estimate", obs,
+                 "--csv", str(tmp_path / "eval.csv")]) == EXIT_OK
+    runner.check_row(capsys.readouterr().out, ref, obs)
+
+
+def test_each_csv_header_is_its_records_fields(tmp_path, scene_dir):
+    ref = os.path.join(scene_dir, "reference.wav")
+    obs = os.path.join(scene_dir, "observed.wav")
+    trace, metrics, sweep = (tmp_path / name
+                             for name in ("trace.csv", "eval.csv", "sweep.csv"))
+    assert main(["dereverb", "--input", obs, "--method", "wpe", "--out",
+                 str(tmp_path / "wpe.wav"), "--trace-csv", str(trace)]
+                + FAST) == EXIT_OK
+    assert main(["evaluate", "--reference", ref, "--estimate", obs,
+                 "--csv", str(metrics)]) == EXIT_OK
+    assert main(["sweep", "--scenes", scene_dir, "--out", str(sweep)]
+                + FAST) == EXIT_OK
+    for path, header in ((trace, TRACE_HEADER), (metrics, EVALUATE_HEADER),
+                         (sweep, SWEEP_HEADER)):
+        assert csv_rows(path)[0] == header
 
 
 def test_evaluate_prints_the_row_it_appends(tmp_path, scene_dir, capsys):
@@ -207,8 +287,9 @@ def test_sweep_over_one_scene(tmp_path, scene_dir):
                  "--iterations", "2", "--out", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
-    assert lines[0] == ("scene,rho,mu,L,denoiser,cd,fwsegsnr,final_error,"
-                        "plateau_iter,status")
+    assert lines[0] == ("scene,rho,mu,filter_order,denoiser,cd,fwsegsnr,"
+                        "frames_used,final_error,final_change,plateau_iter,"
+                        "status")
     assert len(lines) == 3
     assert all(line.endswith(",ok") for line in lines[1:])
 
@@ -230,8 +311,10 @@ def test_sweep_grid_point_reaches_the_solver(tmp_path, scene_dir):
                  "--mu", "0.7", "--filter-order", "4",
                  "--denoiser", "wiener", "--out", str(out)]
                 + flags) == EXIT_OK
-    row = out.read_text().splitlines()[1].split(",")
-    assert row[1:5] == ["50.0", "0.7", "4", "wiener"] and row[-1] == "ok"
+    with open(out, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert [row[name] for name in SWEPT] == ["50.0", "0.7", "4", "wiener"]
+    assert row["status"] == "ok"
     est = tmp_path / "est.wav"
     assert main(["dereverb", "--input",
                  os.path.join(scene_dir, "observed.wav"),
@@ -242,10 +325,13 @@ def test_sweep_grid_point_reaches_the_solver(tmp_path, scene_dir):
     assert main(["evaluate", "--reference",
                  os.path.join(scene_dir, "reference.wav"),
                  "--estimate", str(est), "--csv", str(metrics)]) == EXIT_OK
-    evaluated = metrics.read_text().splitlines()[1].split(",")
-    # cd, fwsegsnr, as printed; on this scene, setting any one of rho, mu, L
-    # or the denoiser back to its default moves one of them by 2e-3 or more.
-    assert row[5:7] == evaluated[1:3]
+    with open(metrics, newline="") as fh:
+        evaluated = next(csv.DictReader(fh))
+    # Every metric as printed; on this scene, setting any one of rho, mu, L
+    # or the denoiser back to its default moves cd or fwsegsnr by 2e-3 or
+    # more.
+    assert ({name: row[name] for name in columns(MetricReport)}
+            == {name: evaluated[name] for name in columns(MetricReport)})
 
 
 def test_sweep_rejects_an_unknown_denoiser_kind(tmp_path, scene_dir, capsys):
@@ -260,9 +346,8 @@ def test_sweep_rejects_an_unknown_denoiser_kind(tmp_path, scene_dir, capsys):
 
 def _sweep_rows(out):
     """The rows of a sweep CSV, each checked to hold the header's fields."""
-    with open(out, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert all(len(row) == len(header) == 10 for row in rows)
+    header, *rows = csv_rows(out)
+    assert all(len(row) == len(header) for row in rows)
     return rows
 
 
@@ -364,8 +449,7 @@ def test_convergence_plateau_matches_its_csv(tmp_path, scene_dir, capsys):
                  "--stop-tol", "0"])
     assert code == EXIT_OK
     rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
-    records = [IterationRecord(float(error), float(change))
-               for _, error, change in rows]
+    records = [IterationRecord(*map(float, row[1:])) for row in rows]
     plateau = plateau_iteration(records)
     assert 1 < plateau < len(records) == 8  # the change settles mid-run
     out = capsys.readouterr().out.split()
@@ -992,8 +1076,9 @@ def test_defaults_dereverberate_noise_free_scenes(tmp_path, preset):
             assert main(["evaluate", "--reference",
                          str(scene / "reference.wav"), "--estimate", str(wav),
                          "--csv", str(csv_path)]) == EXIT_OK
-        (mic_cd, mic_fw), (cd, fw) = [
-            (float(row[1]), float(row[2])) for row in
-            (line.split(",") for line in csv_path.read_text().splitlines()[1:])]
+        with open(csv_path, newline="") as fh:
+            (mic_cd, mic_fw), (cd, fw) = [
+                (float(row["cd"]), float(row["fwsegsnr"]))
+                for row in csv.DictReader(fh)]
         wins += cd < mic_cd and fw > mic_fw
     assert wins >= 2

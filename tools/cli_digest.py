@@ -15,9 +15,11 @@ Runs the CLI of the checkout this script sits in, in-process:
   its default: PnPWPE, soft threshold, with a trace CSV;
 - `dereverb` on the preset-A scene as a convergence study: PnPWPE,
   Wiener, 5 iterations, `--stop-tol 0`, with a trace CSV;
-- `sweep` over the preset-A scene: `--rho 0.1 1 --denoiser identity
-  wiener --iterations 2`, which scores each grid point's estimate,
-  as `dereverb` would write it, in-process with `metrics.evaluate_pair`;
+- `sweep` over the preset-A scene and a scene directory that does not
+  exist: `--rho 0.1 1 --denoiser identity wiener --iterations 2`, which
+  scores each grid point's estimate, as `dereverb` would write it,
+  in-process with `metrics.evaluate_pair`, and writes the missing scene's
+  error rows, padded to the header's width;
 - `evaluate` of each scene's observed signal and of each estimate against
   the scene's reference, into one CSV;
 - one failing step for each non-zero exit code: `dereverb --method wpe`
@@ -160,7 +162,7 @@ def digests(workdir):
          "--out", "convergence.wav", "--trace-csv", "convergence.csv",
          "--preset", "A", "--denoiser", "wiener", "--iterations", "5",
          "--stop-tol", "0"])
-    run(["sweep", "--scenes", os.path.join("A", "scene"),
+    run(["sweep", "--scenes", os.path.join("A", "scene"), "missing-scene",
          "--rho", "0.1", "1", "--denoiser", "identity", "wiener",
          "--iterations", "2", "--out", "sweep.csv"])
     fail_once_per_exit_code()
