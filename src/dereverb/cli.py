@@ -208,12 +208,6 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _analyze(path, args):
-    from .signals import read_wav
-    from .stft import StftConfig, analyze_multichannel
-    return analyze_multichannel(read_wav(path), _config(StftConfig, args))
-
-
 def _check_flags(args, method, kinds):
     """Raise ArgumentError for a flag away from its default that the run
     does not read: a PnPWPE flag with --method wpe, else a flag of a
@@ -235,11 +229,12 @@ def _check_flags(args, method, kinds):
 
 def cmd_dereverb(args):
     from .pnpwpe import IterationRecord, estimate, plateau_iteration
-    from .signals import MultichannelTimeSignal, write_wav
+    from .signals import MultichannelTimeSignal, read_wav, write_wav
+    from .stft import StftConfig, analyze_multichannel
     _check_flags(args, args.method, (args.denoiser,))
-    observed = _analyze(args.input, args)
-    params = _settings(args, args.method)
-    out, trace = estimate(observed, params)
+    config, params = _config(StftConfig, args), _settings(args, args.method)
+    out, trace = estimate(
+        analyze_multichannel(read_wav(args.input), config), params)
     _atomic_write(args.out, functools.partial(
         write_wav, MultichannelTimeSignal((out,))))
     if args.trace_csv:
@@ -281,12 +276,12 @@ def cmd_sweep(args):
     from .metrics import MetricReport, evaluate_pair
     from .pnpwpe import IterationRecord, estimate, plateau_iteration
     from .signals import read_wav
-    from .stft import StftConfig
+    from .stft import StftConfig, analyze_multichannel
     axes = (args.rho, args.mu, _filter_order(args), args.denoiser)  # SWEPT's
     grid = list(itertools.product(*(
         values if isinstance(values, list) else [values] for values in axes)))
     _check_flags(args, "pnpwpe", {kind for *_, kind in grid})
-    _config(StftConfig, args)  # exit 2, no error rows
+    config = _config(StftConfig, args)  # exit 2, no error rows
     settings = []  # each point's params, or the error that refused them
     for point in grid:
         try:
@@ -301,7 +296,8 @@ def cmd_sweep(args):
     rows = []
     for scene_dir in args.scenes:
         try:
-            observed = _analyze(os.path.join(scene_dir, "observed.wav"), args)
+            observed = analyze_multichannel(
+                read_wav(os.path.join(scene_dir, "observed.wav")), config)
             reference = read_wav(
                 os.path.join(scene_dir, "reference.wav")).channels[0]
         except Exception as exc:
@@ -383,8 +379,7 @@ def build_parser(subcommand=None):
     return parser
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
+def main(argv):
     # argparse runs the subcommand named exactly by argv[0]; any other argv
     # gets the full parser, so its help and errors name every flag.
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS
@@ -410,14 +405,14 @@ def main(argv=None):
 
 
 def run():
-    """The CLI process: main() on sys.argv, then exit with its code.
+    """The CLI process: main on sys.argv[1:], then exit with its code.
 
     Every object left is frozen first. The interpreter's last garbage
     collections would otherwise walk them all, numpy's included, for about
     20 ms, only for the process to end. Cyclic garbage is left to the
     operating system unfinalized; main has closed every file it wrote.
     """
-    code = main()
+    code = main(sys.argv[1:])
     gc.freeze()
     sys.exit(code)
 

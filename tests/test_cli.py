@@ -128,14 +128,13 @@ def test_dereverb_wpe_with_trace(tmp_path, scene_dir, capsys):
                  "--out", str(tmp_path / "wpe.wav"),
                  "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "iteration,error,change"
-    rows = [line.split(",") for line in lines[1:]]
+    header, *rows = csv_rows(trace)
+    assert header == TRACE_HEADER
     assert [row[0] for row in rows] == ["1", "2"]  # FAST runs 2 iterations
-    assert all(float(row[1]) > 0.0 and 0.0 < float(row[2]) < np.inf
-               for row in rows)
-    plateau = plateau_iteration([IterationRecord(float(error), float(change))
-                                 for _, error, change in rows])
+    records = [IterationRecord(*map(float, row[1:])) for row in rows]
+    assert all(record.error > 0.0 and 0.0 < record.change < np.inf
+               for record in records)
+    plateau = plateau_iteration(records)
     assert capsys.readouterr().out.split() == [
         "iterations=2", f"plateau_iter={plateau or 'none'}"]
 
@@ -148,12 +147,11 @@ def test_dereverb_pnpwpe_with_trace(tmp_path, scene_dir):
                  "--method", "pnpwpe", "--denoiser", "wiener",
                  "--out", str(out), "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "iteration,error,change"
-    assert len(lines) >= 2
-    first = lines[1].split(",")
-    assert first[0] == "1" and float(first[1]) >= 0.0
-    assert first[2] == "inf"  # R starts at zero
+    header, first, *_ = csv_rows(trace)
+    assert header == TRACE_HEADER
+    first = dict(zip(header, first))
+    assert first["iteration"] == "1" and float(first["error"]) >= 0.0
+    assert first["change"] == "inf"  # R starts at zero
 
 
 def test_dereverb_pnpwpe_wiener_takes_leading_digital_silence(tmp_path,
@@ -185,12 +183,12 @@ def test_evaluate_appends_csv(tmp_path, scene_dir, capsys):
     assert main(["evaluate", "--reference", ref, "--estimate", ref,
                  "--csv", str(csv_path)]) == EXIT_OK
     raw = csv_path.read_bytes()
-    assert raw.startswith(b"file,cd,fwsegsnr,frames_used\n")
+    assert raw.startswith(",".join(EVALUATE_HEADER).encode() + b"\n")
     assert raw.count(b"\n") == 3 and b"\r" not in raw  # as stdout ends lines
-    lines = raw.decode().splitlines()
-    self_row = lines[2].split(",")
-    assert float(self_row[1]) < 1e-6       # CD of a signal with itself
-    assert float(self_row[2]) == 35.0
+    with open(csv_path, newline="") as fh:
+        *_, self_row = csv.DictReader(fh)
+    assert float(self_row["cd"]) < 1e-6       # CD of a signal with itself
+    assert float(self_row["fwsegsnr"]) == 35.0
     out = capsys.readouterr().out
     assert "35.0" in out
 
@@ -202,8 +200,8 @@ def test_evaluate_writes_the_header_into_an_existing_empty_csv(tmp_path,
     ref = os.path.join(scene_dir, "reference.wav")
     assert main(["evaluate", "--reference", ref, "--estimate", ref,
                  "--csv", str(csv_path)]) == EXIT_OK
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "file,cd,fwsegsnr,frames_used" and len(lines) == 2
+    header, *rows = csv_rows(csv_path)
+    assert header == EVALUATE_HEADER and len(rows) == 1
 
 
 def test_evaluate_appends_only_to_its_own_csv(tmp_path, scene_dir, capsys):
@@ -227,11 +225,13 @@ def test_evaluate_appends_only_to_its_own_csv(tmp_path, scene_dir, capsys):
         assert out == "" and err.startswith("i/o error: first row is not")
         assert other.read_bytes() == before
     crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes(b"file,cd,fwsegsnr,frames_used\r\nold.wav,1,2,3\r\n")
+    old = ["old.wav", *map(str, range(1, len(EVALUATE_HEADER)))]
+    crlf.write_bytes(f"{','.join(EVALUATE_HEADER)}\r\n{','.join(old)}\r\n"
+                     .encode())
     assert main(["evaluate", "--reference", ref, "--estimate", ref,
                  "--csv", str(crlf)]) == EXIT_OK
     printed = capsys.readouterr().out
-    assert csv_rows(crlf) == [EVALUATE_HEADER, ["old.wav", "1", "2", "3"],
+    assert csv_rows(crlf) == [EVALUATE_HEADER, old,
                               next(csv.reader([printed]))]
 
 
@@ -250,6 +250,14 @@ def test_evaluate_row_passes_the_bench_check(tmp_path, scene_dir, capsys,
 
 
 def test_each_csv_header_is_its_records_fields(tmp_path, scene_dir):
+    """The one pin of each CSV format; every other test reads the header
+    lists, so a new record field fails this test alone."""
+    assert [",".join(header) for header in (TRACE_HEADER, EVALUATE_HEADER,
+                                            SWEEP_HEADER)] == [
+        "iteration,error,change",
+        "file,cd,fwsegsnr,frames_used",
+        "scene,rho,mu,filter_order,denoiser,cd,fwsegsnr,frames_used,"
+        "final_error,final_change,plateau_iter,status"]
     ref = os.path.join(scene_dir, "reference.wav")
     obs = os.path.join(scene_dir, "observed.wav")
     trace, metrics, sweep = (tmp_path / name
@@ -286,12 +294,9 @@ def test_sweep_over_one_scene(tmp_path, scene_dir):
                  "--denoiser", "identity", "--filter-order", "2",
                  "--iterations", "2", "--out", str(out)])
     assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0] == ("scene,rho,mu,filter_order,denoiser,cd,fwsegsnr,"
-                        "frames_used,final_error,final_change,plateau_iter,"
-                        "status")
-    assert len(lines) == 3
-    assert all(line.endswith(",ok") for line in lines[1:])
+    header, *rows = csv_rows(out)
+    assert header == SWEEP_HEADER
+    assert [row[-1] for row in rows] == ["ok", "ok"]
 
 
 def test_sweep_missing_scene_reports_error_rows(tmp_path):
@@ -434,7 +439,7 @@ def test_convergence_trace(tmp_path, scene_dir, capsys):
                  "--out", str(tmp_path / "est.wav"),
                  "--trace-csv", str(trace)] + FAST)
     assert code == EXIT_OK
-    assert trace.read_text().startswith("iteration,error,change")
+    assert csv_rows(trace)[0] == TRACE_HEADER
     out = capsys.readouterr().out
     assert "iterations=" in out and "plateau_iter=" in out
 
@@ -586,6 +591,26 @@ def test_exit_code_missing_input(tmp_path):
     out = tmp_path / "o.wav"
     assert main(["dereverb", "--input", str(tmp_path / "absent.wav"),
                  "--out", str(out)] + FAST) == EXIT_IO
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--iterations", "0"], "iterations must be >= 1"),
+    (["--hop", "7"], "hop must divide frame_len"),
+    (["--denoiser", "external"], "external denoiser requires a command"),
+], ids=["iterations", "hop", "external-without-command"])
+def test_dereverb_checks_its_flags_before_it_reads_its_input(
+        tmp_path, monkeypatch, capsys, flags, error):
+    """A bad setting exits 2 with its error line before any file is read:
+    the input does not exist, and reading it would exit 3."""
+    def read_wav(path):
+        raise OSError(f"read {path}")
+
+    monkeypatch.setattr("dereverb.signals.read_wav", read_wav)
+    out = tmp_path / "o.wav"
+    assert main(["dereverb", "--input", str(tmp_path / "absent.wav"),
+                 "--out", str(out)] + flags) == EXIT_ARGS
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 def test_exit_code_malformed_wav(tmp_path):
@@ -929,6 +954,23 @@ def test_readme_library_quick_start_runs(tmp_path, scene_dir, monkeypatch,
     printed = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"\d+ iterations, final error \S+", printed[0])
     assert (tmp_path / "est.wav").stat().st_size > 0
+
+
+def test_readme_cli_examples_parse():
+    """Each `dereverb ...` command in the README's sh blocks, its `\\`
+    continuation lines joined, parses with the CLI's parser."""
+    readme = pathlib.Path(dereverb.__file__).parents[2] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.DOTALL)
+    commands = [line for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("dereverb ")]
+    assert commands
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_exit_code_empty_clean_wav(tmp_path):

@@ -291,9 +291,8 @@ def test_solver_subcommands_share_one_flag_set():
 
 
 # Parameters with a default that src/ never passes, as their callers are
-# outside it: the console entry point reads sys.argv, and the benchmark
-# gives the external denoiser its work directory.
-DEFAULTS_PASSED_OUTSIDE_SRC = {"main(argv)", "ExternalDenoiser(workdir)"}
+# outside it: the benchmark gives the external denoiser its work directory.
+DEFAULTS_PASSED_OUTSIDE_SRC = {"ExternalDenoiser(workdir)"}
 
 
 def _defaulted_params(tree):

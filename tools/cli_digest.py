@@ -25,7 +25,10 @@ Runs the CLI of the checkout this script sits in, in-process:
 - one failing step for each non-zero exit code: `dereverb --method wpe`
   with a PnPWPE-only flag (2), `evaluate` of a file that is not a WAV (3),
   `evaluate` against a silent reference (4), and `dereverb` with an
-  external denoiser that exits 3 (5).
+  external denoiser that exits 3 (5);
+- one more failing step, `dereverb --iterations 0` on an `--input` that
+  does not exist, which exits 2 as its settings are built before any
+  file is read.
 
 The steps run in a temporary directory, removed afterwards, and name their
 files relative to it, so the printout names no checkout. Each file's line
@@ -166,6 +169,8 @@ def digests(workdir):
          "--rho", "0.1", "1", "--denoiser", "identity", "wiener",
          "--iterations", "2", "--out", "sweep.csv"])
     fail_once_per_exit_code()
+    fail(["dereverb", "--input", "missing.wav", "--out", "fail.wav",
+          "--iterations", "0"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
