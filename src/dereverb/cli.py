@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import functools
 import gc
+import io
 import itertools
 import os
 import pathlib
@@ -20,7 +21,7 @@ import sys
 from .errors import ArgumentError, DenoiserError, FormatError, NumericError
 
 # Each cmd_* imports the modules it runs, and main adds the flags of the
-# parsed subcommand only, as their defaults come from those modules; so
+# subcommand it runs only, as their defaults come from those modules; so
 # `import dereverb.cli` loads no numpy and no submodule but errors.
 
 EXIT_OK = 0
@@ -256,17 +257,20 @@ def cmd_evaluate(args):
     header = ["file", *_columns(MetricReport)]
     row = [args.estimate, *_cells(report, ".6f")]
     with open(args.csv, "a+", newline="") as fh:
-        fh.seek(0)  # read the first row; "a+" writes at the end all the same
+        fh.seek(0)  # read the file; "a+" writes at the end all the same
         try:
-            first = next(csv.reader(fh), None)  # None: an empty file
+            text = fh.read()
+            first = next(csv.reader(io.StringIO(text, newline="")), None)
         except (UnicodeDecodeError, csv.Error):  # not a CSV of text
             first = []
-        if first not in (None, header):
+        if first not in (None, header):  # None: an empty file
             raise FormatError("first row is not evaluate's header "
                               f"{','.join(header)}: {args.csv}")
         writer = csv.writer(fh, lineterminator="\n")
         if first is None:
             writer.writerow(header)
+        elif not text.endswith("\n"):  # end the last line before the row
+            fh.write("\n")
         writer.writerow(row)
     csv.writer(sys.stdout, lineterminator="\n").writerow(row)
     return EXIT_OK
@@ -380,10 +384,9 @@ def build_parser(subcommand=None):
 
 
 def main(argv):
-    # argparse runs the subcommand named exactly by argv[0]; any other argv
-    # gets the full parser, so its help and errors name every flag.
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS
-                          else None)
+    # argparse runs only the subcommand argv[0] names; help and usage errors
+    # print no subcommand's flags, so argv naming none builds none.
+    parser = build_parser(argv[0] if argv else "")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

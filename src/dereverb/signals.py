@@ -44,13 +44,6 @@ class TimeSignal:
     def __len__(self):
         return self.samples.shape[0]
 
-    @property
-    def power(self):
-        """Mean-square power over the whole signal."""
-        if len(self) == 0:
-            return 0.0
-        return float(np.mean(self.samples**2))
-
 
 @dataclass(frozen=True)
 class MultichannelTimeSignal:
@@ -254,7 +247,7 @@ def scaled_noise_segment(clean, noise, snr_db, seed):
     Returns the scaled segment as a float64 array of len(clean).
     """
     check_noise(clean, noise)
-    p_clean = clean.power
+    p_clean = float(np.mean(clean.samples**2)) if len(clean) else 0.0
     if p_clean <= 0.0:
         raise ArgumentError("clean signal has zero power")
     rng = np.random.default_rng(seed)

@@ -204,6 +204,25 @@ def test_evaluate_writes_the_header_into_an_existing_empty_csv(tmp_path,
     assert header == EVALUATE_HEADER and len(rows) == 1
 
 
+@pytest.mark.parametrize(
+    "rows", [[], [["old.wav", *map(str, range(1, len(EVALUATE_HEADER)))]]],
+    ids=["header-only", "data-row"])
+def test_evaluate_starts_its_row_on_a_line_of_its_own(tmp_path, scene_dir,
+                                                      capsys, rows):
+    """A CSV whose last line has no line end takes each row on a new line,
+    not glued onto that last line."""
+    csv_path = tmp_path / "metrics.csv"
+    csv_path.write_text("\n".join(",".join(row)
+                                  for row in [EVALUATE_HEADER, *rows]))
+    ref = os.path.join(scene_dir, "reference.wav")
+    printed = []
+    for _ in range(2):
+        assert main(["evaluate", "--reference", ref, "--estimate", ref,
+                     "--csv", str(csv_path)]) == EXIT_OK
+        printed += csv.reader([capsys.readouterr().out])
+    assert csv_rows(csv_path) == [EVALUATE_HEADER, *rows, *printed]
+
+
 def test_evaluate_appends_only_to_its_own_csv(tmp_path, scene_dir, capsys):
     """A CSV whose first row is another header, or not text, is refused
     with exit 3 and left as it was; one written with CRLF line ends, as

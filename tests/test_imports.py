@@ -1,8 +1,9 @@
 """What each CLI process imports.
 
 `dereverb/__init__.py` runs no code, and the CLI imports the modules of
-the subcommand it runs only; the subprocess tests below run in fresh
-interpreters, where sys.modules shows that.
+the subcommand it runs only, and none for help or a usage error; the
+subprocess tests below run in fresh interpreters, where sys.modules shows
+that.
 """
 import os
 import subprocess
@@ -58,6 +59,16 @@ def test_import_loads_no_numpy_and_no_submodule_but_errors(code):
     modules, numpy = _loaded(code)
     assert not numpy
     assert modules <= {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)],
+                         ids=["help", "bogus"])
+def test_help_and_usage_errors_load_no_numpy_and_no_submodule_but_errors(
+        argv, code):
+    modules, numpy = _loaded("from dereverb.cli import main\n"
+                             f"assert main({argv!r}) == {code}")
+    assert not numpy
+    assert modules == {"cli", "errors"}
 
 
 def test_simulate_loads_only_its_modules(scene, tmp_path):
@@ -116,6 +127,17 @@ def test_help_is_the_text_of_the_fully_built_parser(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == full
     assert "usage: dereverb" in full
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "--hop", "3"],
+                                  ["--input", "x"]])
+def test_usage_error_is_that_of_the_fully_built_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr().err
+    assert main(argv) == exc.value.code == 2
+    assert capsys.readouterr().err == full
+    assert full.startswith("usage: dereverb")
 
 
 def test_solver_preset_choices_are_the_room_presets():

@@ -305,10 +305,11 @@ def test_mix_at_snr_deterministic():
 
 
 def test_mix_at_snr_zero_power_errors():
-    clean = TimeSignal(np.zeros(10), 16000)
     noise = TimeSignal(np.ones(20), 16000)
-    with pytest.raises(ArgumentError):
-        scaled_noise_segment(clean, noise, 0.0, seed=0)
+    for silent in (np.zeros(10), np.zeros(0)):  # an empty clean signal too
+        with pytest.raises(ArgumentError, match="clean signal has zero power"):
+            scaled_noise_segment(TimeSignal(silent, 16000), noise, 0.0,
+                                 seed=0)
     with pytest.raises(ArgumentError):
         scaled_noise_segment(noise, TimeSignal(np.zeros(40), 16000), 0.0,
                              seed=0)

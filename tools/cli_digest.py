@@ -28,7 +28,10 @@ Runs the CLI of the checkout this script sits in, in-process:
   external denoiser that exits 3 (5);
 - one more failing step, `dereverb --iterations 0` on an `--input` that
   does not exist, which exits 2 as its settings are built before any
-  file is read.
+  file is read;
+- the top-level `--help`, wrapped at 80 columns whatever the terminal,
+  and the usage error of an argv that names no subcommand (`bogus`,
+  exit 2).
 
 The steps run in a temporary directory, removed afterwards, and name their
 files relative to it, so the printout names no checkout. Each file's line
@@ -139,6 +142,7 @@ def digests(workdir):
     """Run every step in workdir; return the (sha256, path) of each file,
     then the (sha256, label) of each step's stdout."""
     os.chdir(workdir)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal's
     scenes = simulate_scenes()
     csv_path = "evaluate.csv"
     for preset in sorted(scenes):
@@ -168,9 +172,11 @@ def digests(workdir):
     run(["sweep", "--scenes", os.path.join("A", "scene"), "missing-scene",
          "--rho", "0.1", "1", "--denoiser", "identity", "wiener",
          "--iterations", "2", "--out", "sweep.csv"])
+    run(["--help"])
     fail_once_per_exit_code()
     fail(["dereverb", "--input", "missing.wav", "--out", "fail.wav",
           "--iterations", "0"])
+    fail(["bogus"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
