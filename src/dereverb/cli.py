@@ -174,8 +174,8 @@ def _write_csv(path, rows):
 def cmd_simulate(args):
     from .roomsim import render_scene, sample_room, white_noise
     from .signals import MultichannelTimeSignal, read_wav, write_wav
-    clean = read_wav(args.clean).channels[0]
     spec = sample_room(args.preset, args.seed)
+    clean = read_wav(args.clean).channels[0]
     noise = None
     if args.noise == "wgn":
         noise = white_noise(len(clean) + clean.sample_rate,
@@ -285,15 +285,8 @@ def cmd_sweep(args):
     grid = list(itertools.product(*(
         values if isinstance(values, list) else [values] for values in axes)))
     _check_flags(args, "pnpwpe", {kind for *_, kind in grid})
-    config = _config(StftConfig, args)  # exit 2, no error rows
-    settings = []  # each point's params, or the error that refused them
-    for point in grid:
-        try:
-            settings.append(_settings(args, **dict(zip(SWEPT, point))))
-        except ArgumentError as exc:
-            settings.append(exc)
-    if all(isinstance(params, ArgumentError) for params in settings):
-        raise settings[0]  # exit 2 as dereverb would, no error rows
+    config = _config(StftConfig, args)
+    settings = [_settings(args, **dict(zip(SWEPT, point))) for point in grid]
     header = ["scene", *SWEPT, *_columns(MetricReport),
               *_columns(IterationRecord, "final_"), "plateau_iter", "status"]
     blank = [""] * (len(header) - len(SWEPT) - 2)  # error rows' empty cells
@@ -310,8 +303,6 @@ def cmd_sweep(args):
             continue
         for point, params in zip(grid, settings):
             try:
-                if isinstance(params, ArgumentError):
-                    raise params
                 out, trace = estimate(observed, params)
                 report = evaluate_pair(reference, out)
                 rows.append([scene_dir, *point, *_cells(report, ".6f"),

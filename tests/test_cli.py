@@ -419,38 +419,6 @@ def test_sweep_malformed_grid_is_a_bad_argument(tmp_path, scene_dir, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, error", [
-    (["--iterations", "0", "--rho", "0.1", "1"], "iterations must be >= 1"),
-    (["--denoiser", "external"], "external denoiser requires a command"),
-])
-def test_sweep_with_no_point_it_can_build_is_a_bad_argument(
-        tmp_path, scene_dir, capsys, flags, error):
-    """A setting every grid point shares, rejected as dereverb rejects it,
-    exits 2 with dereverb's error line and writes no CSV."""
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenes", scene_dir, "--out", str(out)]
-                + flags) == EXIT_ARGS
-    assert capsys.readouterr().err == f"error: {error}\n"
-    assert not out.exists()
-
-
-def test_sweep_point_it_cannot_build_is_an_error_row(tmp_path, scene_dir):
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenes", scene_dir, "--rho", "-1", "0.1",
-                 "--out", str(out)] + FAST) == EXIT_OK
-    assert [row[1] + " " + row[-1] for row in _sweep_rows(out)] == [
-        "-1.0 error:rho must be finite and > 0", "0.1 ok"]
-
-
-def test_sweep_bad_stft_flags_are_a_bad_argument(tmp_path, scene_dir,
-                                                 capsys):
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenes", scene_dir, "--hop", "100",
-                 "--out", str(out)] + FAST) == EXIT_ARGS
-    assert capsys.readouterr().err == "error: hop must divide frame_len\n"
-    assert not out.exists()
-
-
 def test_convergence_trace(tmp_path, scene_dir, capsys):
     trace = tmp_path / "conv.csv"
     code = main(["dereverb", "--input",
@@ -612,22 +580,39 @@ def test_exit_code_missing_input(tmp_path):
                  "--out", str(out)] + FAST) == EXIT_IO
 
 
-@pytest.mark.parametrize("flags, error", [
-    (["--iterations", "0"], "iterations must be >= 1"),
-    (["--hop", "7"], "hop must divide frame_len"),
-    (["--denoiser", "external"], "external denoiser requires a command"),
-], ids=["iterations", "hop", "external-without-command"])
+@pytest.mark.parametrize("argv, error", [
+    (["dereverb", "--iterations", "0"], "iterations must be >= 1"),
+    (["dereverb", "--hop", "7"], "hop must divide frame_len"),
+    (["dereverb", "--denoiser", "external"],
+     "external denoiser requires a command"),
+    (["sweep", "--iterations", "0", "--rho", "0.1", "1"],
+     "iterations must be >= 1"),
+    (["sweep", "--hop", "100"] + FAST, "hop must divide frame_len"),
+    (["sweep", "--denoiser", "external"],
+     "external denoiser requires a command"),
+    (["sweep", "--rho", "-1", "0.1"] + FAST, "rho must be finite and > 0"),
+    (["sweep", "--denoiser", "identity", "external"] + FAST,
+     "external denoiser requires a command"),
+    (["simulate", "--preset", "A", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+], ids=["iterations", "hop", "external-without-command",
+        "sweep-iterations", "sweep-hop", "sweep-external-without-command",
+        "sweep-one-bad-rho", "sweep-one-external-without-command",
+        "simulate-negative-seed"])
 def test_dereverb_checks_its_flags_before_it_reads_its_input(
-        tmp_path, monkeypatch, capsys, flags, error):
-    """A bad setting exits 2 with its error line before any file is read:
-    the input does not exist, and reading it would exit 3."""
+        tmp_path, monkeypatch, capsys, argv, error):
+    """A bad setting exits 2 with its error line before any file is read,
+    and writes nothing: the inputs do not exist, and reading one would
+    exit 3. In sweep, one grid point that cannot be built is enough."""
     def read_wav(path):
         raise OSError(f"read {path}")
 
     monkeypatch.setattr("dereverb.signals.read_wav", read_wav)
-    out = tmp_path / "o.wav"
-    assert main(["dereverb", "--input", str(tmp_path / "absent.wav"),
-                 "--out", str(out)] + flags) == EXIT_ARGS
+    absent, out = str(tmp_path / "absent.wav"), tmp_path / "out"
+    io_flags = {"dereverb": ["--input", absent, "--out", str(out)],
+                "sweep": ["--scenes", absent, "--out", str(out)],
+                "simulate": ["--clean", absent, "--out-dir", str(out)]}
+    assert main(argv + io_flags[argv[0]]) == EXIT_ARGS
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 

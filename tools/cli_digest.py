@@ -26,9 +26,11 @@ Runs the CLI of the checkout this script sits in, in-process:
   with a PnPWPE-only flag (2), `evaluate` of a file that is not a WAV (3),
   `evaluate` against a silent reference (4), and `dereverb` with an
   external denoiser that exits 3 (5);
-- one more failing step, `dereverb --iterations 0` on an `--input` that
-  does not exist, which exits 2 as its settings are built before any
-  file is read;
+- three more failing steps, each of which exits 2 as its settings are
+  checked before any file is read: `dereverb --iterations 0` on an
+  `--input` that does not exist, `sweep --rho -1 0.1` over the preset-A
+  scene, of which one grid point cannot be built, and `simulate --seed -1`
+  of a `--clean` WAV that does not exist;
 - the top-level `--help`, wrapped at 80 columns whatever the terminal,
   and the usage error of an argv that names no subcommand (`bogus`,
   exit 2).
@@ -176,6 +178,10 @@ def digests(workdir):
     fail_once_per_exit_code()
     fail(["dereverb", "--input", "missing.wav", "--out", "fail.wav",
           "--iterations", "0"])
+    fail(["sweep", "--scenes", os.path.join("A", "scene"), "--rho", "-1",
+          "0.1", "--out", "fail.csv"])
+    fail(["simulate", "--preset", "A", "--seed", "-1", "--clean",
+          "missing.wav", "--out-dir", "fail-scene"])
     fail(["bogus"])
     found = []
     for top, dirs, files in os.walk("."):
