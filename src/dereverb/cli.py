@@ -36,9 +36,17 @@ EXIT_DENOISER = 5
 # a test holds them equal to roomsim.PRESETS.
 PRESET_FILTER_ORDER = {"A": 10, "B": 20}
 
+# --method wpe's own defaults, where they are not the library's: 2
+# iterations on a PSD floor of 0.03 of each bin's mean power, from a seeded
+# comparison (CHANGES.md). These flags parse to None when not given, and
+# _settings picks their value by method.
+WPE_DEFAULTS = {"iterations": 2, "floor_share": 0.03}
+
 BUILT_FIELDS = ("wpe", "denoiser")  # PnpParams fields other flags build
 
 SWEPT = ("rho", "mu", "filter_order", "denoiser")  # sweep's grid axes
+
+SNR_DB = 10.0  # simulate's --snr-db default; --noise none reads no SNR
 
 
 def _atomic_write(path, write):
@@ -93,19 +101,24 @@ def _add_solver_flags(parser, several=()):
     from .pnpwpe import PnpParams
     from .stft import StftConfig
     from .wpe import WpeParams
+    # The flags that parse to None instead, for --preset or --method to
+    # pick their value, and their help, which names both defaults.
+    picked_help = {name: f"(default {getattr(WpeParams, name)}; {value} "
+                         "for dereverb --method wpe)"
+                   for name, value in WPE_DEFAULTS.items()}
+    picked_help["filter_order"] = (
+        f"taps per channel (default {WpeParams.filter_order}; "
+        f"{PRESET_FILTER_ORDER['A']} for preset A, "
+        f"{PRESET_FILTER_ORDER['B']} for preset B)")
     for cls in (StftConfig, WpeParams, PnpParams):
         for field in dataclasses.fields(cls):
             if field.name in BUILT_FIELDS:
                 continue
-            order = field.name == "filter_order"  # None: --preset picks it
             parser.add_argument(
                 "--" + field.name.replace("_", "-"), type=type(field.default),
-                default=None if order else field.default,
+                default=None if field.name in picked_help else field.default,
                 nargs="+" if field.name in several else None,
-                help=(f"taps per channel (default {field.default}; "
-                      f"{PRESET_FILTER_ORDER['A']} for preset A, "
-                      f"{PRESET_FILTER_ORDER['B']} for preset B)")
-                if order else None)
+                help=picked_help.get(field.name))
     parser.add_argument("--preset", choices=sorted(PRESET_FILTER_ORDER),
                         default=None)
     parser.add_argument("--denoiser", default="identity",
@@ -141,11 +154,15 @@ def _denoiser(kind, args):
 
 def _settings(args, method="pnpwpe", **point):
     """WpeParams for method "wpe", else PnpParams, from the solver flags but
-    for those in point: a sweep grid point, one value per SWEPT name."""
+    for those in point: a sweep grid point, one value per SWEPT name. A
+    WPE_DEFAULTS flag not given takes method's default."""
     from .pnpwpe import PnpParams
     from .wpe import WpeParams
-    args = argparse.Namespace(
-        **{**vars(args), "filter_order": _filter_order(args), **point})
+    own = WPE_DEFAULTS if method == "wpe" else {}
+    picked = {name: own.get(name, getattr(WpeParams, name))
+              for name in WPE_DEFAULTS if getattr(args, name) is None}
+    args = argparse.Namespace(**{**vars(args), **picked,
+                                 "filter_order": _filter_order(args), **point})
     wpe = _config(WpeParams, args)
     return wpe if method == "wpe" else _config(
         PnpParams, args, wpe=wpe, denoiser=_denoiser(args.denoiser, args))
@@ -174,6 +191,8 @@ def _write_csv(path, rows):
 def cmd_simulate(args):
     from .roomsim import render_scene, sample_room, white_noise
     from .signals import MultichannelTimeSignal, read_wav, write_wav
+    if args.noise == "none" and args.snr_db != SNR_DB:
+        raise ArgumentError("--snr-db applies to --noise wgn or a WAV only")
     spec = sample_room(args.preset, args.seed)
     clean = read_wav(args.clean).channels[0]
     noise = None
@@ -211,13 +230,18 @@ def cmd_simulate(args):
 
 def _check_flags(args, method, kinds):
     """Raise ArgumentError for a flag away from its default that the run
-    does not read: a PnPWPE flag with --method wpe, else a flag of a
-    denoiser kind not among the run's kinds."""
+    does not read: a PnPWPE or denoiser flag with --method wpe, else a flag
+    of a denoiser kind not among the run's kinds."""
     from .pnpwpe import PnpParams
-    if method == "wpe":  # WPE would drop PnPWPE's own settings
-        unread = {field.name: (field.default, "--method pnpwpe")
-                  for field in dataclasses.fields(PnpParams)
-                  if field.name not in BUILT_FIELDS}
+    if method == "wpe":  # WPE would drop PnPWPE's and its denoiser's
+        defaults = {field.name: field.default
+                    for field in dataclasses.fields(PnpParams)
+                    if field.name not in BUILT_FIELDS}
+        defaults["denoiser"] = "identity"
+        for flags, _ in DENOISERS.values():
+            defaults.update(flags)
+        unread = {name: (default, "--method pnpwpe")
+                  for name, default in defaults.items()}
     else:
         unread = {name: (default, "--denoiser " + kind)
                   for kind, (flags, _) in DENOISERS.items()
@@ -321,7 +345,7 @@ def _simulate_flags(p):
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", default="none",
                    help="'wgn', 'none', or a WAV path")
-    p.add_argument("--snr-db", type=float, default=10.0)
+    p.add_argument("--snr-db", type=float, default=SNR_DB)
     p.add_argument("--out-dir", required=True)
 
 

@@ -72,7 +72,8 @@ def run_pnpwpe(observed, params):
     IterationRecord list of the consensus error and the change of R).
 
     Ŝ starts at the reference channel X_ref, and R, V and P at 0. Each
-    iteration, elementwise, with sigma = max(|Ŝ|², epsilon) of the last Ŝ:
+    iteration, elementwise, with sigma = max(|Ŝ|², floor) of the last Ŝ and
+    the run's wpe.psd_floor:
         lambda = 2*sigma/(2 + rho*sigma)
         X~ = X_ref - (rho/2)*lambda*(R + V - P)
         Ŝ = X_ref - the prediction of the bands solved for X~ and lambda
@@ -88,7 +89,7 @@ def run_pnpwpe(observed, params):
     From the second iteration on, the run stops once the relative change
     of the error and the change of R are both below stop_tol."""
     wpe_params = params.wpe
-    reference, regressors = prepare(observed, wpe_params)
+    reference, regressors, floor = prepare(observed, wpe_params)
     x_ref = reference.values
     s_hat = x_ref
     r = np.zeros_like(x_ref)
@@ -97,7 +98,7 @@ def run_pnpwpe(observed, params):
     trace = []
 
     for _ in range(wpe_params.iterations):
-        sigma = estimate_psd(s_hat, wpe_params.epsilon)
+        sigma = estimate_psd(s_hat, floor)
         lam = 2.0 * sigma / (2.0 + params.rho * sigma)
         xtilde = x_ref - 0.5 * params.rho * lam * (r + v - p)
         weights, prediction = solve_all_bands(regressors, xtilde, lam)

@@ -24,6 +24,8 @@ class WpeParams:
     # those early reflections, so the predictor must not cancel them.
     delay: int = 6
     epsilon: float = 1e-4
+    # The share c of psd_floor's per-bin floor; 0 floors at epsilon alone.
+    floor_share: float = 0.0
     iterations: int = 3
     reference_channel: int = 0
 
@@ -34,6 +36,8 @@ class WpeParams:
             raise ArgumentError("delay must be >= 1")
         if not 0 < self.epsilon < np.inf:
             raise ArgumentError("epsilon must be finite and > 0")
+        if not 0 <= self.floor_share < np.inf:
+            raise ArgumentError("floor_share must be finite and >= 0")
         if self.iterations < 1:
             raise ArgumentError("iterations must be >= 1")
         if self.reference_channel < 0:
@@ -96,9 +100,21 @@ def stack_regressors(channels, delay, order):
     return Regressors(channels, delay, order)
 
 
-def estimate_psd(s_hat, epsilon):
-    """Elementwise max of squared magnitude and the floor epsilon."""
-    return np.maximum(np.abs(s_hat) ** 2, epsilon)
+def psd_floor(x_ref, params):
+    """The floor of a run's PSD estimates, from the reference channel's
+    (frames, bins) values: params.epsilon at floor_share 0, else per bin
+    floor_share * mean over frames of |X_ref|^2, and epsilon in a bin
+    where that is 0. The per-bin floor scales with the input's power."""
+    if not params.floor_share:
+        return params.epsilon
+    floor = params.floor_share * np.mean(np.abs(x_ref) ** 2, axis=0)
+    return np.where(floor > 0, floor, params.epsilon)
+
+
+def estimate_psd(s_hat, floor):
+    """Elementwise max of squared magnitude and the floor, a scalar or one
+    value per bin."""
+    return np.maximum(np.abs(s_hat) ** 2, floor)
 
 
 def solve_all_bands(regressors, targets, weights):
@@ -168,8 +184,8 @@ def prepare(observed: MultichannelSpectrogram, params: WpeParams):
     """Set-up shared by run_wpe and run_pnpwpe.
 
     Checks that params.reference_channel exists and that there are more
-    frames than params.delay; returns the reference-channel spectrogram and
-    the delayed regressors of observed.
+    frames than params.delay; returns the reference-channel spectrogram,
+    the delayed regressors of observed and the run's psd_floor.
     """
     if params.reference_channel >= observed.num_channels:
         raise ArgumentError("reference_channel out of range")
@@ -178,22 +194,24 @@ def prepare(observed: MultichannelSpectrogram, params: WpeParams):
     reference = observed.channels[params.reference_channel]
     regressors = stack_regressors([ch.values for ch in observed.channels],
                                   params.delay, params.filter_order)
-    return reference, regressors
+    return reference, regressors, psd_floor(reference.values, params)
 
 
 def run_wpe(observed, params):
     """Iterative WPE: alternate per-band filter solves and PSD updates.
 
-    Returns (estimate spectrogram, filter bank, IterationRecord list); each
-    record holds the mean residual power and the relative change of S_hat.
+    Each iteration's weights are estimate_psd of the last S_hat, floored
+    at the run's psd_floor. Returns (estimate spectrogram, filter bank,
+    IterationRecord list); each record holds the mean residual power and
+    the relative change of S_hat.
     """
-    reference, regressors = prepare(observed, params)
+    reference, regressors, floor = prepare(observed, params)
     ref = reference.values
     s_hat = ref
     trace = []
     for _ in range(params.iterations):
         weights, prediction = solve_all_bands(
-            regressors, ref, estimate_psd(s_hat, params.epsilon))
+            regressors, ref, estimate_psd(s_hat, floor))
         s_prev, s_hat = s_hat, ref - prediction
         trace.append(IterationRecord(float(np.mean(np.abs(s_hat) ** 2)),
                                      relative_change(s_hat, s_prev)))

@@ -19,7 +19,7 @@ from dereverb.signals import TimeSignal
 from dereverb.stft import (MultichannelSpectrogram, Spectrogram,
                            StftConfig, hann)
 from dereverb.wpe import (FilterBank, IterationRecord, estimate_psd, prepare,
-                          relative_change, solve_all_bands)
+                          psd_floor, relative_change, solve_all_bands)
 
 T60_FIT_RANGE = (-5.0, -35.0)  # dB levels of the decay curve measure_t60 fits
 
@@ -269,13 +269,14 @@ def pnpwpe_loop(observed, params):
     order, so the two agree byte for byte. Returns (estimate, AdmmState,
     IterationRecord list); S stands for S_hat."""
     wpe = params.wpe
-    reference, regressors = prepare(observed, wpe)
+    reference, regressors, _ = prepare(observed, wpe)
     x_ref = reference.values
+    floor = psd_floor(x_ref, wpe)
     s = x_ref
     r = v = p = np.zeros_like(x_ref)
     trace = []
     for _ in range(wpe.iterations):
-        sigma = estimate_psd(s, wpe.epsilon)
+        sigma = estimate_psd(s, floor)
         lam = 2.0 * sigma / (2.0 + params.rho * sigma)
         targets = x_ref - 0.5 * params.rho * lam * (r + v - p)
         weights, prediction = solve_all_bands(regressors, targets, lam)

@@ -464,20 +464,22 @@ def test_convergence_plateau_none_when_the_last_change_is_large(
                                                "plateau_iter=none"]
 
 
-@pytest.mark.parametrize("method, params", [
-    ("wpe", WpeParams(filter_order=4, iterations=2)),
-    ("pnpwpe", PnpParams(WpeParams(filter_order=4, iterations=2),
-                         denoiser=WienerDenoiser(0.3, 0.1))),
+@pytest.mark.parametrize("method, flags, params", [
+    ("wpe", ["--filter-order", "4"],  # --method wpe's own defaults
+     WpeParams(filter_order=4, iterations=2, floor_share=0.03)),
+    ("pnpwpe", ["--denoiser", "wiener"] + FAST,
+     PnpParams(WpeParams(filter_order=4, iterations=2),
+               denoiser=WienerDenoiser(0.3, 0.1))),
 ], ids=["wpe", "pnpwpe"])
 def test_estimate_is_the_file_dereverb_writes(tmp_path, scene_dir, method,
-                                              params):
+                                              flags, params):
     """pnpwpe.estimate on params built by hand gives the samples dereverb
     writes with the same flags, and the trace its CSV holds."""
     observed = os.path.join(scene_dir, "observed.wav")
     out, trace_csv = tmp_path / "o.wav", tmp_path / "t.csv"
     assert main(["dereverb", "--input", observed, "--method", method,
-                 "--denoiser", "wiener", "--out", str(out),
-                 "--trace-csv", str(trace_csv)] + FAST) == EXIT_OK
+                 "--out", str(out), "--trace-csv", str(trace_csv)]
+                + flags) == EXIT_OK
     estimated, trace = estimate(
         analyze_multichannel(read_wav(observed), StftConfig()), params)
     written = read_wav(out).channels[0].samples
@@ -497,6 +499,19 @@ def test_preset_sets_filter_order():
     assert _filter_order(args) == 28
 
 
+def test_method_sets_iterations_and_floor_share():
+    """--method wpe defaults to 2 iterations at floor share 0.03; PnPWPE,
+    and a flag that is given, keep their values."""
+    parser = build_parser()
+    args = parser.parse_args(["dereverb", "--input", "x", "--out", "y"])
+    assert _settings(args, "wpe") == WpeParams(filter_order=28, iterations=2,
+                                               floor_share=0.03)
+    assert _settings(args).wpe == WpeParams(filter_order=28)
+    args = parser.parse_args(["dereverb", "--input", "x", "--out", "y",
+                              "--iterations", "3", "--floor-share", "0"])
+    assert _settings(args, "wpe") == WpeParams(filter_order=28)
+
+
 def test_every_solver_flag_reaches_its_field():
     """Each StftConfig, WpeParams and PnpParams field but wpe and denoiser,
     set by its flag away from its default, holds that value in the configs
@@ -504,12 +519,13 @@ def test_every_solver_flag_reaches_its_field():
     args = build_parser().parse_args([
         "dereverb", "--input", "x", "--out", "y", "--preset", "B",
         "--frame-len", "256", "--hop", "64", "--filter-order", "6",
-        "--delay", "4", "--epsilon", "1e-3", "--iterations", "2",
-        "--reference-channel", "1", "--rho", "0.5", "--mu", "0.7",
-        "--inner-iters", "2", "--stop-tol", "0"])
+        "--delay", "4", "--epsilon", "1e-3", "--floor-share", "0.05",
+        "--iterations", "2", "--reference-channel", "1", "--rho", "0.5",
+        "--mu", "0.7", "--inner-iters", "2", "--stop-tol", "0"])
     expected = {"frame_len": 256, "hop": 64, "filter_order": 6, "delay": 4,
-                "epsilon": 1e-3, "iterations": 2, "reference_channel": 1,
-                "rho": 0.5, "mu": 0.7, "inner_iters": 2, "stop_tol": 0.0}
+                "epsilon": 1e-3, "floor_share": 0.05, "iterations": 2,
+                "reference_channel": 1, "rho": 0.5, "mu": 0.7,
+                "inner_iters": 2, "stop_tol": 0.0}
     pnp = _settings(args)
     assert _settings(args, "wpe") == pnp.wpe
     built, defaults = {}, {}
@@ -595,10 +611,17 @@ def test_exit_code_missing_input(tmp_path):
      "external denoiser requires a command"),
     (["simulate", "--preset", "A", "--seed", "-1"],
      "seed must be non-negative, got -1"),
+    (["dereverb", "--method", "wpe", "--denoiser", "wiener", "--quantile",
+      "0.5"], "--denoiser applies to --method pnpwpe only"),
+    (["dereverb", "--method", "wpe", "--quantile", "0.5"],
+     "--quantile applies to --method pnpwpe only"),
+    (["simulate", "--preset", "A", "--seed", "4", "--noise", "none",
+      "--snr-db", "5"], "--snr-db applies to --noise wgn or a WAV only"),
 ], ids=["iterations", "hop", "external-without-command",
         "sweep-iterations", "sweep-hop", "sweep-external-without-command",
         "sweep-one-bad-rho", "sweep-one-external-without-command",
-        "simulate-negative-seed"])
+        "simulate-negative-seed", "wpe-with-denoiser",
+        "wpe-with-denoiser-flag", "simulate-snr-without-noise"])
 def test_dereverb_checks_its_flags_before_it_reads_its_input(
         tmp_path, monkeypatch, capsys, argv, error):
     """A bad setting exits 2 with its error line before any file is read,

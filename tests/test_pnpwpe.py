@@ -69,16 +69,19 @@ class _Recording:
         return self.inner.denoise(spec)
 
 
-@pytest.mark.parametrize("denoiser, iterations, inner_iters, stop_tol", [
-    (WienerDenoiser(0.3, 0.1), 5, 2, 0.0),
-    (SoftThresholdDenoiser(0.5), 5, 2, 0.0),
-    (WienerDenoiser(0.3, 0.1), 40, 1, 0.05),
-], ids=["wiener", "soft_threshold", "wiener_stops"])
+@pytest.mark.parametrize(
+    "denoiser, iterations, inner_iters, stop_tol, floor_share", [
+        (WienerDenoiser(0.3, 0.1), 5, 2, 0.0, 0.0),
+        (SoftThresholdDenoiser(0.5), 5, 2, 0.0, 0.0),
+        (WienerDenoiser(0.3, 0.1), 40, 1, 0.05, 0.0),
+        (WienerDenoiser(0.3, 0.1), 5, 2, 0.0, 0.03),
+    ], ids=["wiener", "soft_threshold", "wiener_stops", "wiener_floor_share"])
 def test_run_pnpwpe_matches_the_reference_loop_byte_for_byte(
-        denoiser, iterations, inner_iters, stop_tol):
+        denoiser, iterations, inner_iters, stop_tol, floor_share):
     spec = random_mc(np.random.default_rng(14))
     params = _params(iterations=iterations, inner_iters=inner_iters,
-                     stop_tol=stop_tol, rho=0.7, denoiser=denoiser)
+                     stop_tol=stop_tol, rho=0.7, denoiser=denoiser,
+                     floor_share=floor_share)
     estimate, state, trace = run_pnpwpe(spec, params)
     ref_estimate, ref_state, ref_trace = pnpwpe_loop(spec, params)
     if stop_tol:
@@ -246,6 +249,7 @@ def _params(**kw):
     wpe_kw = {"filter_order": kw.pop("filter_order", 2),
               "delay": kw.pop("delay", 2),
               "epsilon": kw.pop("epsilon", 1e-4),
+              "floor_share": kw.pop("floor_share", 0.0),
               "iterations": kw.pop("iterations", 1)}
     return PnpParams(wpe=WpeParams(**wpe_kw), **kw)
 

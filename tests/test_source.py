@@ -298,9 +298,11 @@ def test_solver_subcommands_share_one_flag_set():
         for field in dataclasses.fields(cls):
             if field.name in ("wpe", "denoiser"):
                 continue
-            # --filter-order defaults to None so that --preset can pick it.
-            default = (None if field.name == "filter_order"
-                       else getattr(cls, field.name))
+            # --filter-order defaults to None so that --preset can pick
+            # it, and --iterations and --floor-share so that --method can.
+            picked = field.name in ("filter_order", "iterations",
+                                    "floor_share")
+            default = None if picked else getattr(cls, field.name)
             assert field.name in shared and defaults[0][field.name] == default
 
 

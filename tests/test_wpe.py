@@ -2,6 +2,7 @@ import contextlib
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from dereverb import numerics, wpe
 from dereverb.errors import ArgumentError, SingularBandError
 from dereverb.numerics import solve_hpd
 from dereverb.roomsim import EARLY_WINDOW_S
-from dereverb.stft import (StftConfig, analyze, analyze_multichannel,
-                           synthesize)
+from dereverb.stft import (MultichannelSpectrogram, StftConfig, analyze,
+                           analyze_multichannel, synthesize)
 from dereverb.wpe import (IterationRecord, WpeParams, estimate_psd, prepare,
-                          relative_change, run_wpe, solve_all_bands,
-                          stack_regressors)
+                          psd_floor, relative_change, run_wpe,
+                          solve_all_bands, stack_regressors)
 from helpers import (SMALL, accumulate_batch, augmented_gram,
                      build_regressor, make_scene, mc_spec, predict, random_mc,
                      regressor_block, stack_channels)
@@ -74,7 +75,7 @@ def test_prepare_holds_one_copy_of_the_observation():
     spec = random_mc(np.random.default_rng(19), 4, 501, StftConfig())
     tracemalloc.start()
     try:
-        _, regressors = prepare(spec, WpeParams(filter_order=10))
+        _, regressors, _ = prepare(spec, WpeParams(filter_order=10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -83,10 +84,24 @@ def test_prepare_holds_one_copy_of_the_observation():
 
 def test_estimate_psd_floor_and_passthrough():
     values = np.array([[0.0, np.sqrt(0.5), 3 + 4j]])
-    psd = estimate_psd(values, epsilon=1e-4)
+    psd = estimate_psd(values, floor=1e-4)
     assert psd[0, 0] == 1e-4
     assert abs(psd[0, 1] - 0.5) < 1e-15
     assert psd[0, 2] == 25.0
+    # a floor per bin, for every frame
+    psd = estimate_psd(np.vstack([values, values]), np.array([2.0, 1.0, 0.5]))
+    assert psd.tolist() == [[2.0, 1.0, 25.0]] * 2
+
+
+def test_psd_floor_is_epsilon_or_a_share_of_each_bins_mean_power():
+    x_ref = np.array([[0.0, 1.0, 3.0j], [0.0, 1.0j, 1.0]])
+    assert psd_floor(x_ref, WpeParams(epsilon=1e-3)) == 1e-3
+    floor = psd_floor(x_ref, WpeParams(epsilon=1e-3, floor_share=0.1))
+    # the silent bin falls back to epsilon
+    assert floor.tolist() == [1e-3, 0.1 * 1.0, 0.1 * 5.0]
+    for share in (-0.1, np.inf, np.nan):
+        with pytest.raises(ArgumentError):
+            WpeParams(floor_share=share)
 
 
 # --- per-band solve ---------------------------------------------------------
@@ -438,10 +453,14 @@ def test_run_wpe_null_on_unpredictable_input():
 
 def test_run_wpe_zero_input():
     spec = mc_spec(np.zeros((2, 10, SMALL.num_bins), dtype=np.complex128))
-    estimate, filters, _ = run_wpe(spec, WpeParams(filter_order=2, delay=2,
-                                                   iterations=1))
-    assert np.all(estimate.values == 0)
-    assert np.all(filters.weights == 0)
+    for floor_share in (0.0, 0.03):  # every bin silent: epsilon's floor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate, filters, _ = run_wpe(spec, WpeParams(
+                filter_order=2, delay=2, iterations=1,
+                floor_share=floor_share))
+        assert np.all(estimate.values == 0)
+        assert np.all(filters.weights == 0)
 
 
 def test_run_wpe_objective_does_not_increase():
@@ -462,23 +481,29 @@ def test_run_wpe_objective_does_not_increase():
     assert cost_after <= cost_before + 1e-10
 
 
-@pytest.mark.parametrize("preset, noise_kind, seed, order", [
-    ("A", "none", 0, 10), ("B", "wgn", 0, 20),
-    ("A", "wgn", 1, 10), ("B", "none", 1, 20),
+@pytest.mark.parametrize("preset, noise_kind, seed, order, floor_share", [
+    pytest.param(*case, share,
+                 id="-".join(map(str, case)) + (f"-share{share}" if share
+                                                else ""))
+    for case in [("A", "none", 0, 10), ("B", "wgn", 0, 20),
+                 ("A", "wgn", 1, 10), ("B", "none", 1, 20)]
+    for share in (0.0, 0.03)
 ])
 def test_run_wpe_descends_its_objective_at_every_half_step(
-        monkeypatch, preset, noise_kind, seed, order):
+        monkeypatch, preset, noise_kind, seed, order, floor_share):
     """run_wpe is coordinate descent on L = mean(|S_hat|^2 / sigma + ln
-    sigma), sigma >= epsilon. Each sigma update lands at L's minimum over
-    sigma, as |S_hat|^2 / sigma + ln sigma is least at max(|S_hat|^2,
-    epsilon), and each band solve minimises L over the filter, up to the
-    diagonal loading; so L falls at every half-step. Both hold within a
-    slack relative to LOADING. Each iteration's sigma and prediction are
-    taken from its solve_all_bands call."""
+    sigma), sigma >= floor_k, the run's psd_floor of bin k. Each sigma
+    update lands at L's minimum over sigma, as |S_hat|^2 / sigma + ln sigma
+    is least at max(|S_hat|^2, floor_k), and each band solve minimises L
+    over the filter, up to the diagonal loading; so L falls at every
+    half-step. Both hold within a slack relative to LOADING. Each
+    iteration's sigma and prediction are taken from its solve_all_bands
+    call."""
     scene = make_scene(preset, seed=seed, noise_kind=noise_kind,
                        duration=3.0)
     observed = analyze_multichannel(scene.observed)
-    params = WpeParams(filter_order=order, iterations=6)
+    params = WpeParams(filter_order=order, iterations=6,
+                       floor_share=floor_share)
     calls = []
 
     def recording_solve_all_bands(regressors, targets, weights):
@@ -497,10 +522,11 @@ def test_run_wpe_descends_its_objective_at_every_half_step(
         return 1e3 * numerics.LOADING * abs(value)
 
     ref = observed.channels[0].values
+    floor = psd_floor(ref, params)
     s_hat, values = ref, []
     for sigma, prediction in calls:
-        least = objective(s_hat, np.maximum(np.abs(s_hat) ** 2,
-                                            params.epsilon))
+        assert np.all(sigma >= floor)
+        least = objective(s_hat, np.maximum(np.abs(s_hat) ** 2, floor))
         values.append(objective(s_hat, sigma))  # after the sigma update
         assert values[-1] <= least + slack(least)
         s_hat = ref - prediction
@@ -540,13 +566,38 @@ def test_oracle_weights_beat_run_wpe_by_3_db():
     params = WpeParams(filter_order=10, delay=6, iterations=3)
     observed = analyze_multichannel(scene.observed)
     weights = estimate_psd(analyze(scene.reference).values, params.epsilon)
-    reference, regressors = prepare(observed, params)
+    reference, regressors, _ = prepare(observed, params)
     _, prediction = solve_all_bands(regressors, reference.values, weights)
     oracle = synthesize(reference.with_values(reference.values - prediction))
     estimate = synthesize(run_wpe(observed, params)[0])
     clean = scene.reference.samples[512:]
     assert (_si_sdr(clean, oracle.samples[512:])
             >= _si_sdr(clean, estimate.samples[512:]) + 3.0)
+
+
+@pytest.fixture(scope="module")
+def level_observed():
+    return analyze_multichannel(make_scene("A", seed=0, duration=3.0).observed)
+
+
+@pytest.mark.parametrize("floor_share", [
+    pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 22: the absolute floor epsilon pins most weights, so "
+        "WPE's answer depends on the input's level"))),
+    0.03,
+], ids=["absolute-floor", "per-bin-floor"])
+@pytest.mark.parametrize("gain", [1e-2, 1e2])
+def test_run_wpe_answer_does_not_depend_on_the_input_level(
+        level_observed, gain, floor_share):
+    """A WAV's level is arbitrary: run_wpe of g*X, divided by g, is run_wpe
+    of X to 1e-6 relative. The per-bin floor scales with g^2, as every
+    weight does."""
+    params = WpeParams(filter_order=10, iterations=2, floor_share=floor_share)
+    scaled = MultichannelSpectrogram(tuple(
+        ch.with_values(gain * ch.values) for ch in level_observed.channels))
+    estimate = run_wpe(level_observed, params)[0].values
+    assert relative_change(run_wpe(scaled, params)[0].values / gain,
+                           estimate) <= 1e-6
 
 
 def test_run_wpe_validates_inputs():

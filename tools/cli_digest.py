@@ -33,7 +33,15 @@ Runs the CLI of the checkout this script sits in, in-process:
   of a `--clean` WAV that does not exist;
 - the top-level `--help`, wrapped at 80 columns whatever the terminal,
   and the usage error of an argv that names no subcommand (`bogus`,
-  exit 2).
+  exit 2);
+- `dereverb` with the a4-wpe workload's argv plus `--iterations 3
+  --floor-share 0`, the library's defaults, into
+  `a4-wpe-absolute-floor.wav`: the bytes `--method wpe` wrote by default
+  before it took its own defaults;
+- two more failing steps that exit 2 on a flag the run would not read:
+  `dereverb --method wpe --denoiser wiener --quantile 0.5` on the preset-A
+  scene, and `simulate --noise none --snr-db 5` of a `--clean` WAV that
+  does not exist.
 
 The steps run in a temporary directory, removed afterwards, and name their
 files relative to it, so the printout names no checkout. Each file's line
@@ -183,6 +191,16 @@ def digests(workdir):
     fail(["simulate", "--preset", "A", "--seed", "-1", "--clean",
           "missing.wav", "--out-dir", "fail-scene"])
     fail(["bogus"])
+    run(dereverb_argv(WORKLOADS["a4-wpe"],
+                      os.path.join("A", "scene", "observed.wav"),
+                      "a4-wpe-absolute-floor.wav")
+        + ["--iterations", "3", "--floor-share", "0"])
+    fail(["dereverb", "--input", os.path.join("A", "scene", "observed.wav"),
+          "--out", "fail.wav", "--method", "wpe", "--denoiser", "wiener",
+          "--quantile", "0.5"])
+    fail(["simulate", "--preset", "A", "--seed", "4", "--clean",
+          "missing.wav", "--noise", "none", "--snr-db", "5", "--out-dir",
+          "fail-scene"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
