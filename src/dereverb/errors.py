@@ -21,10 +21,6 @@ class NumericError(DereverbError, RuntimeError):
 class SingularBandError(NumericError):
     """Normal-equation solve failed even after diagonal loading."""
 
-    def __init__(self, message, band=None):
-        super().__init__(message)
-        self.band = band
-
 
 class DenoiserError(DereverbError, RuntimeError):
     """External denoiser process failed (exit 5)."""

@@ -13,8 +13,8 @@ import numpy as np
 from .denoisers import IdentityDenoiser
 from .errors import ArgumentError
 from .stft import synthesize
-from .wpe import (FilterBank, IterationRecord, WpeParams, estimate_psd,
-                  prepare, relative_change, run_wpe, solve_all_bands)
+from .wpe import (FilterBank, IterationRecord, WpeParams, prepare,
+                  relative_change, run_wpe, solve_all_bands)
 
 PLATEAU_THRESHOLD = 0.05  # the change of R plateau_iteration calls settled
 
@@ -72,8 +72,7 @@ def run_pnpwpe(observed, params):
     IterationRecord list of the consensus error and the change of R).
 
     Ŝ starts at the reference channel X_ref, and R, V and P at 0. Each
-    iteration, elementwise, with sigma = max(|Ŝ|², floor) of the last Ŝ and
-    the run's wpe.psd_floor:
+    iteration, elementwise, with sigma = psd(last Ŝ), the law of wpe.prepare:
         lambda = 2*sigma/(2 + rho*sigma)
         X~ = X_ref - (rho/2)*lambda*(R + V - P)
         Ŝ = X_ref - the prediction of the bands solved for X~ and lambda
@@ -89,7 +88,7 @@ def run_pnpwpe(observed, params):
     From the second iteration on, the run stops once the relative change
     of the error and the change of R are both below stop_tol."""
     wpe_params = params.wpe
-    reference, regressors, floor = prepare(observed, wpe_params)
+    reference, regressors, psd = prepare(observed, wpe_params)
     x_ref = reference.values
     s_hat = x_ref
     r = np.zeros_like(x_ref)
@@ -98,7 +97,7 @@ def run_pnpwpe(observed, params):
     trace = []
 
     for _ in range(wpe_params.iterations):
-        sigma = estimate_psd(s_hat, floor)
+        sigma = psd(s_hat)
         lam = 2.0 * sigma / (2.0 + params.rho * sigma)
         xtilde = x_ref - 0.5 * params.rho * lam * (r + v - p)
         weights, prediction = solve_all_bands(regressors, xtilde, lam)

@@ -24,7 +24,7 @@ class WpeParams:
     # those early reflections, so the predictor must not cancel them.
     delay: int = 6
     epsilon: float = 1e-4
-    # The share c of psd_floor's per-bin floor; 0 floors at epsilon alone.
+    # The share c of the per-bin PSD floor; see prepare for the law.
     floor_share: float = 0.0
     iterations: int = 3
     reference_channel: int = 0
@@ -100,23 +100,6 @@ def stack_regressors(channels, delay, order):
     return Regressors(channels, delay, order)
 
 
-def psd_floor(x_ref, params):
-    """The floor of a run's PSD estimates, from the reference channel's
-    (frames, bins) values: params.epsilon at floor_share 0, else per bin
-    floor_share * mean over frames of |X_ref|^2, and epsilon in a bin
-    where that is 0. The per-bin floor scales with the input's power."""
-    if not params.floor_share:
-        return params.epsilon
-    floor = params.floor_share * np.mean(np.abs(x_ref) ** 2, axis=0)
-    return np.where(floor > 0, floor, params.epsilon)
-
-
-def estimate_psd(s_hat, floor):
-    """Elementwise max of squared magnitude and the floor, a scalar or one
-    value per bin."""
-    return np.maximum(np.abs(s_hat) ** 2, floor)
-
-
 def solve_all_bands(regressors, targets, weights):
     """Per-band weighted normal-equation solve and the prediction it makes.
 
@@ -155,8 +138,7 @@ def solve_all_bands(regressors, targets, weights):
                 try:
                     filters[k] = solve()
                 except SingularBandError as exc:
-                    raise SingularBandError(f"band {k}: {exc}",
-                                            band=k) from exc
+                    raise SingularBandError(f"band {k}: {exc}") from exc
                 prediction[k] = filters[k].conj() @ band[:n_taps]
         except Exception as exc:  # raised by the calling thread, below
             errors[start] = exc
@@ -185,7 +167,11 @@ def prepare(observed: MultichannelSpectrogram, params: WpeParams):
 
     Checks that params.reference_channel exists and that there are more
     frames than params.delay; returns the reference-channel spectrogram,
-    the delayed regressors of observed and the run's psd_floor.
+    the delayed regressors of observed and psd, the weight law of both
+    runs: psd(S) is max(|S|^2, floor) elementwise, where the floor is
+    params.epsilon at floor_share 0, else per bin floor_share * mean over
+    frames of |X_ref|^2, and epsilon in a bin where that is 0. The
+    per-bin floor scales with the input's power.
     """
     if params.reference_channel >= observed.num_channels:
         raise ArgumentError("reference_channel out of range")
@@ -194,24 +180,28 @@ def prepare(observed: MultichannelSpectrogram, params: WpeParams):
     reference = observed.channels[params.reference_channel]
     regressors = stack_regressors([ch.values for ch in observed.channels],
                                   params.delay, params.filter_order)
-    return reference, regressors, psd_floor(reference.values, params)
+    # Share 0 holds no (frames, bins) |X_ref|^2 beside the regressors' copy.
+    floor = params.epsilon
+    if params.floor_share:
+        floor = params.floor_share * np.mean(np.abs(reference.values) ** 2,
+                                             axis=0)
+        floor = np.where(floor > 0, floor, params.epsilon)
+    return reference, regressors, lambda s: np.maximum(np.abs(s) ** 2, floor)
 
 
 def run_wpe(observed, params):
-    """Iterative WPE: alternate per-band filter solves and PSD updates.
+    """Iterative WPE: alternate per-band filter solves and PSD updates,
+    each iteration weighted by the run's psd (see prepare) of the last S_hat.
 
-    Each iteration's weights are estimate_psd of the last S_hat, floored
-    at the run's psd_floor. Returns (estimate spectrogram, filter bank,
-    IterationRecord list); each record holds the mean residual power and
-    the relative change of S_hat.
+    Returns (estimate spectrogram, filter bank, IterationRecord list); each
+    record holds the mean residual power and the relative change of S_hat.
     """
-    reference, regressors, floor = prepare(observed, params)
+    reference, regressors, psd = prepare(observed, params)
     ref = reference.values
     s_hat = ref
     trace = []
     for _ in range(params.iterations):
-        weights, prediction = solve_all_bands(
-            regressors, ref, estimate_psd(s_hat, floor))
+        weights, prediction = solve_all_bands(regressors, ref, psd(s_hat))
         s_prev, s_hat = s_hat, ref - prediction
         trace.append(IterationRecord(float(np.mean(np.abs(s_hat) ** 2)),
                                      relative_change(s_hat, s_prev)))

@@ -40,19 +40,25 @@ def test_params_validation():
 # --- the iteration ----------------------------------------------------------
 
 def _recorded_run(monkeypatch, observed, params):
-    """run_pnpwpe with the sigma of each iteration and the targets and
-    weights of each band solve recorded: (its output, sigmas, solves)."""
+    """run_pnpwpe with the sigma of each iteration, from the psd that
+    prepare returns, and the targets and weights of each band solve
+    recorded: (its output, sigmas, solves)."""
     sigmas, solves = [], []
 
-    def psd(s_hat, epsilon):
-        sigmas.append(wpe.estimate_psd(s_hat, epsilon))
-        return sigmas[-1]
+    def recording_prepare(observed, params):
+        reference, regressors, psd = wpe.prepare(observed, params)
+
+        def recording_psd(s_hat):
+            sigmas.append(psd(s_hat))
+            return sigmas[-1]
+
+        return reference, regressors, recording_psd
 
     def solve(regressors, targets, weights):
         solves.append((targets, weights))
         return wpe.solve_all_bands(regressors, targets, weights)
 
-    monkeypatch.setattr(pnpwpe, "estimate_psd", psd)
+    monkeypatch.setattr(pnpwpe, "prepare", recording_prepare)
     monkeypatch.setattr(pnpwpe, "solve_all_bands", solve)
     return run_pnpwpe(observed, params), sigmas, solves
 

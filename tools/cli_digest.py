@@ -41,7 +41,9 @@ Runs the CLI of the checkout this script sits in, in-process:
 - two more failing steps that exit 2 on a flag the run would not read:
   `dereverb --method wpe --denoiser wiener --quantile 0.5` on the preset-A
   scene, and `simulate --noise none --snr-db 5` of a `--clean` WAV that
-  does not exist.
+  does not exist;
+- `dereverb --method pnpwpe --floor-share 0.03` on the preset-A scene,
+  with a trace CSV: PnPWPE on the per-bin PSD floor.
 
 The steps run in a temporary directory, removed afterwards, and name their
 files relative to it, so the printout names no checkout. Each file's line
@@ -201,6 +203,10 @@ def digests(workdir):
     fail(["simulate", "--preset", "A", "--seed", "4", "--clean",
           "missing.wav", "--noise", "none", "--snr-db", "5", "--out-dir",
           "fail-scene"])
+    run(["dereverb", "--input", os.path.join("A", "scene", "observed.wav"),
+         "--out", "pnpwpe-per-bin-floor.wav", "--trace-csv",
+         "pnpwpe-per-bin-floor.trace.csv", "--method", "pnpwpe",
+         "--floor-share", "0.03"])
     found = []
     for top, dirs, files in os.walk("."):
         dirs.sort()
