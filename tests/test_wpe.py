@@ -85,29 +85,36 @@ def test_prepare_holds_one_copy_of_the_observation():
     assert peak <= 1.1 * regressors.nbytes
 
 
-def test_prepare_psd_is_floored_at_epsilon_or_a_share_of_bin_power():
-    """prepare's psd is max(|S|^2, floor): the floor is epsilon at share 0,
-    else the share of each bin's mean |X_ref|^2, and epsilon in a bin
-    where that is 0."""
+def _prepare_psd(**params):
+    """prepare's psd on a two-channel scene whose reference bins hold mean
+    powers 0, 1, 5, 2 and 0."""
     x_ref = np.array([[0.0, 1.0, 3.0j, 2.0, 0.0], [0.0, 1.0j, 1.0, 0.0, 0.0]])
     spec = mc_spec(np.stack([x_ref, x_ref]))
+    return prepare(spec, WpeParams(filter_order=1, delay=1, **params))[2]
+
+
+def test_estimate_psd_floor_and_passthrough():
+    """prepare's psd is max(|S|^2, floor): above the floor, |S|^2 passes
+    through."""
     values = np.array([[0.0, np.sqrt(0.5), 3 + 4j, 0.0, 1.0]])
-
-    def psd(**params):
-        return prepare(spec, WpeParams(filter_order=1, delay=1, **params))[2]
-
-    absolute = psd(epsilon=1e-4)(values)
+    absolute = _prepare_psd(epsilon=1e-4)(values)
     assert absolute[0, [0, 3]].tolist() == [1e-4, 1e-4]
     assert abs(absolute[0, 1] - 0.5) < 1e-15
     assert absolute[0, [2, 4]].tolist() == [25.0, 1.0]
-    per_bin = psd(epsilon=1e-3, floor_share=0.1)
-    # a floor per bin, for every frame: the share of the bin's mean power,
-    # and epsilon in the silent bins
-    floor = [1e-3, 0.1 * 1.0, 0.1 * 5.0, 0.1 * 2.0, 1e-3]
-    assert per_bin(np.zeros((2, 5))).tolist() == [floor] * 2
-    # above the floor, |S|^2 passes through
+    # a floor per bin, for every frame
+    per_bin = _prepare_psd(epsilon=1e-3, floor_share=0.1)
     assert per_bin(np.vstack([values, values])).tolist() == [
         [1e-3, absolute[0, 1], 25.0, 0.1 * 2.0, 1.0]] * 2
+
+
+def test_psd_floor_is_epsilon_or_a_share_of_each_bins_mean_power():
+    """The floor is epsilon at share 0, else the share of each bin's mean
+    |X_ref|^2, and epsilon in a bin where that is 0."""
+    zeros = np.zeros((2, 5))
+    assert _prepare_psd(epsilon=1e-3)(zeros).tolist() == [[1e-3] * 5] * 2
+    floor = [1e-3, 0.1 * 1.0, 0.1 * 5.0, 0.1 * 2.0, 1e-3]
+    per_bin = _prepare_psd(epsilon=1e-3, floor_share=0.1)
+    assert per_bin(zeros).tolist() == [floor] * 2
     for share in (-0.1, np.inf, np.nan):
         with pytest.raises(ArgumentError):
             WpeParams(floor_share=share)
