@@ -89,13 +89,15 @@ class MultichannelSpectrogram:
 def analyze(signal, config=StftConfig()):
     """STFT of a signal: Hann-windowed frames at hop intervals.
 
-    The tail is zero-padded by one frame so the final partial frame is
-    analyzed; N = len(signal)//hop + 1.
+    The front is zero-padded by frame_len - hop samples, so every sample
+    lies under every window phase, and the tail by one frame, so the final
+    partial frame is analyzed; N = (len(signal) + frame_len - hop)//hop + 1.
     """
     x = signal.samples
     if len(x) < config.frame_len:
         raise ArgumentError("signal shorter than one frame")
-    padded = np.concatenate([x, np.zeros(config.frame_len)])
+    padded = np.concatenate([np.zeros(config.frame_len - config.hop), x,
+                             np.zeros(config.frame_len)])
     frames = (sliding_window_view(padded, config.frame_len)[::config.hop]
               * hann(config.frame_len))
     values = np.fft.rfft(frames, n=config.frame_len, axis=1)
@@ -111,21 +113,25 @@ def synthesize(spec: Spectrogram):
     """Weighted overlap-add inverse of analyze, signal_length samples long,
     normalized by the summed squared-window envelope.
 
-    Block r (hop samples) of frame n lands on output block n + r; adding
+    Block r (hop samples) of frame n lands on padded block n + r; adding
     each r over all frames, last r first, sums each sample in frame order.
+    analyze's front pad, dropped here, puts every sample under every window
+    phase, so the envelope (floored at 1e-12) is zero only at hop = frame_len.
     """
     config = spec.config
     hop = config.hop
+    pad = config.frame_len - hop
     per_frame = config.frame_len // hop
     window = hann(config.frame_len)
     frames = (np.fft.irfft(spec.values, n=config.frame_len, axis=1)
               * window).reshape(spec.num_frames, per_frame, hop)
     squares = (window**2).reshape(per_frame, hop)
-    n_blocks = -(-spec.signal_length // hop)
+    n_blocks = -(-(pad + spec.signal_length) // hop)
     buf, wsum = np.zeros((2, n_blocks, hop))
     for r in reversed(range(per_frame)):
         n = max(0, min(spec.num_frames, n_blocks - r))
         buf[r:r + n] += frames[:n, r]
         wsum[r:r + n] += squares[r]
     out = buf / np.maximum(wsum, 1e-12)
-    return TimeSignal(out.ravel()[:spec.signal_length], spec.sample_rate)
+    return TimeSignal(out.ravel()[pad:pad + spec.signal_length],
+                      spec.sample_rate)

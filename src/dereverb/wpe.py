@@ -168,24 +168,20 @@ def prepare(observed: MultichannelSpectrogram, params: WpeParams):
     Checks that params.reference_channel exists and that there are more
     frames than params.delay; returns the reference-channel spectrogram,
     the delayed regressors of observed and psd, the weight law of both
-    runs: psd(S) is max(|S|^2, floor) elementwise, where the floor is
-    params.epsilon at floor_share 0, else per bin floor_share * mean over
-    frames of |X_ref|^2, and epsilon in a bin where that is 0. The
-    per-bin floor scales with the input's power.
+    runs: psd(S) is max(|S|^2, floor) elementwise, where each bin's floor
+    is floor_share * mean over frames of |X_ref|^2, or epsilon where that
+    is 0, as in every bin at floor_share 0. A positive share scales the
+    floor with the input's power.
     """
     if params.reference_channel >= observed.num_channels:
         raise ArgumentError("reference_channel out of range")
     if observed.num_frames <= params.delay:
         raise ArgumentError("need more frames than the prediction delay")
     reference = observed.channels[params.reference_channel]
+    floor = params.floor_share * np.mean(np.abs(reference.values) ** 2, axis=0)
+    floor = np.where(floor > 0, floor, params.epsilon)
     regressors = stack_regressors([ch.values for ch in observed.channels],
                                   params.delay, params.filter_order)
-    # Share 0 holds no (frames, bins) |X_ref|^2 beside the regressors' copy.
-    floor = params.epsilon
-    if params.floor_share:
-        floor = params.floor_share * np.mean(np.abs(reference.values) ** 2,
-                                             axis=0)
-        floor = np.where(floor > 0, floor, params.epsilon)
     return reference, regressors, lambda s: np.maximum(np.abs(s) ** 2, floor)
 
 

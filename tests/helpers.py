@@ -96,12 +96,14 @@ def make_scene(preset="A", seed=0, noise_kind="none", snr_db=10.0,
 
 
 def analyze_gather(signal, config):
-    """Reference STFT: the tail zero-padded by one frame, and the N =
-    len // hop + 1 frames gathered through a (frames, frame_len) index
-    array, then windowed and transformed."""
+    """Reference STFT: the front zero-padded by frame_len - hop samples and
+    the tail by one frame, and the N = (len + frame_len - hop) // hop + 1
+    frames gathered through a (frames, frame_len) index array, then
+    windowed and transformed."""
     x = signal.samples
-    padded = np.concatenate([x, np.zeros(config.frame_len)])
-    n_frames = len(x) // config.hop + 1
+    pad = config.frame_len - config.hop
+    padded = np.concatenate([np.zeros(pad), x, np.zeros(config.frame_len)])
+    n_frames = (len(x) + pad) // config.hop + 1
     window = hann(config.frame_len)
     idx = (np.arange(n_frames)[:, None] * config.hop
            + np.arange(config.frame_len)[None, :])
@@ -113,8 +115,8 @@ def analyze_gather(signal, config):
 def synthesize_loop(spec):
     """Reference weighted overlap-add: one frame at a time in frame order,
     each frame and its squared window added at its offset, the sum divided
-    by the envelope floored at 1e-12, then cut or zero-padded to
-    signal_length."""
+    by the envelope floored at 1e-12, then stripped of analyze's
+    frame_len - hop front pad and cut or zero-padded to signal_length."""
     config = spec.config
     window = hann(config.frame_len)
     frames = np.fft.irfft(spec.values, n=config.frame_len, axis=1)
@@ -127,9 +129,10 @@ def synthesize_loop(spec):
         buf[start:start + config.frame_len] += frames[n]
         wsum[start:start + config.frame_len] += window**2
     out = buf / np.maximum(wsum, 1e-12)
-    target = min(spec.signal_length, out_len)
+    pad = config.frame_len - config.hop
+    kept = out[pad:pad + spec.signal_length]
     trimmed = np.zeros(spec.signal_length)
-    trimmed[:target] = out[:target]
+    trimmed[:len(kept)] = kept
     return TimeSignal(trimmed, spec.sample_rate)
 
 

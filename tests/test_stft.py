@@ -68,9 +68,10 @@ def test_round_trip_zero_spectrogram():
 
 
 def test_single_frame_impulse():
-    # DFT of a delta at position t0 synthesizes back to the delta
+    # DFT of a delta at frame position t0 synthesizes back to the delta, at
+    # sample t0 - (frame_len - hop) once analyze's front pad is dropped
     config = StftConfig(frame_len=64, hop=16)
-    t0 = 20
+    t0 = 52
     impulse = np.zeros(64)
     impulse[t0] = 1.0
     w = hann(64)
@@ -79,7 +80,7 @@ def test_single_frame_impulse():
     out = synthesize(spec)
     # single frame: the windowed frame divided by w^2 restores the impulse
     expected = np.zeros(64)
-    expected[t0] = 1.0
+    expected[t0 - 48] = 1.0
     assert np.allclose(out.samples, expected, atol=1e-12)
 
 
@@ -101,7 +102,8 @@ def test_shape_law():
         n = int(rng.integers(config.frame_len, 40000))
         spec = analyze(TimeSignal(rng.standard_normal(n), 16000), config)
         assert spec.values.shape[1] == config.frame_len // 2 + 1
-        assert spec.num_frames == n // config.hop + 1
+        assert spec.num_frames == (
+            (n + config.frame_len - config.hop) // config.hop + 1)
 
 
 def test_short_signal_rejected():
@@ -144,12 +146,11 @@ def test_multichannel_spectrogram_rejects(channels, message):
         MultichannelSpectrogram(channels)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_synthesize_of_random_gains_does_not_click_at_the_start():
     """Real gains in [0, 1] on an STFT of noise: the first frame_len - hop
-    samples, covered by the rising edge of the first frames alone, peak at
-    most 4x the rest. synthesize divides them by a squared-window envelope
-    as small as w[1]^2, so they peak thousands of times higher."""
+    samples peak at most 4x the rest. Without analyze's front pad only the
+    rising edge of the first frames covers them, and synthesize divides
+    them by a squared-window envelope as small as w[1]^2."""
     config = StftConfig()
     noise = np.random.default_rng(0).standard_normal(16000)
     spec = analyze(TimeSignal(noise, 16000), config)
@@ -182,7 +183,7 @@ def test_synthesize_matches_loop_reference_byte_for_byte(frame_len, hop):
     config = StftConfig(frame_len=frame_len, hop=hop)
     rng = np.random.default_rng(frame_len * 1000 + hop)
     for n_frames in (0, 1, 2, 7):
-        span = (n_frames - 1) * hop + frame_len
+        span = n_frames * hop  # the frames' span past analyze's front pad
         for length in sorted({0, 1, span // 2, span - hop - 1, span - 1, span,
                               span + 1, span + 2 * hop + 1}):
             if length < 0:

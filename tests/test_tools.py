@@ -14,8 +14,11 @@ summarise = bench_pairs.summarise
 LOWER = {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.25}
 HIGHER = {**LOWER, "name": "fwsegsnr", "better": "higher"}
 # Ten parent runs at 1.0 ... 1.9: median 1.45, inclusive Q1-Q3 1.225-1.675,
-# so a claimable gain must move the median by more than 0.45.
+# so a claimable gain must move the median by more than 0.45. That spread
+# is 31% of the median, wider than the 25% bound.
 PARENT = [1.0 + i / 10 for i in range(10)]
+# Ten parent runs at 1.0 ... 1.09, whose spread is 4% of their median.
+NARROW = [1.0 + i / 100 for i in range(10)]
 
 
 def test_parent_quartiles_are_the_inclusive_ones():
@@ -59,15 +62,34 @@ def test_better_higher_flips_the_sign():
 
 
 @pytest.mark.parametrize("metric, factor, verdict", [
-    (LOWER, 1.3, "beyond"), (LOWER, 1.2, "within"), (LOWER, 0.5, "within"),
-    (HIGHER, 0.7, "beyond"), (HIGHER, 0.8, "within"),
+    (LOWER, 1.3, "beyond"), (LOWER, 1.2, "unresolved"), (LOWER, 0.5, "within"),
+    (HIGHER, 0.7, "beyond"), (HIGHER, 0.8, "unresolved"),
 ])
 def test_verdict_reads_the_median_move_against_the_bound(metric, factor,
                                                          verdict):
     """Worse by the relative median move: 30% against a 25% bound is
-    beyond it, 20% is within, and a gain is always within."""
+    beyond it. 20% is within it, but PARENT's spread is wider than the
+    bound, so it is unresolved. A gain in every run is within."""
     line = summarise(metric, PARENT, [p * factor for p in PARENT])
     assert f"({verdict} bound 25%)" in line
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    (NARROW, [p * 1.2 for p in NARROW], "within"),   # spread 4% < 25%
+    (NARROW, [p * 0.8 for p in NARROW], "within"),
+    (PARENT, [p - 0.3 for p in PARENT], "unresolved"),  # median gain only
+    # the last change run ties the parent's best run, or beats it
+    (PARENT, [p - 1.0 for p in PARENT[:-1]] + [1.0], "unresolved"),
+    (PARENT, [p - 1.0 for p in PARENT[:-1]] + [0.99], "within"),
+    (PARENT, list(PARENT), "unresolved"),             # no move at all
+], ids=["narrow-worse", "narrow-better", "wide-median-gain", "wide-one-tie",
+        "wide-every-run-better", "wide-equal"])
+def test_a_move_within_a_bound_the_parents_spread_hides_is_unresolved(
+        parent, change, verdict):
+    """Within the bound, the verdict is unresolved when the parent's
+    Q3 - Q1 is wider than the bound times its median, unless every change
+    run reads better than every parent run."""
+    assert f"({verdict} bound 25%)" in summarise(LOWER, parent, change)
 
 
 @pytest.mark.parametrize("parent, change", [

@@ -72,13 +72,16 @@ def test_stack_holds_only_the_padded_observation():
 
 # --- PSD estimate -----------------------------------------------------------
 
-def test_prepare_holds_one_copy_of_the_observation():
+@pytest.mark.parametrize("floor_share", [0.0, 0.03])
+def test_prepare_holds_one_copy_of_the_observation(floor_share):
     # the regressors' zero-padded copy is read from the channels in place,
-    # with no stacked (Q, frames, bins) copy beside it
+    # with no stacked (Q, frames, bins) copy beside it, and the per-bin
+    # floor's |X_ref|^2 is freed before that copy is made
     spec = random_mc(np.random.default_rng(19), 4, 501, StftConfig())
     tracemalloc.start()
     try:
-        _, regressors, _ = prepare(spec, WpeParams(filter_order=10))
+        _, regressors, _ = prepare(
+            spec, WpeParams(filter_order=10, floor_share=floor_share))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -17,9 +17,11 @@ reads better and worse (ties count for neither), how much worse the
 change's median is than the parent's against the metric's bound (both
 relative to the parent's median), and whether a gain may be claimed: the
 change reads better in at least nine tenths of the pairs, and its median
-is better than the parent's by more than the parent's Q3 - Q1. A run
-that exits non-zero or prints no result counts as failed, with no
-metrics.
+is better than the parent's by more than the parent's Q3 - Q1. A move
+within the bound reads `unresolved` in place of `within` when the
+parent's Q3 - Q1 is wider than the bound times its median, unless every
+run of the change reads better than every run of the parent. A run that
+exits non-zero or prints no result counts as failed, with no metrics.
 
 Edits no file: each bench run removes its own scratch directory.
 """
@@ -71,7 +73,13 @@ def summarise(metric, parent, change):
     losses = sum(sign * (c - p) > 0 for p, c in pairs)
     worse = sign * (new - old) / abs(old) if old and new != old else 0.0
     gain = wins >= 0.9 * len(pairs) and sign * (old - new) > q3 - q1
-    verdict = "beyond" if worse > metric["bound"] else "within"
+    if worse > metric["bound"]:
+        verdict = "beyond"
+    elif (q3 - q1 > metric["bound"] * abs(old)
+          and max(sign * c for c in news) >= min(sign * p for p in olds)):
+        verdict = "unresolved"  # the parent's spread hides the bound
+    else:
+        verdict = "within"
     return (f"{metric['name']} [{metric['unit']}]: parent {old:.6g} "
             f"(Q1-Q3 {q1:.6g}-{q3:.6g}) -> change {new:.6g}; change better "
             f"in {wins}, worse in {losses} of {len(pairs)} pairs; worse by "
